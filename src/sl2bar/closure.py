@@ -11,34 +11,38 @@ Binary operations join both operands to the lcm of their levels, operate
 there, and reduce the result back to minimal level.  Joins past N_MAX
 fail loudly with the offending lcm named; the finite window is explicit,
 never approximated.
+
+Lifting and reduction are O(1) lookups in the field module's per-level
+kernels where the target level has log tables: g_m^k lifts to g_n^(k e),
+e = (2^n - 1)/(2^m - 1), and log k lies in the level-m subfield exactly
+when e divides k.  Other levels use the shared GF(2) echelon solver.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from . import conway
 from .errors import LevelOverflow, NotADivisor
 from .gf2_field import (
     N_MAX,
+    _LEVELS,
     FieldElt,
+    _elt,
+    _level,
+    _solve_gf2,
     add,
     divisors,
     elt_order,
-    frobenius,
-    gen,
     inv,
     mul,
-    one,
     parse_elt,
     power,
     sqrt,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClosureElt:
     """A closure element held by its minimal-level representative.
 
@@ -90,19 +94,6 @@ ZERO = ClosureElt(FieldElt(1, 0))
 ONE = ClosureElt(FieldElt(1, 1))
 
 
-@lru_cache(maxsize=None)
-def _embed_basis(m: int, n: int) -> tuple[int, ...]:
-    """Masks at level n of the images of g_m^i, i = 0..m-1."""
-    e = ((1 << n) - 1) // ((1 << m) - 1)
-    img = power(gen(n), e)
-    out = [1]
-    acc = one(n)
-    for _ in range(m - 1):
-        acc = mul(acc, img)
-        out.append(acc.mask)
-    return tuple(out)
-
-
 def lift(a: FieldElt, n: int) -> FieldElt:
     """Image of a under the canonical embedding into level n.
 
@@ -115,63 +106,44 @@ def lift(a: FieldElt, n: int) -> FieldElt:
         raise NotADivisor(f"level {m} does not divide target level {n}")
     if m == n:
         return a
-    basis = _embed_basis(m, n)
+    x = a.mask
+    if x <= 1:
+        return _elt(n, x)
+    t = _LEVELS.get(n) or _level(n)
+    if t.log is not None:  # g_m^k -> g_n^(k e)
+        return _elt(n, t.exp[_level(m).log[x] * (t.q1 // ((1 << m) - 1))])
     mask = 0
-    rest = a.mask
-    i = 0
-    while rest:
-        if rest & 1:
-            mask ^= basis[i]
-        rest >>= 1
-        i += 1
-    return FieldElt(n, mask)
+    for v in t.embed_basis(m):
+        if x & 1:
+            mask ^= v
+        x >>= 1
+    return _elt(n, mask)
 
 
-@lru_cache(maxsize=None)
-def _embed_pivots(m: int, n: int) -> tuple[tuple[int, tuple[int, int]], ...]:
-    """Row-reduced basis of the level-m image inside level n, as
-    (leading bit, (value, preimage-selection)) pairs."""
-    pivots: dict[int, tuple[int, int]] = {}
-    for i, v in enumerate(_embed_basis(m, n)):
-        s = 1 << i
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (v, s)
-                break
-            pv, ps = pivots[lead]
-            v ^= pv
-            s ^= ps
-    return tuple(pivots.items())
-
-
-def _unlift(mask: int, m: int, n: int) -> int:
-    """Preimage at level m of a level-n mask known to lie in the image."""
-    sel = 0
-    t = mask
-    pivots = dict(_embed_pivots(m, n))
-    while t:
-        lead = t.bit_length() - 1
-        pv, ps = pivots[lead]  # KeyError would mean mask is not in the subfield
-        t ^= pv
-        sel ^= ps
-    return sel
+def _unlift(mask: int, m: int, n: int) -> int | None:
+    """Preimage at level m | n of a level-n mask, or None when the mask
+    lies outside the level-m subfield."""
+    t = _LEVELS.get(n) or _level(n)
+    if t.log is None:
+        return _solve_gf2(t.embed_basis(m), mask)
+    if not mask:
+        return 0
+    k = t.log[mask]
+    e = t.q1 // ((1 << m) - 1)
+    return _level(m).exp[k // e] if k % e == 0 else None
 
 
 def reduce_elt(a: FieldElt) -> ClosureElt:
     """Canonicalize to the minimal level: the smallest divisor m of
-    a.level whose subfield contains a (i.e. a^(2^m) = a)."""
-    n = a.level
-    if a.mask in (0, 1):
-        return ClosureElt(FieldElt(1, a.mask))
-    for m in divisors(n):
-        if m == n:
-            break
-        t = a
-        for _ in range(m):
-            t = frobenius(t)
-        if t == a:
-            return ClosureElt(FieldElt(m, _unlift(a.mask, m, n)))
+    a.level whose subfield contains a.  With log tables that is the
+    smallest m for which (2^n - 1)/(2^m - 1) divides log a."""
+    n, x = a.level, a.mask
+    if x <= 1:
+        return ONE if x else ZERO
+    for m in divisors(n)[1:-1]:
+        pre = _unlift(x, m, n)
+        if pre is not None:
+            return ClosureElt(_elt(m, pre))
     return ClosureElt(a)
 
 
@@ -185,10 +157,13 @@ def parse(text: str) -> ClosureElt:
 
 def join(a: ClosureElt, b: ClosureElt) -> tuple[FieldElt, FieldElt]:
     """Both operands lifted to the lcm of their minimal levels."""
-    n = math.lcm(a.level, b.level)
+    x, y = a.elt, b.elt
+    if x.level == y.level:
+        return x, y
+    n = math.lcm(x.level, y.level)
     if n > N_MAX:
-        raise LevelOverflow(f"join needs level {n} = lcm({a.level}, {b.level}) > {N_MAX}")
-    return lift(a.elt, n), lift(b.elt, n)
+        raise LevelOverflow(f"join needs level {n} = lcm({x.level}, {y.level}) > {N_MAX}")
+    return lift(x, n), lift(y, n)
 
 
 def cadd(a: ClosureElt, b: ClosureElt) -> ClosureElt:
@@ -217,14 +192,6 @@ def cpow(a: ClosureElt, e: int) -> ClosureElt:
 
 def corder(a: ClosureElt) -> int:
     return elt_order(a.elt)
-
-
-def _drop_caches() -> None:
-    _embed_basis.cache_clear()
-    _embed_pivots.cache_clear()
-
-
-conway.register_invalidation_hook(_drop_caches)
 
 
 __all__ = [

@@ -53,23 +53,25 @@ class ConwayTable:
         return self.polys[n - 1]
 
 
+def _eval_at_power(fm: int, e: int, f: int) -> int:
+    """fm evaluated at x^e inside GF(2)[x]/(f), by Horner's rule."""
+    root = ppowmod(0b10, e, f)
+    acc = 0
+    for i in range(degree(fm), -1, -1):
+        acc = pmulmod(acc, root, f)
+        if fm >> i & 1:
+            acc ^= 1
+    return acc
+
+
 def norm_compatible(table: ConwayTable, m: int, n: int) -> bool:
     """Check the embedding compatibility of levels m | n within the table."""
     if n % m != 0:
         raise ValueError(f"{m} does not divide {n}")
     if m == n:
         return True
-    fn = table.poly(n)
-    fm = table.poly(m)
     e = ((1 << n) - 1) // ((1 << m) - 1)
-    root = ppowmod(0b10, e, fn)
-    # Horner evaluation of fm at root, inside GF(2)[x]/(fn).
-    acc = 0
-    for i in range(degree(fm), -1, -1):
-        acc = pmulmod(acc, root, fn)
-        if fm >> i & 1:
-            acc ^= 1
-    return acc == 0
+    return _eval_at_power(table.poly(m), e, table.poly(n)) == 0
 
 
 def validate_table(table: ConwayTable) -> None:
@@ -105,18 +107,7 @@ def search_conway(n: int, lower: dict[int, int]) -> int:
             continue  # f(1) = 0, so x+1 divides f
         if not is_primitive(f):
             continue
-        ok = True
-        for (m, fm), e in zip(maximal, exps):
-            root = ppowmod(0b10, e, f)
-            acc = 0
-            for i in range(degree(fm), -1, -1):
-                acc = pmulmod(acc, root, f)
-                if fm >> i & 1:
-                    acc ^= 1
-            if acc != 0:
-                ok = False
-                break
-        if ok:
+        if all(_eval_at_power(fm, e, f) == 0 for (_, fm), e in zip(maximal, exps)):
             return f
     raise SearchFailed(f"no compatible primitive polynomial of degree {n}")
 

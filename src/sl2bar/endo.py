@@ -19,16 +19,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Union
 
 import numpy as np
 
-from . import closure, conway, finite_engine as fe, sl2_core as sl
+from . import closure, finite_engine as fe, sl2_core as sl
 from .closure import ClosureElt, cinv, corder, reduce_elt
-from .errors import BoundExceeded, LevelMismatch, NoPrimitiveCubeRoot, PreconditionError, StepFailed
-from .gf2_field import FieldElt, add, frobenius, frobenius_orbit, gen, mul, power
-from .gf2_field import elements_of_max_order
+from .errors import BoundExceeded, InvariantViolated, LevelMismatch, NoPrimitiveCubeRoot, PreconditionError, StepFailed
+from .gf2_field import FieldElt, ensure_log_table, frobenius_orbit, gen, power
 from .sl2_core import SWAP, Mat2, SubsetName, mat_entry_masks, mat_to_json
 
 FIELD_ENDO_MAX_LEVEL = 20
@@ -60,28 +58,30 @@ class FieldEndo:
 def field_endos(n: int) -> list[FieldEndo]:
     """The n field endomorphisms of GF(2^n), each self-checked to be a
     bijective unital ring homomorphism (exhaustively at small levels,
-    on a deterministic sample above them)."""
+    on a deterministic sample above them) over the level's log tables."""
     if n > FIELD_ENDO_MAX_LEVEL:
         raise BoundExceeded(f"endomorphism family limited to levels <= {FIELD_ENDO_MAX_LEVEL}, got {n}")
+    t = ensure_log_table(n)
+    q = 1 << n
     out = [FieldEndo(n, j) for j in range(n)]
     if n <= _EXHAUSTIVE_HOM_LEVEL:
-        pool = [FieldElt(n, m) for m in range(1 << n)]
-        pairs = [(x, y) for x in pool for y in pool]
+        xs, ys = np.divmod(np.arange(q * q, dtype=np.int64), q)
     else:
-        pool = [FieldElt(n, (0x9E3779B1 * k) % (1 << n)) for k in range(64)]
-        pairs = list(zip(pool, pool[::-1]))
+        xs = (0x9E3779B1 * np.arange(64, dtype=np.int64)) % q
+        ys = xs[::-1]
     for e in out:
-        assert e.apply(FieldElt(n, 1)).is_one
-        for x, y in pairs:
-            assert e.apply(add(x, y)) == add(e.apply(x), e.apply(y))
-            assert e.apply(mul(x, y)) == mul(e.apply(x), e.apply(y))
+        img = t.pow_vec(np.arange(q), 1 << e.frob_power)
+        if img[1] != 1:
+            raise InvariantViolated(f"{e} does not fix 1")
+        if not np.array_equal(img[xs ^ ys], img[xs] ^ img[ys]):
+            raise InvariantViolated(f"{e} is not additive")
+        if not np.array_equal(img[t.mul_vec(xs, ys)], t.mul_vec(img[xs], img[ys])):
+            raise InvariantViolated(f"{e} is not multiplicative")
         if n <= _EXHAUSTIVE_BIJECTION_LEVEL:
-            image = {e.apply(FieldElt(n, m)).mask for m in range(1 << n)}
-            assert len(image) == 1 << n
-        else:
-            back = FieldEndo(n, (n - e.frob_power) % n)
-            for x in pool:
-                assert back.apply(e.apply(x)) == x
+            if len(np.unique(img)) != q:
+                raise InvariantViolated(f"{e} is not injective")
+        elif not np.array_equal(t.pow_vec(img[xs], 1 << (n - e.frob_power) % n), xs):
+            raise InvariantViolated(f"{e} has no inverse frob^{(n - e.frob_power) % n}")
     return out
 
 
@@ -93,14 +93,33 @@ def endo_permutes_roots(e: FieldEndo, a: FieldElt) -> bool:
     return {e.apply(FieldElt(a.level, m)).mask for m in orbit} == orbit
 
 
+def first_unpermuted_root(e: FieldEndo) -> int | None:
+    """The lowest mask whose image under e leaves its conjugate set, or
+    None: as e is bijective (field_endos checks it), endo_permutes_roots
+    over the whole level in one numpy scan.  Images come from the log
+    tables (k -> 2^j k); conjugate sets, named by their least mask, from
+    iterating the schoolbook squaring table."""
+    t = ensure_log_table(e.level)
+    orbit = cur = np.arange(1 << e.level)
+    for _ in range(e.level - 1):
+        cur = t.squares[cur]
+        orbit = np.minimum(orbit, cur)
+    moved = np.flatnonzero(orbit[t.pow_vec(np.arange(1 << e.level), 1 << e.frob_power)] != orbit)
+    return int(moved[0]) if len(moved) else None
+
+
 def endo_permutes_max_order(e: FieldEndo, n: int) -> bool:
-    """Does e restrict to a permutation of the maximal-order elements?"""
+    """Does e restrict to a permutation of the maximal-order elements?
+    The set comes from the log tables, e from the schoolbook squaring table."""
     if n > MAX_ORDER_SCAN_MAX_LEVEL:
         raise BoundExceeded(f"max-order scan limited to levels <= {MAX_ORDER_SCAN_MAX_LEVEL}, got {n}")
     if e.level != n:
         raise LevelMismatch(f"endomorphism level {e.level} differs from requested level {n}")
-    top = {x.mask for x in elements_of_max_order(n)}
-    return {e.apply(FieldElt(n, m)).mask for m in top} == top
+    t = ensure_log_table(n)
+    image = top = t.max_order
+    for _ in range(e.frob_power):
+        image = t.squares[image]
+    return bool(np.array_equal(np.sort(image), top))
 
 
 # ---------------------------------------------------------------------------
@@ -158,10 +177,7 @@ def apply_group_endo(spec: GroupEndoSpec, M: Mat2) -> Mat2:
         for x in M.entries():
             if spec.endo.level % x.level != 0:
                 raise LevelMismatch(f"entry {x} does not live inside level {spec.endo.level}")
-            t = x.elt
-            for _ in range(spec.endo.frob_power):
-                t = frobenius(t)
-            out.append(ClosureElt(t))  # squaring preserves the minimal level
+            out.append(ClosureElt(power(x.elt, 1 << spec.endo.frob_power)))  # squaring keeps the minimal level
         return Mat2(*out)
     if isinstance(spec, InnerConj):
         return sl.conj(spec.mat, M)
@@ -178,21 +194,11 @@ def apply_group_endo(spec: GroupEndoSpec, M: Mat2) -> Mat2:
 # vectorized application over an enumerated group
 
 
-@lru_cache(maxsize=None)
-def _frob_power_table(level: int, j: int) -> np.ndarray:
-    q = 1 << level
-    out = np.empty(q, dtype=np.int64)
-    for m in range(q):
-        out[m] = power(FieldElt(level, m), 1 << j).mask
-    return out
-
-
 def _apply_spec_rows(spec: GroupEndoSpec, G: fe.GroupTable, rows: np.ndarray) -> np.ndarray:
     if isinstance(spec, Entrywise):
         if spec.endo.level != G.level:
             raise LevelMismatch(f"endomorphism level {spec.endo.level} differs from table level {G.level}")
-        tab = _frob_power_table(G.level, spec.endo.frob_power)
-        return tab[rows]
+        return ensure_log_table(G.level).pow_vec(rows, 1 << spec.endo.frob_power)
     if isinstance(spec, InnerConj):
         w = np.array(mat_entry_masks(spec.mat, G.level), dtype=np.int64)
         winv = np.array(mat_entry_masks(sl.minv(spec.mat), G.level), dtype=np.int64)
@@ -389,8 +395,6 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     return ReplayReport(n, entries)
 
 
-conway.register_invalidation_hook(_frob_power_table.cache_clear)
-
 __all__ = [
     "Compose",
     "Entrywise",
@@ -407,6 +411,7 @@ __all__ = [
     "endo_permutes_max_order",
     "endo_permutes_roots",
     "field_endos",
+    "first_unpermuted_root",
     "replay_cohopf_skeleton",
     "replay_family",
     "spec_str",

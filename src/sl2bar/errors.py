@@ -57,6 +57,11 @@ class SearchFailed(Sl2BarError):
     """An exhaustive search that must succeed found nothing."""
 
 
+class InvariantViolated(Sl2BarError):
+    """A computed result failed the self-check that guards it; raised
+    explicitly so that ``python -O`` keeps the check."""
+
+
 class NoPrimitiveCubeRoot(Sl2BarError):
     """The requested level carries no primitive cube root of unity (odd level)."""
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import conway
 from .errors import BoundExceeded, PreconditionError, SearchFailed
-from .gf2_field import FieldElt, inv as finv, mul as fmul
+from .gf2_field import ensure_log_table
 from .sl2_core import Mat2, SubsetName, mat_entry_masks, mat_from_masks, mat_to_json
 
 KIND_SL2 = "sl2"
@@ -46,21 +46,12 @@ def order_formula(level: int, kind: str) -> int:
     raise ValueError(kind)
 
 
-@lru_cache(maxsize=None)
 def field_ops(level: int):
-    """Per-level numpy multiplication and inverse tables."""
-    q = 1 << level
-    MUL = np.zeros((q, q), dtype=np.int64)
-    for x in range(q):
-        ex = FieldElt(level, x)
-        for y in range(x, q):
-            m = fmul(ex, FieldElt(level, y)).mask
-            MUL[x, y] = m
-            MUL[y, x] = m
-    INV = np.zeros(q, dtype=np.int64)
-    for x in range(1, q):
-        INV[x] = finv(FieldElt(level, x)).mask
-    return level, q, MUL, INV
+    """Per-level numpy multiplication and inverse tables (int64, because
+    the packed codes need the width), taken from the level's kernel."""
+    t = ensure_log_table(level)
+    x = np.arange(1 << level)
+    return level, 1 << level, t.mul_vec(x[:, None], x[None, :]), t.pow_vec(x, -1)
 
 
 def _mul_rows(ops, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -655,12 +646,7 @@ def witness_json(G: GroupTable, idxs) -> list[list[str]]:
     return [G.mat_json(int(i)) for i in idxs]
 
 
-def _drop_caches() -> None:
-    field_ops.cache_clear()
-    enumerate_group.cache_clear()
-
-
-conway.register_invalidation_hook(_drop_caches)
+conway.register_invalidation_hook(enumerate_group.cache_clear)
 
 
 __all__ = [

@@ -10,19 +10,29 @@ All operations here are same-level; combining elements that live at
 different levels is the job of the closure module.  Values are immutable
 and every function is pure, so the module is safe to use concurrently.
 
-Multiplication is schoolbook carry-less multiplication followed by
-reduction; levels up to LOG_TABLE_MAX additionally get discrete-log
-tables, built on demand, which make bulk order computations cheap.
+All per-level data lives in one kernel per level, ``LevelTables``, in one
+cache that one invalidation hook drops when the modulus table changes.
+Its compact exp/log arrays (built by vectorized numpy) make products,
+powers and orders lookups and yield the numpy tables of the group engine
+and the endomorphism scans.  Levels up to FIRST_TOUCH_MAX get them at
+first touch, levels up to LOG_TABLE_MAX only on explicit demand
+(``ensure_log_table``, ``elements_of_max_order``, the endomorphism scans);
+the rest multiply schoolbook and find subfield preimages with the one
+cached GF(2) echelon solver, which the ``z^2 + z = c`` solver shares.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from array import array
 from dataclasses import dataclass
-from functools import cache as _functools_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from . import conway
-from .errors import BoundExceeded, DivisionByZero, LevelMismatch, ParseError
+from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
 from .gf2poly import Gf2Poly, divisors, factorize, totient
 
 N_MAX = conway.N_MAX
@@ -31,6 +41,7 @@ N_MAX = conway.N_MAX
 # discrete-log table construction) is allowed.
 ENUM_MAX_LEVEL = 20
 LOG_TABLE_MAX = ENUM_MAX_LEVEL
+FIRST_TOUCH_MAX = 16  # all log tables up to here take under a megabyte
 
 
 def check_level(n: int) -> int:
@@ -39,7 +50,7 @@ def check_level(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FieldElt:
     """An element of GF(2^level) as a coefficient mask."""
 
@@ -72,18 +83,30 @@ class FieldElt:
         return f"0x{self.mask:x}@{self.level}"
 
 
+_new_obj = object.__new__
+_set_level = FieldElt.level.__set__
+_set_mask = FieldElt.mask.__set__
+
+
+def _elt(n: int, mask: int) -> FieldElt:
+    """Internal constructor for a level and mask already known to be valid."""
+    e = _new_obj(FieldElt)
+    _set_level(e, n)
+    _set_mask(e, mask)
+    return e
+
+
 def zero(n: int) -> FieldElt:
-    return FieldElt(n, 0)
+    return _elt(check_level(n), 0)
 
 
 def one(n: int) -> FieldElt:
-    return FieldElt(n, 1)
+    return _elt(check_level(n), 1)
 
 
 def gen(n: int) -> FieldElt:
     """The level-n generator: the modulus root x, which is 1 at level 1."""
-    check_level(n)
-    return FieldElt(n, 2 if n > 1 else 1)
+    return _elt(check_level(n), 2 if n > 1 else 1)
 
 
 _ELT_RE = re.compile(r"0[xX]([0-9a-fA-F]+)@([0-9]+)\Z")
@@ -104,11 +127,7 @@ def parse_elt(text: str) -> FieldElt:
 
 
 # ---------------------------------------------------------------------------
-# raw mask arithmetic
-
-
-def _modulus(n: int) -> int:
-    return conway.get_active().poly(n)
+# raw mask arithmetic and the GF(2) solver
 
 
 def _mul_masks(x: int, y: int, n: int, mod: int) -> int:
@@ -124,86 +143,212 @@ def _mul_masks(x: int, y: int, n: int, mod: int) -> int:
     return r
 
 
-_LOG_TABLES: dict[int, tuple[list[int], list[int]]] = {}
-
-
-def _log_table(n: int) -> tuple[list[int], list[int]] | None:
-    return _LOG_TABLES.get(n)
-
-
-def ensure_log_table(n: int) -> tuple[list[int], list[int]]:
-    """Build (idempotently) the exp/log tables for a level n <= LOG_TABLE_MAX."""
-    if n > LOG_TABLE_MAX:
-        raise BoundExceeded(f"log tables limited to levels <= {LOG_TABLE_MAX}, got {n}")
-    tabs = _LOG_TABLES.get(n)
-    if tabs is not None:
-        return tabs
-    mod = _modulus(n)
-    q1 = (1 << n) - 1
-    exp = [0] * q1
-    log = [0] * (1 << n)
-    val = 1
-    gmask = 2 if n > 1 else 1
-    for i in range(q1):
-        exp[i] = val
-        log[val] = i
-        val = _mul_masks(val, gmask, n, mod)
-    assert val == 1, "modulus is not primitive"
-    _LOG_TABLES[n] = (exp, log)
-    return exp, log
-
-
-def _require_same_level(a: FieldElt, b: FieldElt) -> int:
-    if a.level != b.level:
-        raise LevelMismatch(f"levels {a.level} and {b.level} differ (join via the closure module)")
-    return a.level
-
-
-def add(a: FieldElt, b: FieldElt) -> FieldElt:
-    n = _require_same_level(a, b)
-    return FieldElt(n, a.mask ^ b.mask)
-
-
-def mul(a: FieldElt, b: FieldElt) -> FieldElt:
-    n = _require_same_level(a, b)
-    if a.mask == 0 or b.mask == 0:
-        return FieldElt(n, 0)
-    tabs = _log_table(n)
-    if tabs is not None:
-        exp, log = tabs
-        return FieldElt(n, exp[(log[a.mask] + log[b.mask]) % ((1 << n) - 1)])
-    return FieldElt(n, _mul_masks(a.mask, b.mask, n, _modulus(n)))
-
-
-def power(a: FieldElt, e: int) -> FieldElt:
-    """a**e; e may be negative only for nonzero a."""
-    n = a.level
-    if a.mask == 0:
-        if e < 0:
-            raise DivisionByZero("negative power of zero")
-        return one(n) if e == 0 else zero(n)
-    q1 = (1 << n) - 1
-    e %= q1
-    tabs = _log_table(n)
-    if tabs is not None:
-        exp, log = tabs
-        return FieldElt(n, exp[log[a.mask] * e % q1])
-    mod = _modulus(n)
+def _pow_masks(x: int, e: int, n: int, mod: int) -> int:
     r = 1
-    x = a.mask
     while e:
         if e & 1:
             r = _mul_masks(r, x, n, mod)
         x = _mul_masks(x, x, n, mod)
         e >>= 1
-    return FieldElt(n, r)
+    return r
+
+
+@lru_cache(maxsize=None)
+def _echelon(vectors: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+    """Row-reduced span of GF(2) mask vectors: leading bit -> (vector,
+    selection of the input rows summing to it); shared, so never mutated."""
+    pivots: dict[int, tuple[int, int]] = {}
+    for i, v in enumerate(vectors):
+        s = 1 << i
+        while v:
+            lead = v.bit_length() - 1
+            p = pivots.get(lead)
+            if p is None:
+                pivots[lead] = (v, s)
+                break
+            v ^= p[0]
+            s ^= p[1]
+    return pivots
+
+
+def _solve_gf2(vectors: tuple[int, ...], target: int) -> int | None:
+    """A selection mask s with the XOR of vectors[i] over the set bits i
+    of s equal to target, or None when target is outside their span."""
+    pivots = _echelon(vectors)
+    sel = 0
+    while target:
+        p = pivots.get(target.bit_length() - 1)
+        if p is None:
+            return None
+        target ^= p[0]
+        sel ^= p[1]
+    return sel
+
+
+# ---------------------------------------------------------------------------
+# the per-level kernel
+
+
+def _log_arrays(n: int, mod: int) -> tuple[array, array]:
+    """Compact exp (g^k, k < 2^n - 1) and log (its inverse) arrays, built by
+    doubling: g^(L+i) = g^i * g^L, multiplication by a constant being
+    GF(2)-linear.  TableInvalid unless g generates every nonzero mask."""
+    q1 = (1 << n) - 1
+    exp = np.left_shift(1, np.arange(min(n, q1), dtype=np.int32))  # the monomials; g = 1 at level 1
+    while len(exp) < q1:
+        src = exp[: q1 - len(exp)]
+        block = np.zeros_like(src)
+        c = _mul_masks(int(exp[-1]), 2, n, mod)  # g^len(exp)
+        for b in range(n):
+            block ^= ((src >> b) & 1) * c
+            c = _mul_masks(c, 2, n, mod)
+        exp = np.concatenate([exp, block])
+    log = np.zeros(q1 + 1, dtype=np.int32)
+    log[exp] = np.arange(q1)
+    if not (exp.all() and np.array_equal(log[exp], np.arange(q1))):
+        raise TableInvalid(f"level {n} modulus {mod:#x} is not primitive")
+    code = "H" if n <= 16 else "I"  # uint16 or uint32
+    return array(code, exp.astype(code).tobytes()), array(code, log.astype(code).tobytes())
+
+
+class LevelTables:
+    """The kernel of one level: everything derived from its modulus.  With
+    log tables it holds the compact exp/log arrays the vectorized methods
+    read; without, only ``mod`` and the schoolbook path's subfield bases."""
+
+    def __init__(self, n: int, mod: int, logs: bool = False):
+        self.n = n
+        self.mod = mod
+        self.q1 = (1 << n) - 1
+        self.exp, self.log = _log_arrays(n, mod) if logs else (None, None)
+        self._bases: dict[int, tuple[int, ...]] = {}
+
+    def _np(self) -> tuple[np.ndarray, np.ndarray]:
+        return tuple(np.frombuffer(a, dtype=a.typecode).astype(np.int64) for a in (self.exp, self.log))
+
+    def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Elementwise products of two mask arrays."""
+        exp, log = self._np()
+        return np.where((x != 0) & (y != 0), exp[(log[x] + log[y]) % self.q1], 0)
+
+    def pow_vec(self, masks: np.ndarray, e: int) -> np.ndarray:
+        """masks^e elementwise, with 0^e = 0; on logs the Frobenius power
+        x -> x^(2^j) is k -> 2^j k."""
+        exp, log = self._np()
+        return np.where(masks != 0, exp[(log[masks] * e) % self.q1], 0)
+
+    @cached_property
+    def squares(self) -> np.ndarray:
+        """The table mask -> mask^2, made without the log tables: squaring is
+        GF(2)-linear, so the schoolbook squares of the masks g^i fix it."""
+        x = np.arange(self.q1 + 1, dtype=np.int64)
+        out = np.zeros_like(x)
+        for i, image in enumerate(self.as_images):
+            out ^= ((x >> i) & 1) * (image ^ (1 << i))
+        return out
+
+    @cached_property
+    def max_order(self) -> np.ndarray:
+        """The masks of multiplicative order 2^n - 1, ascending: exp[k]
+        for the k coprime to 2^n - 1."""
+        exp, _ = self._np()
+        top = np.unique(exp[np.gcd(np.arange(self.q1), self.q1) == 1])
+        if len(top) != totient(self.q1):
+            raise InvariantViolated(f"level {self.n}: {len(top)} maximal-order elements, totient {totient(self.q1)}")
+        return top
+
+    def embed_basis(self, m: int) -> tuple[int, ...]:
+        """Masks at this level of g_m^i, i < m, under the embedding
+        g_m -> g_n^((2^n - 1)/(2^m - 1))."""
+        basis = self._bases.get(m)
+        if basis is None:
+            img = _pow_masks(2, self.q1 // ((1 << m) - 1), self.n, self.mod)
+            out = [1]
+            for _ in range(m - 1):
+                out.append(_mul_masks(out[-1], img, self.n, self.mod))
+            basis = self._bases[m] = tuple(out)
+        return basis
+
+    @cached_property
+    def as_images(self) -> tuple[int, ...]:
+        """Schoolbook images of the basis masks g^i under the GF(2)-linear
+        z -> z^2 + z."""
+        return tuple(_mul_masks(1 << i, 1 << i, self.n, self.mod) ^ (1 << i) for i in range(self.n))
+
+
+_LEVELS: dict[int, LevelTables] = {}
+conway.register_invalidation_hook(_LEVELS.clear)
+
+
+def _level(n: int) -> LevelTables:
+    """The level-n kernel; first touch builds log tables up to FIRST_TOUCH_MAX."""
+    t = _LEVELS.get(n)
+    if t is None:
+        mod = conway.get_active().poly(n)  # loads the table outside the build
+        if n <= FIRST_TOUCH_MAX:
+            return ensure_log_table(n)
+        t = _LEVELS[n] = LevelTables(n, mod)
+    return t
+
+
+def ensure_log_table(n: int) -> LevelTables:
+    """The level-n kernel with its log tables, built (idempotently) on
+    demand for any level n <= LOG_TABLE_MAX."""
+    if n > LOG_TABLE_MAX:
+        raise BoundExceeded(f"log tables limited to levels <= {LOG_TABLE_MAX}, got {n}")
+    t = _LEVELS.get(n)
+    if t is None or t.log is None:
+        t = _LEVELS[n] = LevelTables(n, conway.get_active().poly(n), logs=True)
+    return t
+
+
+# ---------------------------------------------------------------------------
+# same-level arithmetic
+
+
+def _level_mismatch(a: FieldElt, b: FieldElt) -> LevelMismatch:
+    return LevelMismatch(f"levels {a.level} and {b.level} differ (join via the closure module)")
+
+
+def add(a: FieldElt, b: FieldElt) -> FieldElt:
+    n = a.level
+    if n != b.level:
+        raise _level_mismatch(a, b)
+    return _elt(n, a.mask ^ b.mask)
+
+
+def mul(a: FieldElt, b: FieldElt) -> FieldElt:
+    n = a.level
+    if n != b.level:
+        raise _level_mismatch(a, b)
+    x, y = a.mask, b.mask
+    if not x or not y:
+        return _elt(n, 0)
+    t = _LEVELS.get(n) or _level(n)
+    log = t.log
+    if log is None:
+        return _elt(n, _mul_masks(x, y, n, t.mod))
+    return _elt(n, t.exp[(log[x] + log[y]) % t.q1])
+
+
+def power(a: FieldElt, e: int) -> FieldElt:
+    """a**e; e may be negative only for nonzero a."""
+    n, x = a.level, a.mask
+    if not x:
+        if e < 0:
+            raise DivisionByZero("negative power of zero")
+        return _elt(n, 1 if e == 0 else 0)
+    t = _LEVELS.get(n) or _level(n)
+    if t.log is not None:
+        return _elt(n, t.exp[t.log[x] * e % t.q1])
+    return _elt(n, _pow_masks(x, e % t.q1, n, t.mod))
 
 
 def inv(a: FieldElt) -> FieldElt:
-    """Multiplicative inverse, computed as a^(2^n - 2)."""
+    """Multiplicative inverse, a^(2^n - 2)."""
     if a.mask == 0:
         raise DivisionByZero("inverse of zero")
-    return power(a, (1 << a.level) - 2)
+    return power(a, -1)
 
 
 def frobenius(a: FieldElt) -> FieldElt:
@@ -223,18 +368,20 @@ def trace_abs(a: FieldElt) -> FieldElt:
     for _ in range(a.level - 1):
         t = frobenius(t)
         acc = add(acc, t)
-    assert acc.mask in (0, 1)
+    if acc.mask > 1:
+        raise InvariantViolated(f"trace of {a} left the prime field: {acc}")
     return acc
 
 
 def elt_order(a: FieldElt) -> int:
-    """Multiplicative order of a nonzero element.
-
-    Starts from 2^n - 1 and strips prime factors that keep a^d = 1.
-    """
+    """Multiplicative order of a nonzero element: (2^n - 1)/gcd(log a, 2^n - 1),
+    or without log tables 2^n - 1 stripped of primes p keeping a^(d/p) = 1."""
     if a.mask == 0:
         raise DivisionByZero("order of zero")
-    d = (1 << a.level) - 1
+    t = _level(a.level)
+    d = t.q1
+    if t.log is not None:
+        return d // math.gcd(t.log[a.mask], d)
     for p in factorize(d):
         while d % p == 0 and power(a, d // p).is_one:
             d //= p
@@ -290,75 +437,38 @@ def artin_schreier_solve(c: FieldElt) -> FieldElt | None:
     set is {z, z+1}.  The returned solution has bit 0 clear.
     """
     n = c.level
-    mod = _modulus(n)
-    # pivots keyed by leading bit: leading bit -> (value, selection mask)
-    pivots: dict[int, tuple[int, int]] = {}
-    for i in range(n):
-        b = 1 << i
-        v = _mul_masks(b, b, n, mod) ^ b  # image of the basis vector g^i
-        s = b
-        while v:
-            lead = v.bit_length() - 1
-            if lead not in pivots:
-                pivots[lead] = (v, s)
-                break
-            pv, ps = pivots[lead]
-            v ^= pv
-            s ^= ps
-    t = c.mask
-    sel = 0
-    while t:
-        lead = t.bit_length() - 1
-        if lead not in pivots:
-            return None
-        pv, ps = pivots[lead]
-        t ^= pv
-        sel ^= ps
-    sel &= ~1  # pick the solution with even constant coefficient
-    z = FieldElt(n, sel)
-    assert add(frobenius(z), z) == c
+    sel = _solve_gf2(_level(n).as_images, c.mask)
+    if sel is None:
+        return None
+    z = _elt(n, sel & ~1)  # pick the solution with even constant coefficient
+    if add(frobenius(z), z) != c:
+        raise InvariantViolated(f"z^2 + z = c solver returned {z} for c = {c}")
     return z
-
-
-@_functools_cache
-def _max_order_masks(n: int) -> tuple[int, ...]:
-    ensure_log_table(n)
-    q1 = (1 << n) - 1
-    out = tuple(m for m in range(1, 1 << n) if elt_order(FieldElt(n, m)) == q1)
-    assert len(out) == totient(q1)
-    return out
 
 
 def elements_of_max_order(n: int, *, bound: int = ENUM_MAX_LEVEL) -> list[FieldElt]:
     """All elements of multiplicative order 2^n - 1, ascending by mask.
 
-    Exhaustive scan (cached per level); the count always equals
+    Read off the log tables (cached per level); the count always equals
     totient(2^n - 1).
     """
     check_level(n)
     if n > bound:
         raise BoundExceeded(f"exhaustive enumeration limited to levels <= {bound}, got {n}")
-    return [FieldElt(n, m) for m in _max_order_masks(n)]
+    return [_elt(n, m) for m in ensure_log_table(n).max_order.tolist()]
 
 
 def random_elt(rng, n: int, *, nonzero: bool = False) -> FieldElt:
     """Uniform element of GF(2^n) drawn from an externally seeded rng."""
     lo = 1 if nonzero else 0
-    return FieldElt(n, rng.randrange(lo, 1 << n))
-
-
-def _drop_caches() -> None:
-    _LOG_TABLES.clear()
-    _max_order_masks.cache_clear()
-
-
-conway.register_invalidation_hook(_drop_caches)
+    return _elt(check_level(n), rng.randrange(lo, 1 << n))
 
 
 __all__ = [
     "N_MAX",
     "ENUM_MAX_LEVEL",
     "FieldElt",
+    "LevelTables",
     "add",
     "artin_schreier_solve",
     "check_level",

@@ -148,3 +148,19 @@ def test_replay_rejects_bad_levels():
         replay_cohopf_skeleton(3)
     with pytest.raises(BoundExceeded):
         replay_cohopf_skeleton(6)
+
+
+def test_endo_scans_catch_a_corrupted_log_table(monkeypatch):
+    from sl2bar import gf2_field as gf
+    from sl2bar.endo import first_unpermuted_root
+
+    good = gf.ensure_log_table(4)
+    bad = gf.LevelTables(4, good.mod, logs=True)
+    # swap g (order 15) with g^3 (order 5) in the exp/log tables
+    bad.exp[1], bad.exp[3] = bad.exp[3], bad.exp[1]
+    bad.log[bad.exp[1]], bad.log[bad.exp[3]] = 1, 3
+    assert first_unpermuted_root(FieldEndo(4, 1)) is None
+    assert endo_permutes_max_order(FieldEndo(4, 1), 4)
+    monkeypatch.setitem(gf._LEVELS, 4, bad)
+    assert first_unpermuted_root(FieldEndo(4, 1)) is not None
+    assert not endo_permutes_max_order(FieldEndo(4, 1), 4)
