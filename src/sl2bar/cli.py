@@ -23,8 +23,7 @@ import sys
 from . import closure, conway, finite_engine as fe, sl2_core as sl, verify
 from .closure import ClosureElt, cadd, cinv, cmul, cpow
 from .errors import ParseError, Sl2BarError
-from .gf2_field import check_level, elements_of_max_order, minimal_poly
-from .sl2_core import SubsetName
+from .gf2_field import check_level, ensure_log_table, minimal_poly
 
 
 def _emit(args, obj: dict, text: str) -> None:
@@ -155,7 +154,7 @@ def _cmd_field(args) -> int:
     elif args.subcommand == "max-order-count":
         n = args.level
         check_level(n)
-        count = len(elements_of_max_order(n))
+        count = len(ensure_log_table(n).max_order)
         _emit(args, {"level": n, "count": count}, str(count))
     return 0
 
@@ -206,20 +205,7 @@ def _cmd_group(args) -> int:
         _emit(args, {"kind": G.kind, "level": G.level, "simple": simple}, f"simple: {'true' if simple else 'false'}")
     elif args.subcommand == "gen":
         G = _group_table(args)
-        if args.gens == "involutions":
-            import numpy as np
-
-            gens = np.flatnonzero(G.element_orders() == 2)
-        elif args.gens == "swap-lower":
-            import numpy as np
-
-            gens = np.concatenate([[G.index_of(sl.SWAP)], fe.subset_indices(G, SubsetName.LOWER_UNI)])
-        else:  # ndelta-lower
-            import numpy as np
-
-            nd = fe.normalizer_bf(G, fe.named_subgroup(G, SubsetName.DIAG))
-            gens = np.concatenate([nd.indices(), fe.subset_indices(G, SubsetName.LOWER_TRI)])
-        got = fe.subgroup_generated(G, gens)
+        got = fe.subgroup_generated(G, fe.generator_set(G, args.gens))
         full = got.size == len(G)
         obj = {"kind": G.kind, "level": G.level, "generators": args.gens, "generates": full, "order": got.size}
         _emit(args, obj, f"generates: {'true' if full else 'false'} (order {got.size})")
@@ -317,11 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--level", type=int, required=(name != "a5"), default=2 if name == "a5" else None)
         sp.add_argument("--kind", choices=[fe.KIND_SL2, fe.KIND_GL2], default=fe.KIND_SL2)
         if name == "gen":
-            sp.add_argument(
-                "--gens",
-                choices=["involutions", "swap-lower", "ndelta-lower"],
-                default="involutions",
-            )
+            sp.add_argument("--gens", choices=fe.GENERATOR_SETS, default="involutions")
         sp.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify", help="run the verification suite")

@@ -217,7 +217,8 @@ def apply_spec_to_table(spec: GroupEndoSpec, G: fe.GroupTable) -> np.ndarray:
     img = G.index_of_rows(_apply_spec_rows(spec, G, G.masks))
     # spot check against the scalar path
     for i in (0, 1, len(G) // 2):
-        assert G.index_of(apply_group_endo(spec, G.mat(i))) == img[i]
+        if G.index_of(apply_group_endo(spec, G.mat(i))) != img[i]:
+            raise InvariantViolated(f"{spec_str(spec)} disagrees with the scalar path at element {i}")
     return img
 
 
@@ -292,24 +293,17 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     q1 = (1 << n) - 1
 
     theta = reduce_elt(power(gen(n), q1 // 3))
-    assert corder(theta) == 3
+    if corder(theta) != 3:
+        raise InvariantViolated(f"anchor {theta} does not have order 3")
     g_mat = sl.diag_mat(theta, cinv(theta))
     g_idx = G.index_of(g_mat)
     swap_idx = G.index_of(SWAP)
     orders = G.element_orders()
 
-    delta = fe.subset_indices(G, SubsetName.DIAG)
-    delta_member = np.zeros(len(G), dtype=bool)
-    delta_member[delta] = True
-    dprime = fe.subset_indices(G, SubsetName.OFF_DIAG)
-    dprime_member = np.zeros(len(G), dtype=bool)
-    dprime_member[dprime] = True
-    ut = fe.subset_indices(G, SubsetName.UPPER_UNI)
-    lt = fe.subset_indices(G, SubsetName.LOWER_UNI)
-    ut_member = np.zeros(len(G), dtype=bool)
-    ut_member[ut] = True
-    lt_member = np.zeros(len(G), dtype=bool)
-    lt_member[lt] = True
+    delta_member, dprime_member, ut_member, lt_member = (
+        fe.subset_member(G, s) for s in (SubsetName.DIAG, SubsetName.OFF_DIAG, SubsetName.UPPER_UNI, SubsetName.LOWER_UNI)
+    )
+    delta, lt = np.flatnonzero(delta_member), np.flatnonzero(lt_member)
     lower = fe.subset_indices(G, SubsetName.LOWER_TRI)
     invtrans_map = G.index_of_rows(G.masks[:, [3, 2, 1, 0]])
 

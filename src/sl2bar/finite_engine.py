@@ -6,9 +6,8 @@ semidirect product checks.
 
 Elements are stored as rows of entry masks in a numpy array; element 0 is
 always the identity and the remaining rows are sorted by packed code, so
-"lowest index" witnesses are deterministic.  A dense multiplication table
-is built lazily and only for groups of at most CAYLEY_MAX elements; larger
-groups multiply through mask arithmetic plus a packed-code lookup.
+"lowest index" witnesses are deterministic.  Every product goes through
+mask arithmetic on the rows plus a lookup of the packed code.
 
 Tables are immutable once built (the lazy caches are idempotent), and all
 query functions are pure, so concurrent readers are safe.
@@ -22,19 +21,19 @@ from functools import lru_cache
 import numpy as np
 
 from . import conway
-from .errors import BoundExceeded, PreconditionError, SearchFailed
+from .errors import BoundExceeded, InvariantViolated, PreconditionError, SearchFailed
 from .gf2_field import ensure_log_table
-from .sl2_core import Mat2, SubsetName, mat_entry_masks, mat_from_masks, mat_to_json
+from .sl2_core import SWAP, Mat2, SubsetName, mat_entry_masks, mat_from_masks, mat_to_json
 
 KIND_SL2 = "sl2"
 KIND_GL2 = "gl2"
 
 SL2_MAX_LEVEL = 5
 GL2_MAX_LEVEL = 3
-CAYLEY_MAX = 5000
 TRIPLES_MAX = 600
 SIMPLE_MAX = 5000
 MAXAB_MAX = 5000
+GENERATOR_SETS = ("involutions", "swap-lower", "ndelta-lower")
 
 
 def order_formula(level: int, kind: str) -> int:
@@ -70,6 +69,25 @@ def _mul_rows(ops, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
+def _commuting(ops, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Do the mask rows x and y commute?  Broadcasts like _mul_rows.
+
+    In characteristic 2 the commutator difference xy + yx has diagonal
+    entries b1 c2 + b2 c1 and off-diagonal entries b1 t2 + b2 t1 and
+    c1 t2 + c2 t1, with t = a + d the trace, so three pairs of entry
+    products decide it without forming xy or yx."""
+    _, _, MUL, _ = ops
+    a1, b1, c1, d1 = (x[..., i] for i in range(4))
+    a2, b2, c2, d2 = (y[..., i] for i in range(4))
+    t1, t2 = a1 ^ d1, a2 ^ d2
+    return (MUL[b1, c2] == MUL[b2, c1]) & (MUL[b1, t2] == MUL[b2, t1]) & (MUL[c1, t2] == MUL[c2, t1])
+
+
+def _pack(rows: np.ndarray, q: int) -> np.ndarray:
+    """Packed code of mask rows: the four entries as base-q digits."""
+    return ((rows[..., 0] * q + rows[..., 1]) * q + rows[..., 2]) * q + rows[..., 3]
+
+
 def _det_rows(ops, x: np.ndarray) -> np.ndarray:
     _, _, MUL, _ = ops
     return MUL[x[..., 0], x[..., 3]] ^ MUL[x[..., 1], x[..., 2]]
@@ -92,13 +110,12 @@ class GroupTable:
         self.ops = field_ops(level)
         q = self.ops[1]
         self.masks = masks
-        self.codes = self._pack(masks)
+        self.codes = _pack(masks, q)
         lookup = np.full(q**4, -1, dtype=np.int64)
         lookup[self.codes] = np.arange(len(masks))
         self._lookup = lookup
         self.inv_masks = _inv_rows(self.ops, masks)
-        self.inv_index = lookup[self._pack(self.inv_masks)]
-        self._cayley: np.ndarray | None = None
+        self.inv_index = lookup[_pack(self.inv_masks, q)]
         self._orders: np.ndarray | None = None
 
     # -- basic accessors ----------------------------------------------------
@@ -106,16 +123,8 @@ class GroupTable:
     def __len__(self) -> int:
         return len(self.masks)
 
-    @property
-    def order(self) -> int:
-        return len(self.masks)
-
-    def _pack(self, rows: np.ndarray) -> np.ndarray:
-        q = self.ops[1]
-        return ((rows[..., 0] * q + rows[..., 1]) * q + rows[..., 2]) * q + rows[..., 3]
-
     def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        idx = self._lookup[self._pack(rows)]
+        idx = self._lookup[_pack(rows, self.ops[1])]
         if np.any(idx < 0):
             raise ValueError("matrix is not a member of the group")
         return idx
@@ -127,9 +136,6 @@ class GroupTable:
     def mat(self, i: int) -> Mat2:
         return mat_from_masks(self.level, self.masks[i])
 
-    def mats(self):
-        return (self.mat(i) for i in range(len(self)))
-
     def literal(self, i: int) -> str:
         return str(self.mat(i))
 
@@ -138,26 +144,9 @@ class GroupTable:
 
     # -- multiplication -----------------------------------------------------
 
-    def ensure_cayley(self) -> np.ndarray:
-        if self._cayley is None:
-            n = len(self)
-            if n > CAYLEY_MAX:
-                raise BoundExceeded(f"dense table limited to {CAYLEY_MAX} elements, group has {n}")
-            out = np.empty((n, n), dtype=np.int32)
-            step = max(1, (1 << 22) // max(n, 1))
-            for lo in range(0, n, step):
-                hi = min(n, lo + step)
-                prod = _mul_rows(self.ops, self.masks[lo:hi, None, :], self.masks[None, :, :])
-                out[lo:hi] = self._lookup[self._pack(prod)]
-            self._cayley = out
-        return self._cayley
-
     def mul_vec(self, i, j) -> np.ndarray:
         """Indexwise product; i and j broadcast together."""
-        if self._cayley is not None:
-            return self._cayley[i, j]
-        prod = _mul_rows(self.ops, self.masks[i], self.masks[j])
-        return self._lookup[self._pack(prod)]
+        return self._lookup[_pack(_mul_rows(self.ops, self.masks[i], self.masks[j]), self.ops[1])]
 
     def mul_index(self, i: int, j: int) -> int:
         return int(self.mul_vec(np.int64(i), np.int64(j)))
@@ -165,15 +154,11 @@ class GroupTable:
     def conj_vec(self, i, j) -> np.ndarray:
         """Index of element i * j * i^(-1), broadcasting."""
         left = _mul_rows(self.ops, self.masks[i], self.masks[j])
-        prod = _mul_rows(self.ops, left, self.inv_masks[i])
-        return self._lookup[self._pack(prod)]
+        return self._lookup[_pack(_mul_rows(self.ops, left, self.inv_masks[i]), self.ops[1])]
 
     def commutes_with(self, g: int) -> np.ndarray:
         """Boolean vector: which elements commute with element g."""
-        row = self.masks[g][None, :]
-        left = _mul_rows(self.ops, self.masks, row)
-        right = _mul_rows(self.ops, row, self.masks)
-        return np.all(left == right, axis=-1)
+        return _commuting(self.ops, self.masks, self.masks[g][None, :])
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
@@ -185,7 +170,7 @@ class GroupTable:
             while np.any(orders == 0):
                 k += 1
                 if k > n + 1:
-                    raise AssertionError("order scan ran past the group order")
+                    raise InvariantViolated("order scan ran past the group order")
                 live = orders == 0
                 cur[live] = self.mul_vec(cur[live], np.flatnonzero(live))
                 done = live & (cur == 0)
@@ -222,13 +207,13 @@ def enumerate_group(level: int, kind: str = KIND_SL2) -> GroupTable:
         b0, d0 = b0.ravel(), d0.ravel()
         part0 = np.stack([np.zeros_like(b0), b0, INV[b0], d0], axis=-1)
         rows = np.concatenate([part1, part0])
-    codes = ((rows[:, 0] * q + rows[:, 1]) * q + rows[:, 2]) * q + rows[:, 3]
-    rows = rows[np.argsort(codes)]
+    rows = rows[np.argsort(_pack(rows, q))]
     ident = np.array([1, 0, 0, 1], dtype=np.int64)
     pos = int(np.flatnonzero(np.all(rows == ident, axis=1))[0])
     rows = np.concatenate([rows[pos : pos + 1], rows[:pos], rows[pos + 1 :]])
     table = GroupTable(level, kind, rows)
-    assert len(table) == order_formula(level, kind)
+    if len(table) != order_formula(level, kind):
+        raise InvariantViolated(f"enumerated {len(table)} elements, the order formula gives {order_formula(level, kind)}")
     return table
 
 
@@ -264,10 +249,12 @@ class SubgroupRef:
         """Check closure under product and inverse, and that 1 is present."""
         G = self.parent
         idx = self.indices()
-        assert 0 in self, "subgroup must contain the identity"
-        assert np.all(self.member[G.inv_index[idx]]), "subgroup not closed under inverse"
-        prods = G.mul_vec(idx[:, None], idx[None, :])
-        assert np.all(self.member[prods]), "subgroup not closed under product"
+        if 0 not in self:
+            raise InvariantViolated("subgroup must contain the identity")
+        if not np.all(self.member[G.inv_index[idx]]):
+            raise InvariantViolated("subgroup not closed under inverse")
+        if not np.all(self.member[G.mul_vec(idx[:, None], idx[None, :])]):
+            raise InvariantViolated("subgroup not closed under product")
 
     def to_index_json(self) -> list[int]:
         return [int(i) for i in self.indices()]
@@ -290,30 +277,33 @@ def trivial_subgroup(G: GroupTable) -> SubgroupRef:
     return subgroup_from_indices(G, [0])
 
 
-def subset_indices(G: GroupTable, name: SubsetName) -> np.ndarray:
-    """Indices of the named shape subset, ascending."""
+def subset_member(G: GroupTable, name: SubsetName) -> np.ndarray:
+    """Boolean membership vector of the named shape subset."""
     a, b, c, d = (G.masks[:, i] for i in range(4))
     if name is SubsetName.DIAG:
-        keep = (b == 0) & (c == 0)
-    elif name is SubsetName.OFF_DIAG:
-        keep = (a == 0) & (d == 0)
-    elif name is SubsetName.UPPER_TRI:
-        keep = c == 0
-    elif name is SubsetName.UPPER_UNI:
-        keep = (c == 0) & (a == 1) & (d == 1)
-    elif name is SubsetName.LOWER_TRI:
-        keep = b == 0
-    elif name is SubsetName.LOWER_UNI:
-        keep = (b == 0) & (a == 1) & (d == 1)
-    else:
-        raise ValueError(name)
-    return np.flatnonzero(keep)
+        return (b == 0) & (c == 0)
+    if name is SubsetName.OFF_DIAG:
+        return (a == 0) & (d == 0)
+    if name is SubsetName.UPPER_TRI:
+        return c == 0
+    if name is SubsetName.UPPER_UNI:
+        return (c == 0) & (a == 1) & (d == 1)
+    if name is SubsetName.LOWER_TRI:
+        return b == 0
+    if name is SubsetName.LOWER_UNI:
+        return (b == 0) & (a == 1) & (d == 1)
+    raise ValueError(name)
+
+
+def subset_indices(G: GroupTable, name: SubsetName) -> np.ndarray:
+    """Indices of the named shape subset, ascending."""
+    return np.flatnonzero(subset_member(G, name))
 
 
 def named_subgroup(G: GroupTable, name: SubsetName) -> SubgroupRef:
     if name is SubsetName.OFF_DIAG:
         raise PreconditionError("the off-diagonal set is not a subgroup")
-    return subgroup_from_indices(G, subset_indices(G, name))
+    return SubgroupRef(G, subset_member(G, name))
 
 
 def centralizer_bf(G: GroupTable, g) -> SubgroupRef:
@@ -334,11 +324,8 @@ def normalizer_bf(G: GroupTable, H: SubgroupRef) -> SubgroupRef:
 
 
 def is_abelian(H: SubgroupRef) -> bool:
-    G = H.parent
-    idx = H.indices()
-    sub = G.masks[idx]
-    prods = _mul_rows(G.ops, sub[:, None, :], sub[None, :, :])
-    return bool(np.all(prods == prods.swapaxes(0, 1)))
+    sub = H.parent.masks[H.indices()]
+    return bool(np.all(_commuting(H.parent.ops, sub[:, None, :], sub[None, :, :])))
 
 
 def derived_subgroup(H: SubgroupRef) -> SubgroupRef:
@@ -388,14 +375,14 @@ class CtReport:
     witness: tuple[int, int, int] | None = None
 
     def __post_init__(self):
-        assert self.holds == (self.witness is None)
+        if self.holds != (self.witness is None):
+            raise InvariantViolated("a report fails exactly when it carries a witness")
         if self.witness is not None:
             G = self.group
             x, y, z = self.witness
-            assert y != 0
-            assert G.mul_index(x, y) == G.mul_index(y, x)
-            assert G.mul_index(y, z) == G.mul_index(z, y)
-            assert G.mul_index(x, z) != G.mul_index(z, x)
+            commutes = [G.mul_index(s, t) == G.mul_index(t, s) for s, t in ((x, y), (y, z), (x, z))]
+            if y == 0 or commutes != [True, True, False]:
+                raise InvariantViolated(f"witness {self.witness} is not a commutation-transitivity counterexample")
 
     def to_json(self) -> dict:
         return {
@@ -416,12 +403,19 @@ def ct_check_centralizers(G: GroupTable) -> CtReport:
     for g in range(1, len(G)):
         cz = np.flatnonzero(G.commutes_with(g))
         sub = G.masks[cz]
-        prods = _mul_rows(G.ops, sub[:, None, :], sub[None, :, :])
-        same = np.all(prods == prods.swapaxes(0, 1), axis=-1)
+        same = _commuting(G.ops, sub[:, None, :], sub[None, :, :])
         if not same.all():
             i, j = np.argwhere(~same)[0]
             return CtReport(G, False, (int(cz[i]), g, int(cz[j])))
     return CtReport(G, True)
+
+
+def _commute_matrix(G: GroupTable) -> np.ndarray:
+    """comm[g, h]: do elements g and h commute?  Built one row at a time."""
+    comm = np.zeros((len(G), len(G)), dtype=bool)
+    for g in range(len(G)):
+        comm[g] = G.commutes_with(g)
+    return comm
 
 
 def ct_check_triples(G: GroupTable) -> CtReport:
@@ -430,9 +424,7 @@ def ct_check_triples(G: GroupTable) -> CtReport:
     n = len(G)
     if n > TRIPLES_MAX:
         raise BoundExceeded(f"triple scan limited to {TRIPLES_MAX} elements, group has {n}")
-    comm = np.zeros((n, n), dtype=bool)
-    for g in range(n):
-        comm[g] = G.commutes_with(g)
+    comm = _commute_matrix(G)
     for x in range(n):
         ys = np.flatnonzero(comm[x])
         for y in ys:
@@ -450,9 +442,7 @@ def maximal_abelian_subgroups(G: GroupTable) -> list[SubgroupRef]:
     the abelian centralizers of nontrivial elements.  Maximality is
     verified directly: no outside element may commute with everything."""
     n = len(G)
-    comm = np.zeros((n, n), dtype=bool)
-    for g in range(n):
-        comm[g] = G.commutes_with(g)
+    comm = _commute_matrix(G)
     seen: dict[bytes, np.ndarray] = {}
     for g in range(1, n):
         cz = comm[g]
@@ -465,12 +455,14 @@ def maximal_abelian_subgroups(G: GroupTable) -> list[SubgroupRef]:
         if any(other is not cz and np.all(cz <= other) for other in cands):
             continue
         commutes_with_all = np.all(comm[np.flatnonzero(cz)], axis=0)
-        assert np.array_equal(commutes_with_all, cz), "centralizer candidate not maximal"
+        if not np.array_equal(commutes_with_all, cz):
+            raise InvariantViolated("centralizer candidate not maximal")
         out.append(SubgroupRef(G, cz))
     covered = np.zeros(n, dtype=bool)
     for H in out:
         covered |= H.member
-    assert covered.all(), "some element lies in no listed maximal abelian subgroup"
+    if not covered.all():
+        raise InvariantViolated("some element lies in no listed maximal abelian subgroup")
     return out
 
 
@@ -519,6 +511,20 @@ def is_simple(G: GroupTable) -> bool:
         if closure_size != len(G):
             return False
     return True
+
+
+def generator_set(G: GroupTable, which: str) -> np.ndarray:
+    """Indices of a named generating set (one of GENERATOR_SETS): the
+    involutions, the swap matrix with the lower unitriangulars, or the
+    normalizer of the diagonal with the lower triangulars."""
+    if which == "involutions":
+        return np.flatnonzero(G.element_orders() == 2)
+    if which == "swap-lower":
+        return np.concatenate([[G.index_of(SWAP)], subset_indices(G, SubsetName.LOWER_UNI)])
+    if which == "ndelta-lower":
+        nd = normalizer_bf(G, named_subgroup(G, SubsetName.DIAG))
+        return np.concatenate([nd.indices(), subset_indices(G, SubsetName.LOWER_TRI)])
+    raise ValueError(which)
 
 
 def unipotent_as_order3_product(G: GroupTable) -> tuple[int, int]:
@@ -638,19 +644,11 @@ def projective_action(G: GroupTable) -> ProjectiveAction:
     return ProjectiveAction(G, perms)
 
 
-# ---------------------------------------------------------------------------
-# serialization helpers
-
-
-def witness_json(G: GroupTable, idxs) -> list[list[str]]:
-    return [G.mat_json(int(i)) for i in idxs]
-
-
 conway.register_invalidation_hook(enumerate_group.cache_clear)
 
 
 __all__ = [
-    "CAYLEY_MAX",
+    "GENERATOR_SETS",
     "GL2_MAX_LEVEL",
     "KIND_GL2",
     "KIND_SL2",
@@ -668,6 +666,7 @@ __all__ = [
     "derived_subgroup",
     "enumerate_group",
     "field_ops",
+    "generator_set",
     "is_abelian",
     "is_metabelian",
     "is_simple",
@@ -681,9 +680,9 @@ __all__ = [
     "subgroup_from_indices",
     "subgroup_generated",
     "subset_indices",
+    "subset_member",
     "trivial_subgroup",
     "unipotent_as_order3_product",
     "ut_lt_disjointness",
     "whole_group",
-    "witness_json",
 ]

@@ -414,7 +414,7 @@ def minimal_poly(a: FieldElt) -> Gf2Poly:
     mask = 0
     for i, c in enumerate(coeffs):
         if c.mask not in (0, 1):
-            raise AssertionError("conjugate product left the prime field")
+            raise InvariantViolated("conjugate product left the prime field")
         mask |= c.mask << i
     return Gf2Poly(mask)
 

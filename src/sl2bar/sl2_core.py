@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from . import closure
 from .closure import ZERO, ONE, ClosureElt, cadd, cinv, cmul, corder, csqrt
 from .errors import (
+    InvariantViolated,
     LevelOverflow,
     NonUnitDeterminant,
     NotAnInvolution,
@@ -194,9 +195,11 @@ def classify_jordan(M: Mat2) -> JordanClass:
         if 2 * m > closure.N_MAX:
             raise LevelOverflow(f"eigenvalues of {M} need level {2 * m} > {closure.N_MAX}")
         y = artin_schreier_solve(lift(c.elt, 2 * m))
-        assert y is not None, "trace vanishes after doubling the level"
+        if y is None:
+            raise InvariantViolated("trace vanishes after doubling the level")
     lam = cmul(t, reduce_elt(y))
-    assert cmul(lam, cadd(lam, t)).is_one  # the two roots multiply to det = 1
+    if not cmul(lam, cadd(lam, t)).is_one:
+        raise InvariantViolated(f"the two roots for {M} do not multiply to det = 1")
     return split_class(lam)
 
 
@@ -224,7 +227,8 @@ def morder(M: Mat2) -> int:
         while not cur.is_identity:
             cur = mmul(cur, M)
             steps += 1
-        assert steps == d, f"iterated order {steps} disagrees with {d}"
+        if steps != d:
+            raise InvariantViolated(f"iterated order {steps} disagrees with {d}")
     return d
 
 
@@ -307,8 +311,8 @@ def involution_params(M: Mat2) -> tuple[ClosureElt, ClosureElt]:
     s = csqrt(M.b)
     u = csqrt(M.c)
     corner = cadd(ONE, cmul(s, u))
-    assert Mat2(corner, M.b, M.c, corner) == M
-    assert not (s.is_zero and u.is_zero)
+    if Mat2(corner, M.b, M.c, corner) != M or (s.is_zero and u.is_zero):
+        raise InvariantViolated(f"parameters ({s}, {u}) do not rebuild {M}")
     return s, u
 
 
@@ -318,7 +322,8 @@ def diag_as_two_involutions(lam: ClosureElt) -> tuple[Mat2, Mat2]:
     if lam.is_zero:
         raise PreconditionError("lam must be nonzero")
     left = off_diag_mat(lam)
-    assert mmul(left, SWAP) == diag_mat(lam, cinv(lam))
+    if mmul(left, SWAP) != diag_mat(lam, cinv(lam)):
+        raise InvariantViolated(f"the two involutions for {lam} do not multiply to diag({lam}, {lam}^-1)")
     return left, SWAP
 
 
@@ -333,7 +338,8 @@ def commute_after_diag_twist(M: Mat2, lam: ClosureElt) -> bool:
     twisted = conj(D, M)
     direct = mmul(M, twisted) == mmul(twisted, M)
     criterion = s.is_zero or u.is_zero
-    assert direct == criterion
+    if direct != criterion:
+        raise InvariantViolated(f"commutation of {M} with its twist disagrees with the unitriangular criterion")
     return direct
 
 
@@ -343,7 +349,8 @@ def lt_conjugation_scaling(lam: ClosureElt, z: ClosureElt) -> Mat2:
     if lam.is_zero or z.is_zero:
         raise PreconditionError("lam and z must be nonzero")
     D = diag_mat(csqrt(cmul(lam, cinv(z))), csqrt(cmul(cinv(lam), z)))
-    assert conj(D, lower_uni(lam)) == lower_uni(z)
+    if conj(D, lower_uni(lam)) != lower_uni(z):
+        raise InvariantViolated(f"{D} does not conjugate [[1,0],[{lam},1]] to [[1,0],[{z},1]]")
     return D
 
 

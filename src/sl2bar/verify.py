@@ -26,7 +26,7 @@ from .gf2_field import (
     FieldElt,
     add,
     artin_schreier_solve,
-    elements_of_max_order,
+    ensure_log_table,
     frobenius,
     mul,
     random_elt,
@@ -262,17 +262,7 @@ def _check_eq1_eq2(total: int = 10_000):
 
 def _check_generation(n: int, which: str):
     G = _sl2(n)
-    if which == "involutions":
-        gens = np.flatnonzero(G.element_orders() == 2)
-    elif which == "swap-lower":
-        lt = fe.subset_indices(G, SubsetName.LOWER_UNI)
-        gens = np.concatenate([[G.index_of(sl.SWAP)], lt])
-    elif which == "ndelta-lower":
-        nd = fe.normalizer_bf(G, fe.named_subgroup(G, SubsetName.DIAG))
-        lower = fe.subset_indices(G, SubsetName.LOWER_TRI)
-        gens = np.concatenate([nd.indices(), lower])
-    else:
-        raise ValueError(which)
+    gens = fe.generator_set(G, which)
     got = fe.subgroup_generated(G, gens).size
     _need(got == len(G), f"generated subgroup has {got} of {len(G)} elements")
     return {"generators": int(len(np.unique(gens)))}
@@ -337,11 +327,11 @@ def _check_field_endos(n: int):
 
 
 def _check_max_order(n: int):
-    top = elements_of_max_order(n)
-    _need(len(top) == totient((1 << n) - 1), f"count {len(top)} differs from the totient")
+    count = len(ensure_log_table(n).max_order)
+    _need(count == totient((1 << n) - 1), f"count {count} differs from the totient")
     for e in endo.field_endos(n):
         _need(endo.endo_permutes_max_order(e, n), f"{e} does not permute the maximal-order elements")
-    return {"count": len(top)}
+    return {"count": count}
 
 
 # ---------------------------------------------------------------------------
@@ -449,9 +439,8 @@ def build_checks() -> list[Check]:
     addc("c08-eq1-eq2/random", 6, 2, _check_eq1_eq2)
 
     for n in (2, 3, 4):
-        addc(f"c09-generation/involutions/n{n}", n, n, lambda n=n: _check_generation(n, "involutions"))
-        addc(f"c09-generation/swap-lower/n{n}", n, n, lambda n=n: _check_generation(n, "swap-lower"))
-        addc(f"c09-generation/ndelta-lower/n{n}", n, n, lambda n=n: _check_generation(n, "ndelta-lower"))
+        for which in fe.GENERATOR_SETS:
+            addc(f"c09-generation/{which}/n{n}", n, n, lambda n=n, which=which: _check_generation(n, which))
     addc("c09-generation/diag-two-involutions", 4, 2, _check_diag_two_involutions)
     addc("c09-generation/unipotent-order3/n2", 2, 2, _check_unipotent_order3)
 

@@ -36,6 +36,12 @@ def test_field_commands(capsys):
     assert code == 0 and out == str(celt(2, 3) * celt(2, 3) * celt(2, 3))
 
 
+def test_max_order_count_at_the_log_table_bound(capsys):
+    assert run(capsys, "field", "max-order-count", "20") == (0, "480000", "")
+    code, _, err = run(capsys, "field", "max-order-count", "21")
+    assert code == 1 and "BoundExceeded" in err
+
+
 def test_expression_evaluator():
     assert eval_expr("0x2@2 ^ 3") == celt(1, 1)
     assert eval_expr("0x2@2 ^ -1") == celt(2, 3)

@@ -1,5 +1,10 @@
 """Brute-force group queries on the enumerated tables."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +17,8 @@ from sl2bar.sl2_core import (
     are_conjugate,
     classify_jordan,
     diag_mat,
+    is_member,
+    mmul,
     upper_uni,
 )
 
@@ -48,11 +55,12 @@ def test_identity_first_and_lookup():
         G.index_of(diag_mat(G2, G2))  # determinant g^2, not a member
 
 
-def test_cayley_agrees_with_mask_multiplication():
+def test_index_products_agree_with_scalar_matrix_products():
     G = sl2(2)
-    direct = np.array([[G.mul_index(i, j) for j in range(8)] for i in range(8)])
-    G.ensure_cayley()
-    assert np.array_equal(G._cayley[:8, :8], direct)
+    n = len(G)
+    got = G.mul_vec(np.arange(n)[:, None], np.arange(n)[None, :])
+    want = np.array([[G.index_of(mmul(G.mat(i), G.mat(j))) for j in range(n)] for i in range(n)])
+    assert np.array_equal(got, want)
     assert G.mul_index(0, 5) == 5 and G.mul_index(5, 0) == 5
     assert all(G.mul_index(i, int(G.inv_index[i])) == 0 for i in range(len(G)))
 
@@ -68,6 +76,24 @@ def test_centralizer_examples():
     assert czu == fe.named_subgroup(G, SubsetName.UPPER_UNI)
     for H in (cz, czu):
         H.validate()
+
+
+def test_commutation_agrees_with_scalar_matrix_products():
+    for G in (sl2(2), fe.enumerate_group(2, fe.KIND_GL2)):
+        mats = [G.mat(i) for i in range(len(G))]
+        got = np.array([G.commutes_with(g) for g in range(len(G))])
+        want = np.array([[mmul(M, N) == mmul(N, M) for N in mats] for M in mats])
+        assert np.array_equal(got, want)
+
+
+def test_subset_member_agrees_with_scalar_membership():
+    for n in (1, 2, 3):
+        G = sl2(n)
+        mats = [G.mat(i) for i in range(len(G))]
+        for name in SubsetName:
+            want = [is_member(M, name) for M in mats]
+            assert fe.subset_member(G, name).tolist() == want
+            assert fe.subset_indices(G, name).tolist() == [i for i, w in enumerate(want) if w]
 
 
 def test_normalizer_examples():
@@ -113,6 +139,27 @@ def test_ct_reports():
     assert fe.ct_check_triples(sl2(2)).holds
     with pytest.raises(BoundExceeded):
         fe.ct_check_triples(sl2(4))
+
+
+_BOGUS_WITNESS = """
+from sl2bar import finite_engine as fe
+from sl2bar.errors import InvariantViolated
+G = fe.enumerate_group(2)
+for holds, witness in ((False, (1, 2, 0)), (True, (1, 2, 0)), (False, None)):
+    try:
+        fe.CtReport(G, holds, witness)  # z = 0 is the identity, which commutes with x
+    except InvariantViolated:
+        continue
+    raise SystemExit(f"accepted holds={holds}, witness={witness}")
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_ct_report_rejects_a_bogus_witness(flags):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, *flags, "-c", _BOGUS_WITNESS], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout + done.stderr
 
 
 def test_maximal_abelian():

@@ -1,6 +1,9 @@
 """The verify report: the byte contract at level 2 and crash containment."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from sl2bar import verify
@@ -18,6 +21,14 @@ def _zero_millis(report: dict) -> str:
 def test_level2_report_matches_golden():
     got = _zero_millis(verify.run_suite(max_level=2).to_json())
     assert got == GOLDEN.read_text(encoding="ascii")
+
+
+def test_level2_report_under_optimize_matches_golden():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = [sys.executable, "-O", "-m", "sl2bar", "verify", "--max-level", "2", "--json"]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert _zero_millis(json.loads(done.stdout)) == GOLDEN.read_text(encoding="ascii")
 
 
 def test_crashing_check_is_recorded_and_the_suite_continues(monkeypatch, capsys):
