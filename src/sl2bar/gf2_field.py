@@ -16,7 +16,7 @@ Its compact exp/log arrays (built by vectorized numpy) make products,
 powers and orders lookups and yield the numpy tables of the group engine
 and the endomorphism scans.  Levels up to FIRST_TOUCH_MAX get them at
 first touch, levels up to LOG_TABLE_MAX only on explicit demand
-(``ensure_log_table``, ``elements_of_max_order``, the endomorphism scans);
+(``ensure_log_table``, the endomorphism scans);
 the rest multiply schoolbook and find subfield preimages with the one
 cached GF(2) echelon solver, which the ``z^2 + z = c`` solver shares.
 """
@@ -37,10 +37,8 @@ from .gf2poly import Gf2Poly, divisors, factorize, totient
 
 N_MAX = conway.N_MAX
 
-# Largest level for which exhaustive element enumeration (and therefore
-# discrete-log table construction) is allowed.
-ENUM_MAX_LEVEL = 20
-LOG_TABLE_MAX = ENUM_MAX_LEVEL
+# Largest level for which discrete-log table construction is allowed.
+LOG_TABLE_MAX = 20
 FIRST_TOUCH_MAX = 16  # all log tables up to here take under a megabyte
 
 
@@ -446,18 +444,6 @@ def artin_schreier_solve(c: FieldElt) -> FieldElt | None:
     return z
 
 
-def elements_of_max_order(n: int, *, bound: int = ENUM_MAX_LEVEL) -> list[FieldElt]:
-    """All elements of multiplicative order 2^n - 1, ascending by mask.
-
-    Read off the log tables (cached per level); the count always equals
-    totient(2^n - 1).
-    """
-    check_level(n)
-    if n > bound:
-        raise BoundExceeded(f"exhaustive enumeration limited to levels <= {bound}, got {n}")
-    return [_elt(n, m) for m in ensure_log_table(n).max_order.tolist()]
-
-
 def random_elt(rng, n: int, *, nonzero: bool = False) -> FieldElt:
     """Uniform element of GF(2^n) drawn from an externally seeded rng."""
     lo = 1 if nonzero else 0
@@ -466,7 +452,6 @@ def random_elt(rng, n: int, *, nonzero: bool = False) -> FieldElt:
 
 __all__ = [
     "N_MAX",
-    "ENUM_MAX_LEVEL",
     "FieldElt",
     "LevelTables",
     "add",
@@ -474,7 +459,6 @@ __all__ = [
     "check_level",
     "divisors",
     "elt_order",
-    "elements_of_max_order",
     "ensure_log_table",
     "frobenius",
     "frobenius_orbit",

@@ -1,11 +1,12 @@
 """Endomorphism families and the replay."""
 
+import hashlib
 import json
 import random
 
 import pytest
 
-from sl2bar import finite_engine as fe
+from sl2bar import endo, finite_engine as fe, sl2_core, verify
 from sl2bar.closure import ONE, celt, cinv
 from sl2bar.endo import (
     Compose,
@@ -107,13 +108,13 @@ def test_apply_group_endo_is_homomorphism():
 
 def test_vectorized_apply_matches_scalar():
     G = fe.enumerate_group(2)
-    specs = replay_family(2)[:24]
-    rng = random.Random(15)
-    for spec in specs:
+    perms = {}
+    for spec in replay_family(2)[:24]:
         img = apply_spec_to_table(spec, G)
-        for _ in range(5):
-            i = rng.randrange(len(G))
-            assert int(img[i]) == G.index_of(apply_group_endo(spec, G.mat(i)))
+        assert [int(x) for x in img] == [G.index_of(apply_group_endo(spec, G.mat(i))) for i in range(len(G))]
+        assert list(apply_spec_to_table(spec, G, perms)) == list(img)  # a shared cache changes nothing
+    with pytest.raises(LevelMismatch):
+        apply_spec_to_table(Entrywise(FieldEndo(4, 1)), G)
 
 
 def test_spec_str():
@@ -141,6 +142,35 @@ def test_replay_level2():
     assert isinstance(payload, list) and payload[0]["phi"] == "frob^0"
     assert {s["id"] for s in payload[0]["steps"]} == set(range(1, 9))
     json.dumps(payload)  # serializable
+
+
+def test_replay_reports_are_byte_stable():
+    # sha256 of the compact JSON report, which carries every per-step witness
+    expected = {
+        2: "45f5ef96858f29acf161b131044e7679b53fe13c6ab1b74e0e891363d5e3d714",
+        4: "4ef7fa2b828cf1c762fdab11a68e02fcf0748e3198bfca4ea9344c46e9416a32",
+    }
+    for n, digest in expected.items():
+        payload = json.dumps(replay_cohopf_skeleton(n).to_json(), separators=(",", ":")).encode()
+        assert hashlib.sha256(payload).hexdigest() == digest
+
+
+def test_replay_fails_on_the_transpose_mutant(monkeypatch):
+    # the plain transpose is a bijective anti-automorphism (it reverses
+    # products), which the eight steps alone let through
+    real = endo._base_perm
+
+    def mutant(spec, G):
+        if isinstance(spec, InvTranspose):
+            return G.index_of_rows(G.masks[:, [0, 2, 1, 3]])
+        return real(spec, G)
+
+    monkeypatch.setattr(sl2_core, "inv_transpose", sl2_core.transpose)
+    monkeypatch.setattr(endo, "_base_perm", mutant)
+    report = verify.run_suite(max_level=2, name_filter="c12-replay")
+    by_name = {c.name: c for c in report.checks}
+    assert by_name["c12-replay/n2"].status == "fail"
+    assert by_name["c12-replay/n2"].witness["error"].startswith("InvariantViolated: ")
 
 
 def test_replay_rejects_bad_levels():

@@ -12,7 +12,7 @@ from sl2bar.gf2_field import (
     add,
     artin_schreier_solve,
     elt_order,
-    elements_of_max_order,
+    ensure_log_table,
     frobenius,
     frobenius_orbit,
     gen,
@@ -145,11 +145,11 @@ def test_trace_examples():
 
 
 def test_elements_of_max_order_examples():
-    assert {e.mask for e in elements_of_max_order(2)} == {0x2, 0x3}
-    assert len(elements_of_max_order(4)) == 8 == totient(15)
-    assert [e.mask for e in elements_of_max_order(1)] == [1]
+    assert ensure_log_table(2).max_order.tolist() == [0x2, 0x3]
+    assert len(ensure_log_table(4).max_order) == 8 == totient(15)
+    assert ensure_log_table(1).max_order.tolist() == [1]
     with pytest.raises(BoundExceeded):
-        elements_of_max_order(21)
+        ensure_log_table(21)
 
 
 def test_literals():
