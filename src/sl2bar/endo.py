@@ -215,10 +215,10 @@ def _base_perm(spec: GroupEndoSpec, G: fe.GroupTable) -> np.ndarray:
 
 
 def apply_spec_to_table(spec: GroupEndoSpec, G: fe.GroupTable, perms: dict | None = None) -> np.ndarray:
-    """Image index of every group element under the specification.  A
-    base map is one permutation, kept in ``perms`` (a cache for this one
-    table) when given; a composition gathers its parts' permutations,
-    p2[p1], left to right."""
+    """Image index of every group element under the specification.  Each
+    part is one permutation, built once per ``perms`` dict (a cache for
+    this one table) when one is given; a composition gathers its parts'
+    permutations, p2[p1], left to right."""
     perms = {} if perms is None else perms
     img = np.arange(len(G))
     for part in spec.parts if isinstance(spec, Compose) else (spec,):
