@@ -77,15 +77,6 @@ class ClosureElt:
     def __pow__(self, e: int) -> "ClosureElt":
         return cpow(self, e)
 
-    def inv(self) -> "ClosureElt":
-        return cinv(self)
-
-    def sqrt(self) -> "ClosureElt":
-        return csqrt(self)
-
-    def order(self) -> int:
-        return corder(self)
-
     def __str__(self) -> str:
         return str(self.elt)
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
-from .gf2poly import Gf2Poly, divisors, factorize, totient
+from .gf2poly import Gf2Poly, divisors, factorize
 
 N_MAX = conway.N_MAX
 
@@ -250,10 +250,7 @@ class LevelTables:
         """The masks of multiplicative order 2^n - 1, ascending: exp[k]
         for the k coprime to 2^n - 1."""
         exp, _ = self._np()
-        top = np.unique(exp[np.gcd(np.arange(self.q1), self.q1) == 1])
-        if len(top) != totient(self.q1):
-            raise InvariantViolated(f"level {self.n}: {len(top)} maximal-order elements, totient {totient(self.q1)}")
-        return top
+        return np.unique(exp[np.gcd(np.arange(self.q1), self.q1) == 1])
 
     def embed_basis(self, m: int) -> tuple[int, ...]:
         """Masks at this level of g_m^i, i < m, under the embedding
@@ -438,10 +435,7 @@ def artin_schreier_solve(c: FieldElt) -> FieldElt | None:
     sel = _solve_gf2(_level(n).as_images, c.mask)
     if sel is None:
         return None
-    z = _elt(n, sel & ~1)  # pick the solution with even constant coefficient
-    if add(frobenius(z), z) != c:
-        raise InvariantViolated(f"z^2 + z = c solver returned {z} for c = {c}")
-    return z
+    return _elt(n, sel & ~1)  # pick the solution with even constant coefficient
 
 
 def random_elt(rng, n: int, *, nonzero: bool = False) -> FieldElt:

@@ -56,10 +56,6 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
 
-def mat2(a, b, c, d) -> Mat2:
-    return Mat2(a, b, c, d)
-
-
 IDENTITY = Mat2(ONE, ZERO, ZERO, ONE)
 SWAP = Mat2(ZERO, ONE, ONE, ZERO)
 
@@ -211,25 +207,15 @@ def morder(M: Mat2) -> int:
     """Order of a determinant-one matrix, via its conjugacy class.
 
     Identity has order 1, unipotent matrices order 2, split matrices the
-    multiplicative order of the eigenvalue.  Results up to 2^16 are
-    cross-checked by iterated multiplication.
+    multiplicative order of the eigenvalue.  The verify check c07 compares
+    it with the iterated orders of every element of SL2(2^n), n <= 4.
     """
     k = classify_jordan(M)
     if k.kind == "identity":
-        d = 1
-    elif k.kind == "unipotent":
-        d = 2
-    else:
-        d = corder(k.lam)
-    if d <= 1 << 16:
-        cur = M
-        steps = 1
-        while not cur.is_identity:
-            cur = mmul(cur, M)
-            steps += 1
-        if steps != d:
-            raise InvariantViolated(f"iterated order {steps} disagrees with {d}")
-    return d
+        return 1
+    if k.kind == "unipotent":
+        return 2
+    return corder(k.lam)
 
 
 # ---------------------------------------------------------------------------
@@ -321,10 +307,7 @@ def diag_as_two_involutions(lam: ClosureElt) -> tuple[Mat2, Mat2]:
     [[0,lam],[lam^(-1),0]] and the swap matrix."""
     if lam.is_zero:
         raise PreconditionError("lam must be nonzero")
-    left = off_diag_mat(lam)
-    if mmul(left, SWAP) != diag_mat(lam, cinv(lam)):
-        raise InvariantViolated(f"the two involutions for {lam} do not multiply to diag({lam}, {lam}^-1)")
-    return left, SWAP
+    return off_diag_mat(lam), SWAP
 
 
 def commute_after_diag_twist(M: Mat2, lam: ClosureElt) -> bool:
@@ -432,7 +415,6 @@ __all__ = [
     "is_member",
     "lower_uni",
     "lt_conjugation_scaling",
-    "mat2",
     "mat_entry_masks",
     "mat_from_masks",
     "mat_to_json",

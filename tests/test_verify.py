@@ -1,4 +1,5 @@
-"""The verify report: the byte contract at level 2 and crash containment."""
+"""The verify report: the byte contract at level 2, crash containment, and
+the registry checks that catch a wrong answer from the library."""
 
 import json
 import os
@@ -6,8 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from sl2bar import verify
+import pytest
+
+from sl2bar import finite_engine as fe, gf2_field as gf, sl2_core as sl, verify
 from sl2bar.cli import main
+from sl2bar.gf2_field import FieldElt
 
 GOLDEN = Path(__file__).parent / "golden" / "verify-max2.json"
 
@@ -45,3 +49,58 @@ def test_crashing_check_is_recorded_and_the_suite_continues(monkeypatch, capsys)
     assert crashed["witness"] == {"error": "AssertionError: injected fault"}
     assert len(by_name) == 7 and all(c["status"] == "pass" for c in by_name.values())
     assert report["summary"] == {"pass": 7, "fail": 1, "skipped": 0}
+
+
+def _morder_off_by_one_on_split(monkeypatch):
+    good = sl.morder
+    monkeypatch.setattr(sl, "morder", lambda M: good(M) + (sl.classify_jordan(M).kind == "split"))
+
+
+def _enumerate_group_drops_a_row(monkeypatch):
+    good = fe.enumerate_group
+    monkeypatch.setattr(fe, "enumerate_group", lambda n, kind=fe.KIND_SL2: fe.GroupTable(n, kind, good(n, kind).masks[:-1]))
+
+
+def _involution_factors_reversed(monkeypatch):
+    good = sl.diag_as_two_involutions
+    monkeypatch.setattr(sl, "diag_as_two_involutions", lambda lam: good(lam)[::-1])
+
+
+def _max_order_misses_a_mask(monkeypatch):
+    good = gf.LevelTables.__dict__["max_order"].func
+    monkeypatch.setattr(gf.LevelTables, "max_order", property(lambda t: good(t)[1:]))
+
+
+def _artin_schreier_wrong_root(monkeypatch):
+    good = verify.artin_schreier_solve
+
+    def wrong(c):
+        z = good(c)
+        return None if z is None else FieldElt(c.level, z.mask ^ 0b10)  # z + g, and g^2 + g != 0
+
+    monkeypatch.setattr(verify, "artin_schreier_solve", wrong)
+
+
+def _log_table_two_exps_swapped(monkeypatch):
+    bad = gf.LevelTables(4, gf.ensure_log_table(4).mod, logs=True)
+    bad.exp[1], bad.exp[3] = bad.exp[3], bad.exp[1]
+    bad.log[bad.exp[1]], bad.log[bad.exp[3]] = 1, 3
+    monkeypatch.setitem(gf._LEVELS, 4, bad)
+
+
+@pytest.mark.parametrize(
+    "fault, check",
+    [
+        (_morder_off_by_one_on_split, "c07-dichotomy/orders/n2"),
+        (_enumerate_group_drops_a_row, "c01-orders/sl2/n2"),
+        (_involution_factors_reversed, "c09-generation/diag-two-involutions"),
+        (_max_order_misses_a_mask, "c11-field-cohopf/max-order/n4"),
+        (_artin_schreier_wrong_root, "c14-artin-schreier/n3"),
+        (_log_table_two_exps_swapped, "c11-field-cohopf/endos/n4"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"),
+)
+def test_the_registry_check_catches_a_wrong_library_answer(monkeypatch, fault, check):
+    fault(monkeypatch)
+    report = verify.run_suite(max_level=2, name_filter=check)
+    assert [(c.name, c.status) for c in report.checks] == [(check, "fail")]
