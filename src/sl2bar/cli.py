@@ -124,7 +124,10 @@ class _ExprParser:
 
 
 def eval_expr(text: str) -> ClosureElt:
-    return _ExprParser(_tokenize(text)).parse()
+    try:
+        return _ExprParser(_tokenize(text)).parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +233,7 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    conway.get_active()  # a bad table file is one usage error, not a failure of every check
     report = verify.run_suite(max_level=args.max_level, name_filter=args.filter)
     if args.json:
         print(json.dumps(report.to_json(), separators=(",", ":")))

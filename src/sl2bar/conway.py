@@ -145,8 +145,14 @@ def load_table(path: str | None = None) -> ConwayTable:
     if path is None:
         path = os.environ.get(ENV_TABLE_PATH) or None
     if path is not None:
-        with open(path, "r", encoding="ascii") as fh:
-            table = parse_table_text(fh.read(), source=path)
+        try:
+            with open(path, "r", encoding="ascii") as fh:
+                text = fh.read()
+        except OSError as exc:
+            raise ParseError(f"cannot read modulus table {path}: {exc.strerror}") from None
+        except UnicodeDecodeError:
+            raise ParseError(f"modulus table {path} is not ASCII text") from None
+        table = parse_table_text(text, source=path)
     else:
         text = resources.files(__package__).joinpath("data", _DATA_RESOURCE).read_text("ascii")
         table = parse_table_text(text, source=_DATA_RESOURCE)

@@ -7,7 +7,8 @@ semidirect product checks.
 Elements are stored as rows of entry masks in a numpy array; element 0 is
 always the identity and the remaining rows are sorted by packed code, so
 "lowest index" witnesses are deterministic.  Every product goes through
-mask arithmetic on the rows plus a lookup of the packed code.
+mask arithmetic on the rows, read from the level kernel's product and
+inverse tables, plus a lookup of the packed code.
 
 Tables are immutable once built (the lazy caches are idempotent), and all
 query functions are pure, so concurrent readers are safe.
@@ -46,17 +47,8 @@ def order_formula(level: int, kind: str) -> int:
     raise ValueError(kind)
 
 
-def field_ops(level: int):
-    """Per-level numpy multiplication and inverse tables (int64, because
-    the packed codes need the width), taken from the level's kernel."""
-    t = ensure_log_table(level)
-    x = np.arange(1 << level)
-    return level, 1 << level, t.mul_vec(x[:, None], x[None, :]), t.pow_vec(x, -1)
-
-
-def _mul_rows(ops, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _mul_rows(MUL: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix product of mask rows; x and y broadcast over (..., 4)."""
-    _, _, MUL, _ = ops
     a1, b1, c1, d1 = (x[..., i] for i in range(4))
     a2, b2, c2, d2 = (y[..., i] for i in range(4))
     return np.stack(
@@ -70,14 +62,13 @@ def _mul_rows(ops, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     )
 
 
-def _commuting(ops, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _commuting(MUL: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Do the mask rows x and y commute?  Broadcasts like _mul_rows.
 
     In characteristic 2 the commutator difference xy + yx has diagonal
     entries b1 c2 + b2 c1 and off-diagonal entries b1 t2 + b2 t1 and
     c1 t2 + c2 t1, with t = a + d the trace, so three pairs of entry
     products decide it without forming xy or yx."""
-    _, _, MUL, _ = ops
     a1, b1, c1, d1 = (x[..., i] for i in range(4))
     a2, b2, c2, d2 = (y[..., i] for i in range(4))
     t1, t2 = a1 ^ d1, a2 ^ d2
@@ -89,16 +80,13 @@ def _pack(rows: np.ndarray, q: int) -> np.ndarray:
     return ((rows[..., 0] * q + rows[..., 1]) * q + rows[..., 2]) * q + rows[..., 3]
 
 
-def _det_rows(ops, x: np.ndarray) -> np.ndarray:
-    _, _, MUL, _ = ops
+def _det_rows(MUL: np.ndarray, x: np.ndarray) -> np.ndarray:
     return MUL[x[..., 0], x[..., 3]] ^ MUL[x[..., 1], x[..., 2]]
 
 
-def _inv_rows(ops, x: np.ndarray) -> np.ndarray:
-    _, _, MUL, INV = ops
+def _inv_rows(MUL: np.ndarray, INV: np.ndarray, x: np.ndarray) -> np.ndarray:
     adj = x[..., [3, 1, 2, 0]]
-    det = _det_rows(ops, x)
-    di = INV[det]
+    di = INV[_det_rows(MUL, x)]
     return np.stack([MUL[di, adj[..., i]] for i in range(4)], axis=-1)
 
 
@@ -108,14 +96,15 @@ class GroupTable:
     def __init__(self, level: int, kind: str, masks: np.ndarray):
         self.level = level
         self.kind = kind
-        self.ops = field_ops(level)
-        q = self.ops[1]
+        t = ensure_log_table(level)
+        self.q = q = 1 << level
+        self.MUL, self.INV = t.mul_table, t.inv_table  # the kernel's product and inverse tables
         self.masks = masks
         self.codes = _pack(masks, q)
         lookup = np.full(q**4, -1, dtype=np.int64)
         lookup[self.codes] = np.arange(len(masks))
         self._lookup = lookup
-        self.inv_masks = _inv_rows(self.ops, masks)
+        self.inv_masks = _inv_rows(self.MUL, self.INV, masks)
         self.inv_index = lookup[_pack(self.inv_masks, q)]
         self._orders: np.ndarray | None = None
 
@@ -125,7 +114,7 @@ class GroupTable:
         return len(self.masks)
 
     def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        idx = self._lookup[_pack(rows, self.ops[1])]
+        idx = self._lookup[_pack(rows, self.q)]
         if np.any(idx < 0):
             raise ValueError("matrix is not a member of the group")
         return idx
@@ -147,19 +136,19 @@ class GroupTable:
 
     def mul_vec(self, i, j) -> np.ndarray:
         """Indexwise product; i and j broadcast together."""
-        return self._lookup[_pack(_mul_rows(self.ops, self.masks[i], self.masks[j]), self.ops[1])]
+        return self._lookup[_pack(_mul_rows(self.MUL, self.masks[i], self.masks[j]), self.q)]
 
     def mul_index(self, i: int, j: int) -> int:
         return int(self.mul_vec(np.int64(i), np.int64(j)))
 
     def conj_vec(self, i, j) -> np.ndarray:
         """Index of element i * j * i^(-1), broadcasting."""
-        left = _mul_rows(self.ops, self.masks[i], self.masks[j])
-        return self._lookup[_pack(_mul_rows(self.ops, left, self.inv_masks[i]), self.ops[1])]
+        left = _mul_rows(self.MUL, self.masks[i], self.masks[j])
+        return self._lookup[_pack(_mul_rows(self.MUL, left, self.inv_masks[i]), self.q)]
 
     def commutes_with(self, g: int) -> np.ndarray:
         """Boolean vector: which elements commute with element g."""
-        return _commuting(self.ops, self.masks, self.masks[g][None, :])
+        return _commuting(self.MUL, self.masks, self.masks[g][None, :])
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
@@ -192,11 +181,11 @@ def enumerate_group(level: int, kind: str = KIND_SL2) -> GroupTable:
             raise BoundExceeded(f"gl2 enumeration limited to levels 1..{GL2_MAX_LEVEL}, got {level}")
     else:
         raise ValueError(f"unknown group kind {kind!r}")
-    ops = field_ops(level)
-    _, q, MUL, INV = ops
+    t = ensure_log_table(level)
+    q, MUL, INV = 1 << level, t.mul_table, t.inv_table
     if kind == KIND_GL2:
         grid = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1).T
-        rows = grid[_det_rows(ops, grid) != 0]
+        rows = grid[_det_rows(MUL, grid) != 0]
     else:
         a, b, c = (x.ravel() for x in np.indices((q, q, q), dtype=np.int64))
         nz = a != 0
@@ -323,7 +312,7 @@ def normalizer_bf(G: GroupTable, H: SubgroupRef) -> SubgroupRef:
 
 def is_abelian(H: SubgroupRef) -> bool:
     sub = H.parent.masks[H.indices()]
-    return bool(np.all(_commuting(H.parent.ops, sub[:, None, :], sub[None, :, :])))
+    return bool(np.all(_commuting(H.parent.MUL, sub[:, None, :], sub[None, :, :])))
 
 
 def derived_subgroup(H: SubgroupRef) -> SubgroupRef:
@@ -404,12 +393,19 @@ class CtReport:
 
 def ct_check_centralizers(G: GroupTable) -> CtReport:
     """Commutation transitivity via centralizers: holds iff the
-    centralizer of every nontrivial element is abelian.  On failure the
-    witness is rebuilt from the first nonabelian centralizer."""
-    for g in range(1, len(G)):
+    centralizer of every nontrivial element is abelian.  As
+    C(x g x^(-1)) = x C(g) x^(-1), one member per conjugacy class decides
+    it.  The classes come ordered by least member, so the first failing
+    class's least member is the lowest element with a nonabelian
+    centralizer, and the witness is rebuilt from that centralizer.
+    Orbit-stabilizer, |C(g)| |class(g)| = |G|, guards the classes."""
+    for cls in conjugacy_classes(G)[1:]:
+        g = int(cls[0])
         cz = np.flatnonzero(G.commutes_with(g))
+        if len(cz) * len(cls) != len(G):
+            raise InvariantViolated(f"element {g}: centralizer of {len(cz)} and class of {len(cls)} in a group of {len(G)}")
         sub = G.masks[cz]
-        same = _commuting(G.ops, sub[:, None, :], sub[None, :, :])
+        same = _commuting(G.MUL, sub[:, None, :], sub[None, :, :])
         if not same.all():
             i, j = np.argwhere(~same)[0]
             return CtReport(G, False, (int(cz[i]), g, int(cz[j])))
@@ -605,24 +601,11 @@ class ProjectiveAction:
     def image_order(self) -> int:
         return len(np.unique(self.perms, axis=0))
 
-    def perm_parity_even(self, i: int) -> bool:
-        perm = self.perms[i]
-        seen = np.zeros(self.n_points, dtype=bool)
-        transpositions = 0
-        for start in range(self.n_points):
-            if seen[start]:
-                continue
-            length = 0
-            p = start
-            while not seen[p]:
-                seen[p] = True
-                p = perm[p]
-                length += 1
-            transpositions += length - 1
-        return transpositions % 2 == 0
-
     def all_even(self) -> bool:
-        return all(self.perm_parity_even(i) for i in range(len(self.perms)))
+        """Is every permutation even?  Parity is that of the inversion count."""
+        p = self.perms
+        inversions = np.triu(p[:, :, None] > p[:, None, :], 1).sum(axis=(1, 2))
+        return bool(np.all(inversions % 2 == 0))
 
     def perm_order(self, i: int) -> int:
         perm = self.perms[i]
@@ -639,7 +622,7 @@ def projective_action(G: GroupTable) -> ProjectiveAction:
     """The action of a determinant-one table on the projective line."""
     if G.kind != KIND_SL2 or G.level > 4:
         raise BoundExceeded("projective action limited to determinant-one tables at levels <= 4")
-    _, q, MUL, INV = G.ops
+    q, MUL, INV = G.q, G.MUL, G.INV
     a, b, c, d = (G.masks[:, i] for i in range(4))
     perms = np.empty((len(G), q + 1), dtype=np.int64)
     for p in range(q + 1):
@@ -671,7 +654,6 @@ __all__ = [
     "ct_check_triples",
     "derived_subgroup",
     "enumerate_group",
-    "field_ops",
     "generator_set",
     "is_abelian",
     "is_metabelian",

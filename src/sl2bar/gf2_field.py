@@ -13,12 +13,13 @@ and every function is pure, so the module is safe to use concurrently.
 All per-level data lives in one kernel per level, ``LevelTables``, in one
 cache that one invalidation hook drops when the modulus table changes.
 Its compact exp/log arrays (built by vectorized numpy) make products,
-powers and orders lookups and yield the numpy tables of the group engine
-and the endomorphism scans.  Levels up to FIRST_TOUCH_MAX get them at
-first touch, levels up to LOG_TABLE_MAX only on explicit demand
-(``ensure_log_table``, the endomorphism scans);
-the rest multiply schoolbook and find subfield preimages with the one
-cached GF(2) echelon solver, which the ``z^2 + z = c`` solver shares.
+powers and orders lookups and yield the numpy tables of the endomorphism
+scans and the cached product and inverse tables of the group engine.
+Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
+LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
+endomorphism scans); the rest multiply schoolbook and find subfield
+preimages with the one cached GF(2) echelon solver, which the
+``z^2 + z = c`` solver shares.
 """
 
 from __future__ import annotations
@@ -234,6 +235,19 @@ class LevelTables:
         x -> x^(2^j) is k -> 2^j k."""
         exp, log = self._np()
         return np.where(masks != 0, exp[(log[masks] * e) % self.q1], 0)
+
+    @cached_property
+    def mul_table(self) -> np.ndarray:
+        """The full product table, MUL[x, y] = x y over all mask pairs:
+        4^n entries, built for the group engine's small levels (int64, the
+        width its packed codes need)."""
+        x = np.arange(self.q1 + 1)
+        return self.mul_vec(x[:, None], x[None, :])
+
+    @cached_property
+    def inv_table(self) -> np.ndarray:
+        """INV[x] = x^(-1) for every nonzero mask, and INV[0] = 0."""
+        return self.pow_vec(np.arange(self.q1 + 1), -1)
 
     @cached_property
     def squares(self) -> np.ndarray:

@@ -147,12 +147,8 @@ def _check_prop3(n: int):
     G = _sl2(n)
     q = 1 << n
     delta = fe.named_subgroup(G, SubsetName.DIAG)
-    _, _, _, INV = G.ops
-    for lam in range(2, q):
-        row = np.array([[lam, 0, 0, int(INV[lam])]], dtype=np.int64)
-        gi = int(G.index_of_rows(row)[0])
-        cz = fe.centralizer_bf(G, gi)
-        _need(cz == delta, f"centralizer of diag({lam:#x}) is not the diagonal subgroup")
+    for i in delta.indices()[1:]:
+        _need(fe.centralizer_bf(G, i) == delta, f"centralizer of {G.literal(i)} is not the diagonal subgroup")
     _need(delta.size == q - 1, f"diagonal subgroup has {delta.size} elements")
     dorders = G.element_orders()[delta.indices()]
     _need(int(dorders.max()) == q - 1, "diagonal subgroup is not cyclic of full order")
@@ -186,11 +182,9 @@ def _check_prop56(n: int):
     upper = fe.named_subgroup(G, SubsetName.UPPER_TRI)
     lower = fe.named_subgroup(G, SubsetName.LOWER_TRI)
     delta = fe.named_subgroup(G, SubsetName.DIAG)
-    for lam in range(1, q):
-        ui = int(G.index_of_rows(np.array([[1, lam, 0, 1]], dtype=np.int64))[0])
-        _need(fe.centralizer_bf(G, ui) == ut, f"centralizer of [[1,{lam:#x}],[0,1]] is not the upper unitriangulars")
-        li = int(G.index_of_rows(np.array([[1, 0, lam, 1]], dtype=np.int64))[0])
-        _need(fe.centralizer_bf(G, li) == lt, f"centralizer of [[1,0],[{lam:#x},1]] is not the lower unitriangulars")
+    for uni, label in ((ut, "upper"), (lt, "lower")):
+        for i in uni.indices()[1:]:
+            _need(fe.centralizer_bf(G, i) == uni, f"centralizer of {G.literal(i)} is not the {label} unitriangulars")
     _need(fe.normalizer_bf(G, ut) == upper, "normalizer of the upper unitriangulars is not the upper triangulars")
     _need(fe.normalizer_bf(G, lt) == lower, "normalizer of the lower unitriangulars is not the lower triangulars")
     for tri, uni, label in ((upper, ut, "upper"), (lower, lt, "lower")):

@@ -1,6 +1,10 @@
 """The command-line surface: outputs, exit codes, JSON round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,15 @@ def test_expression_evaluator():
         with pytest.raises(ParseError):
             eval_expr(bad)
     assert eval_expr("0x2@2 + 0x2@2") == ZERO
+
+
+@pytest.mark.parametrize("depth", [300, 1000])
+def test_deep_nesting_is_a_parse_error(capsys, depth):
+    expr = "(" * depth + "0x1@1" + ")" * depth
+    with pytest.raises(ParseError, match="nested too deeply"):
+        eval_expr(expr)
+    code, _, err = run(capsys, "field", "eval", expr)
+    assert code == 2 and "nested too deeply" in err
 
 
 def test_mat_commands(capsys):
@@ -181,3 +194,32 @@ def test_conway_file_flag_and_env(capsys, tmp_path, monkeypatch):
     bad.write_text("1:3\n2:5\n", encoding="ascii")  # x^2+1 is reducible
     code, _, err = run(capsys, "--conway-file", str(bad), "field", "order", "0x2@2")
     assert code == 1 and "not irreducible" in err
+
+
+def _unreadable_table(tmp_path, how):
+    if how == "missing":
+        return tmp_path / "no-such-table.txt"
+    if how == "directory":
+        return tmp_path
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("1:3\n# caf\u00e9\n".encode("latin-1"))
+    return path
+
+
+@pytest.mark.parametrize("how", ["missing", "directory", "not-ascii"])
+def test_unreadable_table_file_is_a_usage_error(tmp_path, how):
+    path = str(_unreadable_table(tmp_path, how))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(conway.ENV_TABLE_PATH, None)
+    for extra_env, argv in (
+        ({}, ["--conway-file", path, "field", "order", "0x2@2"]),
+        ({conway.ENV_TABLE_PATH: path}, ["group", "enum", "--level", "2"]),
+        ({conway.ENV_TABLE_PATH: path}, ["verify", "--max-level", "2"]),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "sl2bar", *argv], env={**env, **extra_env}, capture_output=True, text=True
+        )
+        assert done.returncode == 2, (argv, done.stderr)
+        assert path in done.stderr and "Traceback" not in done.stderr
+        assert done.stdout == ""

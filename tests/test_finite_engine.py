@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sl2bar import finite_engine as fe
+from sl2bar import finite_engine as fe, verify
 from sl2bar.closure import ONE, celt, cinv
-from sl2bar.errors import BoundExceeded, PreconditionError
+from sl2bar.errors import BoundExceeded, InvariantViolated, PreconditionError
 from sl2bar.sl2_core import (
     SWAP,
     SubsetName,
@@ -141,6 +141,43 @@ def test_ct_reports():
         fe.ct_check_triples(sl2(4))
 
 
+def _ct_by_scanning_every_element(G):
+    """The reference route: test the centralizer of every nontrivial
+    element, in index order, and rebuild the witness from the first
+    nonabelian one."""
+    for g in range(1, len(G)):
+        cz = np.flatnonzero(G.commutes_with(g))
+        sub = G.masks[cz]
+        same = fe._commuting(G.MUL, sub[:, None, :], sub[None, :, :])
+        if not same.all():
+            i, j = np.argwhere(~same)[0]
+            return False, (int(cz[i]), g, int(cz[j]))
+    return True, None
+
+
+@pytest.mark.parametrize(
+    "kind, n", [(fe.KIND_SL2, n) for n in (1, 2, 3, 4)] + [(fe.KIND_GL2, n) for n in (1, 2, 3)]
+)
+def test_ct_class_route_matches_the_element_scan(kind, n):
+    G = fe.enumerate_group(n, kind)
+    rep = fe.ct_check_centralizers(G)
+    assert (rep.holds, rep.witness) == _ct_by_scanning_every_element(G)
+
+
+def test_a_merged_conjugacy_class_is_caught(monkeypatch):
+    good = fe.conjugacy_classes
+
+    def merged(G):
+        cls = good(G)
+        return [cls[0], np.union1d(cls[1], cls[2]), *cls[3:]]
+
+    monkeypatch.setattr(fe, "conjugacy_classes", merged)
+    with pytest.raises(InvariantViolated):
+        fe.ct_check_centralizers(sl2(2))
+    report = verify.run_suite(max_level=2, name_filter="c02-ct/centralizers/sl2/n2")
+    assert [(c.name, c.status) for c in report.checks] == [("c02-ct/centralizers/sl2/n2", "fail")]
+
+
 _BOGUS_WITNESS = """
 from sl2bar import finite_engine as fe
 from sl2bar.errors import InvariantViolated
@@ -240,6 +277,7 @@ def test_projective_action():
     assert pa.perm_order(G.index_of(upper_uni(ONE))) == 2
     pa1 = fe.projective_action(sl2(1))
     assert pa1.n_points == 3 and pa1.image_order() == 6
+    assert not pa1.all_even()  # the image is the symmetric group on 3 points
     with pytest.raises(BoundExceeded):
         fe.projective_action(fe.enumerate_group(2, fe.KIND_GL2))
 

@@ -34,6 +34,7 @@ KEPT_SELF_CHECKS = {
     # a guard against scanning past the group order
     ("finite_engine", "GroupTable.element_orders"),
     # check procedures that the registry calls
+    ("finite_engine", "ct_check_centralizers"),
     ("finite_engine", "maximal_abelian_subgroups"),
     ("endo", "_check_base_map"),
     ("endo", "replay_cohopf_skeleton"),
