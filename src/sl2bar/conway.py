@@ -27,7 +27,7 @@ from .gf2poly import (
     factorize,
     is_irreducible,
     is_primitive,
-    pmulmod,
+    peval,
     ppowmod,
 )
 
@@ -53,17 +53,6 @@ class ConwayTable:
         return self.polys[n - 1]
 
 
-def _eval_at_power(fm: int, e: int, f: int) -> int:
-    """fm evaluated at x^e inside GF(2)[x]/(f), by Horner's rule."""
-    root = ppowmod(0b10, e, f)
-    acc = 0
-    for i in range(degree(fm), -1, -1):
-        acc = pmulmod(acc, root, f)
-        if fm >> i & 1:
-            acc ^= 1
-    return acc
-
-
 def norm_compatible(table: ConwayTable, m: int, n: int) -> bool:
     """Check the embedding compatibility of levels m | n within the table."""
     if n % m != 0:
@@ -71,7 +60,8 @@ def norm_compatible(table: ConwayTable, m: int, n: int) -> bool:
     if m == n:
         return True
     e = ((1 << n) - 1) // ((1 << m) - 1)
-    return _eval_at_power(table.poly(m), e, table.poly(n)) == 0
+    f = table.poly(n)
+    return peval(table.poly(m), ppowmod(0b10, e, f), f) == 0
 
 
 def validate_table(table: ConwayTable) -> None:
@@ -79,6 +69,8 @@ def validate_table(table: ConwayTable) -> None:
     norm compatible with its maximal proper divisor levels."""
     for n in range(1, table.max_level + 1):
         f = table.poly(n)
+        if f < 1:
+            raise TableInvalid(f"level {n} entry {f:#x} is not a positive mask")
         if degree(f) != n:
             raise TableInvalid(f"level {n} entry has degree {degree(f)}")
         if not is_irreducible(f):
@@ -107,7 +99,7 @@ def search_conway(n: int, lower: dict[int, int]) -> int:
             continue  # f(1) = 0, so x+1 divides f
         if not is_primitive(f):
             continue
-        if all(_eval_at_power(fm, e, f) == 0 for (_, fm), e in zip(maximal, exps)):
+        if all(peval(fm, ppowmod(0b10, e, f), f) == 0 for (_, fm), e in zip(maximal, exps)):
             return f
     raise SearchFailed(f"no compatible primitive polynomial of degree {n}")
 
@@ -126,6 +118,8 @@ def parse_table_text(text: str, source: str = "<table>") -> ConwayTable:
             raise ParseError(f"{source}:{lineno}: bad table line {line!r}") from None
         if n < 1 or n in entries:
             raise ParseError(f"{source}:{lineno}: bad or duplicate level {n}")
+        if right.strip().startswith(("+", "-")):
+            raise ParseError(f"{source}:{lineno}: signed modulus mask {right.strip()!r}")
         entries[n] = mask
     if not entries:
         raise ParseError(f"{source}: empty table")

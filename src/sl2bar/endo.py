@@ -33,10 +33,9 @@ import numpy as np
 from . import closure, finite_engine as fe, sl2_core as sl
 from .closure import ClosureElt, cinv, corder, reduce_elt
 from .errors import BoundExceeded, InvariantViolated, LevelMismatch, NoPrimitiveCubeRoot, PreconditionError, StepFailed
-from .gf2_field import FieldElt, ensure_log_table, frobenius_orbit, gen, power
+from .gf2_field import LOG_TABLE_MAX, FieldElt, ensure_log_table, frobenius_orbit, gen, power
 from .sl2_core import SWAP, Mat2, SubsetName, mat_to_json
 
-FIELD_ENDO_MAX_LEVEL = 20
 MAX_ORDER_SCAN_MAX_LEVEL = 16
 
 
@@ -61,10 +60,11 @@ class FieldEndo:
 
 
 def field_endos(n: int) -> list[FieldEndo]:
-    """The n field endomorphisms x -> x^(2^j), j < n, of GF(2^n).  The
-    verify checks c11 scan each for a bijective unital ring homomorphism."""
-    if n > FIELD_ENDO_MAX_LEVEL:
-        raise BoundExceeded(f"endomorphism family limited to levels <= {FIELD_ENDO_MAX_LEVEL}, got {n}")
+    """The n field endomorphisms x -> x^(2^j), j < n, of GF(2^n), for
+    the levels with log tables: the verify checks c11 scan each over
+    them for a bijective unital ring homomorphism."""
+    if n > LOG_TABLE_MAX:
+        raise BoundExceeded(f"endomorphism family limited to levels <= {LOG_TABLE_MAX}, got {n}")
     return [FieldEndo(n, j) for j in range(n)]
 
 
@@ -315,13 +315,14 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
         if not isinstance(spec, Compose):
             _check_base_map(spec, G, apply_spec_to_table(spec, G, perms), gens, prods)
 
+    anchor = {"theta": str(theta), "g": mat_to_json(g_mat)}
     entries = []
     for spec in family:
         steps = []
         img = apply_spec_to_table(spec, G, perms)
 
         # 1: the order-3 diagonal anchor exists at this level
-        steps.append(ReplayStep(1, "pass", {"theta": str(theta), "g": mat_to_json(g_mat)}))
+        steps.append(ReplayStep(1, "pass", anchor))
 
         # 2: the image of g keeps order 3 and stays in its conjugacy class
         ig = int(img[g_idx])

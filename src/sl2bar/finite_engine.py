@@ -8,7 +8,9 @@ Elements are stored as rows of entry masks in a numpy array; element 0 is
 always the identity and the remaining rows are sorted by packed code, so
 "lowest index" witnesses are deterministic.  Every product goes through
 mask arithmetic on the rows, read from the level kernel's product and
-inverse tables, plus a lookup of the packed code.
+inverse tables, plus a lookup of the packed code.  Each table holds the
+closure values of its level's q masks, so a matrix is read from them,
+never reduced again.
 
 Tables are immutable once built (the lazy caches are idempotent), and all
 query functions are pure, so concurrent readers are safe.
@@ -22,9 +24,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import conway
+from .closure import celt
 from .errors import BoundExceeded, InvariantViolated, PreconditionError, SearchFailed
 from .gf2_field import ensure_log_table
-from .sl2_core import SWAP, Mat2, SubsetName, mat_entry_masks, mat_from_masks, mat_to_json
+from .sl2_core import SWAP, Mat2, SubsetName, mat_entry_masks, mat_to_json
 
 KIND_SL2 = "sl2"
 KIND_GL2 = "gl2"
@@ -99,6 +102,7 @@ class GroupTable:
         t = ensure_log_table(level)
         self.q = q = 1 << level
         self.MUL, self.INV = t.mul_table, t.inv_table  # the kernel's product and inverse tables
+        self.elts = [celt(level, x) for x in range(q)]  # mask -> closure value
         self.masks = masks
         self.codes = _pack(masks, q)
         lookup = np.full(q**4, -1, dtype=np.int64)
@@ -124,7 +128,7 @@ class GroupTable:
         return int(self.index_of_rows(row[None, :])[0])
 
     def mat(self, i: int) -> Mat2:
-        return mat_from_masks(self.level, self.masks[i])
+        return Mat2(*(self.elts[x] for x in self.masks[i].tolist()))
 
     def literal(self, i: int) -> str:
         return str(self.mat(i))
@@ -333,7 +337,8 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
     """Closure of a generating set under products (breadth-first).  Each
     step multiplies the frontier by the generators in chunks of at most
     about CLOSURE_CHUNK products, so a large generating set never
-    materializes the whole frontier-by-generators product array."""
+    materializes the whole frontier-by-generators product array, and
+    sorts only the products not yet in the subgroup."""
     if isinstance(gens, SubgroupRef):
         gens = gens.indices()
     gens = np.unique(np.asarray(list(gens), dtype=np.int64))
@@ -345,8 +350,9 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
         step = max(1, CLOSURE_CHUNK // len(frontier))
         found = []
         for k in range(0, len(gens), step):
-            prods = np.unique(G.mul_vec(frontier[:, None], gens[None, k : k + step]))
-            new = prods[~member[prods]]
+            # one name, so a chunk's products are freed before the next is made
+            new = G.mul_vec(frontier[:, None], gens[None, k : k + step]).ravel()
+            new = np.unique(new[~member[new]])
             member[new] = True
             found.append(new)
         frontier = np.concatenate(found)

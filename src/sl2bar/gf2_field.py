@@ -17,9 +17,9 @@ powers and orders lookups and yield the numpy tables of the endomorphism
 scans and the cached product and inverse tables of the group engine.
 Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
 LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
-endomorphism scans); the rest multiply schoolbook and find subfield
-preimages with the one cached GF(2) echelon solver, which the
-``z^2 + z = c`` solver shares.
+endomorphism scans); the rest multiply schoolbook (``gf2poly.pmulmod``)
+and find subfield preimages with the one cached GF(2) echelon solver,
+which the ``z^2 + z = c`` solver shares.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
-from .gf2poly import Gf2Poly, divisors, factorize
+from .gf2poly import Gf2Poly, divisors, factorize, peval, pmulmod, ppowmod
 
 N_MAX = conway.N_MAX
 
@@ -126,30 +126,7 @@ def parse_elt(text: str) -> FieldElt:
 
 
 # ---------------------------------------------------------------------------
-# raw mask arithmetic and the GF(2) solver
-
-
-def _mul_masks(x: int, y: int, n: int, mod: int) -> int:
-    r = 0
-    top = 1 << n
-    while y:
-        if y & 1:
-            r ^= x
-        x <<= 1
-        if x & top:
-            x ^= mod
-        y >>= 1
-    return r
-
-
-def _pow_masks(x: int, e: int, n: int, mod: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _mul_masks(r, x, n, mod)
-        x = _mul_masks(x, x, n, mod)
-        e >>= 1
-    return r
+# the GF(2) solver
 
 
 @lru_cache(maxsize=None)
@@ -197,10 +174,10 @@ def _log_arrays(n: int, mod: int) -> tuple[array, array]:
     while len(exp) < q1:
         src = exp[: q1 - len(exp)]
         block = np.zeros_like(src)
-        c = _mul_masks(int(exp[-1]), 2, n, mod)  # g^len(exp)
+        c = pmulmod(int(exp[-1]), 2, mod)  # g^len(exp)
         for b in range(n):
             block ^= ((src >> b) & 1) * c
-            c = _mul_masks(c, 2, n, mod)
+            c = pmulmod(c, 2, mod)
         exp = np.concatenate([exp, block])
     log = np.zeros(q1 + 1, dtype=np.int32)
     log[exp] = np.arange(q1)
@@ -271,10 +248,10 @@ class LevelTables:
         g_m -> g_n^((2^n - 1)/(2^m - 1))."""
         basis = self._bases.get(m)
         if basis is None:
-            img = _pow_masks(2, self.q1 // ((1 << m) - 1), self.n, self.mod)
+            img = ppowmod(2, self.q1 // ((1 << m) - 1), self.mod)
             out = [1]
             for _ in range(m - 1):
-                out.append(_mul_masks(out[-1], img, self.n, self.mod))
+                out.append(pmulmod(out[-1], img, self.mod))
             basis = self._bases[m] = tuple(out)
         return basis
 
@@ -282,7 +259,7 @@ class LevelTables:
     def as_images(self) -> tuple[int, ...]:
         """Schoolbook images of the basis masks g^i under the GF(2)-linear
         z -> z^2 + z."""
-        return tuple(_mul_masks(1 << i, 1 << i, self.n, self.mod) ^ (1 << i) for i in range(self.n))
+        return tuple(pmulmod(1 << i, 1 << i, self.mod) ^ (1 << i) for i in range(self.n))
 
 
 _LEVELS: dict[int, LevelTables] = {}
@@ -336,7 +313,7 @@ def mul(a: FieldElt, b: FieldElt) -> FieldElt:
     t = _LEVELS.get(n) or _level(n)
     log = t.log
     if log is None:
-        return _elt(n, _mul_masks(x, y, n, t.mod))
+        return _elt(n, pmulmod(x, y, t.mod))
     return _elt(n, t.exp[(log[x] + log[y]) % t.q1])
 
 
@@ -350,7 +327,7 @@ def power(a: FieldElt, e: int) -> FieldElt:
     t = _LEVELS.get(n) or _level(n)
     if t.log is not None:
         return _elt(n, t.exp[t.log[x] * e % t.q1])
-    return _elt(n, _pow_masks(x, e % t.q1, n, t.mod))
+    return _elt(n, ppowmod(x, e % t.q1, t.mod))
 
 
 def inv(a: FieldElt) -> FieldElt:
@@ -429,13 +406,9 @@ def minimal_poly(a: FieldElt) -> Gf2Poly:
 
 
 def poly_eval(f: Gf2Poly, a: FieldElt) -> FieldElt:
-    """Evaluate a GF(2) polynomial at a field element (Horner)."""
-    acc = zero(a.level)
-    for i in range(f.degree, -1, -1):
-        acc = mul(acc, a)
-        if f.mask >> i & 1:
-            acc = add(acc, one(a.level))
-    return acc
+    """Evaluate a GF(2) polynomial at a field element, schoolbook modulo
+    the level's modulus (no log tables)."""
+    return _elt(a.level, peval(f.mask, a.mask, conway.get_active().poly(a.level)))
 
 
 def artin_schreier_solve(c: FieldElt) -> FieldElt | None:

@@ -5,6 +5,9 @@ to b_i, so x is 0b10 and x^2+x+1 is 0b111.  Every nonzero polynomial is
 monic (the leading coefficient is the top set bit).  Addition is XOR;
 multiplication is carry-less.
 
+The schoolbook product, power and Horner evaluation modulo a mask
+(``pmulmod``, ``ppowmod``, ``peval``) are the package's only ones: the
+table validation and the field levels without log tables share them.
 Besides raw mask arithmetic the module provides irreducibility and
 primitivity tests (primitivity of degree n needs the factorization of
 2^n - 1, obtained by memoized trial division) and small integer helpers
@@ -22,17 +25,6 @@ def degree(f: int) -> int:
     return f.bit_length() - 1
 
 
-def pmul(f: int, g: int) -> int:
-    """Carry-less product of two masks."""
-    r = 0
-    while g:
-        if g & 1:
-            r ^= f
-        f <<= 1
-        g >>= 1
-    return r
-
-
 def pmod(f: int, m: int) -> int:
     """Remainder of f modulo the nonzero mask m."""
     if m == 0:
@@ -46,7 +38,20 @@ def pmod(f: int, m: int) -> int:
 
 
 def pmulmod(f: int, g: int, m: int) -> int:
-    return pmod(pmul(f, g), m)
+    """f*g modulo the nonzero mask m, by shift and reduce: f is reduced
+    first, then doubled modulo m once per bit of g."""
+    top = 1 << degree(m)
+    if f >= top:  # most callers pass f reduced, so skip the call
+        f = pmod(f, m)
+    r = 0
+    while g:
+        if g & 1:
+            r ^= f
+        f <<= 1
+        if f & top:
+            f ^= m
+        g >>= 1
+    return r
 
 
 def ppowmod(f: int, e: int, m: int) -> int:
@@ -61,6 +66,17 @@ def ppowmod(f: int, e: int, m: int) -> int:
         f = pmulmod(f, f, m)
         e >>= 1
     return r
+
+
+def peval(f: int, x: int, m: int) -> int:
+    """The polynomial f evaluated at the residue x modulo m, by Horner's
+    rule."""
+    acc = 0
+    for i in range(degree(f), -1, -1):
+        acc = pmulmod(acc, x, m)
+        if f >> i & 1:
+            acc ^= 1
+    return acc
 
 
 def pgcd(f: int, g: int) -> int:

@@ -386,12 +386,8 @@ def mat_entry_masks(M: Mat2, level: int) -> tuple[int, int, int, int]:
 
 
 def mat_from_masks(level: int, quad) -> Mat2:
-    a, b, c, d = quad
-    return Mat2(celt4(level, a), celt4(level, b), celt4(level, c), celt4(level, d))
-
-
-def celt4(level: int, mask: int) -> ClosureElt:
-    return closure.celt(level, int(mask))
+    """The matrix with the four level-`level` entry masks `quad`."""
+    return Mat2(*(closure.celt(level, int(m)) for m in quad))
 
 
 __all__ = [

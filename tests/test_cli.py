@@ -196,6 +196,20 @@ def test_conway_file_flag_and_env(capsys, tmp_path, monkeypatch):
     assert code == 1 and "not irreducible" in err
 
 
+def test_negative_table_mask_is_a_usage_error(tmp_path):
+    path = tmp_path / "negative.txt"
+    path.write_text("1:3\n2:-7\n", encoding="ascii")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(conway.ENV_TABLE_PATH, None)
+    done = subprocess.run(
+        [sys.executable, "-m", "sl2bar", "--conway-file", str(path), "field", "order", "0x2@2"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert done.returncode == 2, done.stderr
+    assert f"{path}:2" in done.stderr and "Traceback" not in done.stderr
+
+
 def _unreadable_table(tmp_path, how):
     if how == "missing":
         return tmp_path / "no-such-table.txt"

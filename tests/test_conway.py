@@ -14,7 +14,7 @@ from sl2bar.conway import (
     search_conway,
     validate_table,
 )
-from sl2bar.errors import ParseError
+from sl2bar.errors import ParseError, TableInvalid
 from sl2bar.gf2poly import divisors, is_irreducible, is_primitive
 
 # Published values for degrees 1..8.
@@ -54,6 +54,17 @@ def test_validate_rejects_bad_entries():
         validate_table(bad)
     with pytest.raises(ValueError):
         validate_table(ConwayTable((0x3, 0x5)))  # x^2+1 = (x+1)^2 is reducible
+
+
+def test_negative_masks_are_rejected_before_any_polynomial_test():
+    with pytest.raises(ParseError, match="<table>:2"):
+        parse_table_text("1:3\n2:-7\n")
+    with pytest.raises(ParseError, match="<table>:1"):
+        parse_table_text("1:+3\n")
+    with pytest.raises(TableInvalid):
+        validate_table(ConwayTable((0x3, -0x7)))
+    with pytest.raises(TableInvalid):
+        validate_table(ConwayTable((-0x3,)))
 
 
 def test_parse_and_format_round_trip():

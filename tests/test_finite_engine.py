@@ -18,6 +18,7 @@ from sl2bar.sl2_core import (
     classify_jordan,
     diag_mat,
     is_member,
+    mat_from_masks,
     mmul,
     upper_uni,
 )
@@ -164,6 +165,14 @@ def test_ct_class_route_matches_the_element_scan(kind, n):
     assert (rep.holds, rep.witness) == _ct_by_scanning_every_element(G)
 
 
+@pytest.mark.parametrize(
+    "kind, n", [(fe.KIND_SL2, n) for n in (1, 2, 3, 4)] + [(fe.KIND_GL2, n) for n in (1, 2, 3)]
+)
+def test_table_matrices_match_the_scalar_constructor(kind, n):
+    G = fe.enumerate_group(n, kind)
+    assert all(G.mat(i) == mat_from_masks(n, G.masks[i]) for i in range(len(G)))
+
+
 def test_a_merged_conjugacy_class_is_caught(monkeypatch):
     good = fe.conjugacy_classes
 
@@ -224,6 +233,34 @@ def test_subgroup_generated_examples():
     assert fe.subgroup_generated(G, gens).size == 60
     assert fe.subgroup_generated(G, [0]).size == 1
     assert fe.subgroup_generated(G, []).size == 1
+
+
+def _closure_sorting_every_product(G, gens):
+    """Membership of the closure of gens, each chunk's products sorted whole."""
+    gens = np.unique(np.asarray(gens, dtype=np.int64))
+    member = np.zeros(len(G), dtype=bool)
+    member[0] = True
+    frontier = gens[~member[gens]]
+    member[gens] = True
+    while len(frontier):
+        step = max(1, fe.CLOSURE_CHUNK // len(frontier))
+        found = []
+        for k in range(0, len(gens), step):
+            prods = np.unique(G.mul_vec(frontier[:, None], gens[None, k : k + step]))
+            new = prods[~member[prods]]
+            member[new] = True
+            found.append(new)
+        frontier = np.concatenate(found)
+    return member
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("which", fe.GENERATOR_SETS)
+def test_subgroup_generated_matches_the_reference_closure(n, which):
+    G = sl2(n)
+    gens = fe.generator_set(G, which)
+    for part in (gens, gens[:2]):  # the whole group, and a proper subgroup
+        assert np.array_equal(fe.subgroup_generated(G, part).member, _closure_sorting_every_product(G, part))
 
 
 def test_element_orders_against_matrix_layer():

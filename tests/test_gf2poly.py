@@ -11,8 +11,9 @@ from sl2bar.gf2poly import (
     is_irreducible,
     is_primitive,
     pgcd,
+    peval,
     pmod,
-    pmul,
+    pmulmod,
     poly_str,
     ppowmod,
     totient,
@@ -37,6 +38,16 @@ def naive_mod(f, m):
     return f
 
 
+def naive_eval(f, x, m):
+    """Sum of x^i mod m over the set bits i of f, powers by repeated naive products."""
+    acc, power = 0, naive_mod(1, m)
+    for i in range(degree(f) + 1):
+        if f >> i & 1:
+            acc ^= power
+        power = naive_mod(naive_mul(power, x), m)
+    return acc
+
+
 def naive_irreducible(f):
     n = degree(f)
     if n < 1:
@@ -47,9 +58,16 @@ def naive_irreducible(f):
     return True
 
 
-@given(masks, masks)
-def test_pmul_matches_naive(f, g):
-    assert pmul(f, g) == naive_mul(f, g)
+@given(masks, masks, st.integers(min_value=1, max_value=(1 << 8) - 1))
+def test_pmulmod_matches_naive(f, g, m):
+    # f and g range past deg m, so unreduced operands are covered
+    assert pmulmod(f, g, m) == naive_mod(naive_mul(f, g), m)
+
+
+@given(masks, masks, st.integers(min_value=2, max_value=(1 << 8) - 1))
+def test_peval_matches_naive(f, x, m):
+    # deg m >= 1, so the constant 1 is reduced; x may be unreduced
+    assert peval(f, x, m) == naive_eval(f, x, m)
 
 
 @given(masks, st.integers(min_value=1, max_value=(1 << 12) - 1))
