@@ -33,7 +33,7 @@ import numpy as np
 from . import closure, finite_engine as fe, sl2_core as sl
 from .closure import ClosureElt, cinv, corder, reduce_elt
 from .errors import BoundExceeded, InvariantViolated, LevelMismatch, NoPrimitiveCubeRoot, PreconditionError, StepFailed
-from .gf2_field import LOG_TABLE_MAX, FieldElt, ensure_log_table, frobenius_orbit, gen, power
+from .gf2_field import LOG_TABLE_MAX, ensure_log_table, gen, power
 from .sl2_core import SWAP, Mat2, SubsetName, mat_to_json
 
 MAX_ORDER_SCAN_MAX_LEVEL = 16
@@ -50,11 +50,6 @@ class FieldEndo:
         if not 0 <= self.frob_power < self.level:
             raise ValueError(f"frobenius power {self.frob_power} outside 0..{self.level - 1}")
 
-    def apply(self, a: FieldElt) -> FieldElt:
-        if a.level != self.level:
-            raise LevelMismatch(f"endomorphism at level {self.level} applied to {a}")
-        return power(a, 1 << self.frob_power)
-
     def __str__(self) -> str:
         return f"frob^{self.frob_power}"
 
@@ -68,20 +63,12 @@ def field_endos(n: int) -> list[FieldEndo]:
     return [FieldEndo(n, j) for j in range(n)]
 
 
-def endo_permutes_roots(e: FieldEndo, a: FieldElt) -> bool:
-    """Does e map the conjugate set of a onto itself?"""
-    if e.level != a.level:
-        raise LevelMismatch(f"endomorphism level {e.level} differs from element level {a.level}")
-    orbit = {x.mask for x in frobenius_orbit(a)}
-    return {e.apply(FieldElt(a.level, m)).mask for m in orbit} == orbit
-
-
 def first_unpermuted_root(e: FieldEndo) -> int | None:
     """The lowest mask whose image under e leaves its conjugate set, or
-    None: as e is bijective (the c11 checks scan it), endo_permutes_roots
-    over the whole level in one numpy scan.  Images come from the log
-    tables (k -> 2^j k); conjugate sets, named by their least mask, from
-    iterating the schoolbook squaring table."""
+    None: as e is bijective (the c11 checks scan it), None means e permutes
+    every conjugate set of its level.  One numpy scan: images come from
+    the log tables (k -> 2^j k); conjugate sets, named by their least mask,
+    from iterating the schoolbook squaring table."""
     t = ensure_log_table(e.level)
     orbit = cur = np.arange(1 << e.level)
     for _ in range(e.level - 1):
@@ -409,7 +396,6 @@ __all__ = [
     "apply_group_endo",
     "apply_spec_to_table",
     "endo_permutes_max_order",
-    "endo_permutes_roots",
     "field_endos",
     "first_unpermuted_root",
     "replay_cohopf_skeleton",

@@ -45,10 +45,6 @@ class NonUnitDeterminant(Sl2BarError):
     """An operation requiring determinant one was applied to another matrix."""
 
 
-class NotAnInvolution(Sl2BarError):
-    """Involution parameters were requested for a matrix of order other than 2."""
-
-
 class PreconditionError(Sl2BarError):
     """An operation precondition (stated in its docstring) was violated."""
 

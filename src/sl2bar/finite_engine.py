@@ -104,9 +104,8 @@ class GroupTable:
         self.MUL, self.INV = t.mul_table, t.inv_table  # the kernel's product and inverse tables
         self.elts = [celt(level, x) for x in range(q)]  # mask -> closure value
         self.masks = masks
-        self.codes = _pack(masks, q)
         lookup = np.full(q**4, -1, dtype=np.int64)
-        lookup[self.codes] = np.arange(len(masks))
+        lookup[_pack(masks, q)] = np.arange(len(masks))
         self._lookup = lookup
         self.inv_masks = _inv_rows(self.MUL, self.INV, masks)
         self.inv_index = lookup[_pack(self.inv_masks, q)]
@@ -226,46 +225,12 @@ class SubgroupRef:
     def indices(self) -> np.ndarray:
         return np.flatnonzero(self.member)
 
-    def __contains__(self, i: int) -> bool:
-        return bool(self.member[i])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SubgroupRef)
             and self.parent is other.parent
             and bool(np.array_equal(self.member, other.member))
         )
-
-    def validate(self) -> None:
-        """Check closure under product and inverse, and that 1 is present."""
-        G = self.parent
-        idx = self.indices()
-        if 0 not in self:
-            raise InvariantViolated("subgroup must contain the identity")
-        if not np.all(self.member[G.inv_index[idx]]):
-            raise InvariantViolated("subgroup not closed under inverse")
-        if not np.all(self.member[G.mul_vec(idx[:, None], idx[None, :])]):
-            raise InvariantViolated("subgroup not closed under product")
-
-    def to_index_json(self) -> list[int]:
-        return [int(i) for i in self.indices()]
-
-    def to_matrix_json(self) -> list[list[str]]:
-        return [self.parent.mat_json(int(i)) for i in self.indices()]
-
-
-def subgroup_from_indices(G: GroupTable, idxs) -> SubgroupRef:
-    member = np.zeros(len(G), dtype=bool)
-    member[np.asarray(list(idxs), dtype=np.int64)] = True
-    return SubgroupRef(G, member)
-
-
-def whole_group(G: GroupTable) -> SubgroupRef:
-    return SubgroupRef(G, np.ones(len(G), dtype=bool))
-
-
-def trivial_subgroup(G: GroupTable) -> SubgroupRef:
-    return subgroup_from_indices(G, [0])
 
 
 def subset_member(G: GroupTable, name: SubsetName) -> np.ndarray:
@@ -671,12 +636,9 @@ __all__ = [
     "order_formula",
     "projective_action",
     "semidirect_check",
-    "subgroup_from_indices",
     "subgroup_generated",
     "subset_indices",
     "subset_member",
-    "trivial_subgroup",
     "unipotent_as_order3_product",
     "ut_lt_disjointness",
-    "whole_group",
 ]

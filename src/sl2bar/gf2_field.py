@@ -34,7 +34,7 @@ import numpy as np
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
-from .gf2poly import Gf2Poly, divisors, factorize, peval, pmulmod, ppowmod
+from .gf2poly import Gf2Poly, divisors, factorize, pmulmod, ppowmod
 
 N_MAX = conway.N_MAX
 
@@ -405,12 +405,6 @@ def minimal_poly(a: FieldElt) -> Gf2Poly:
     return Gf2Poly(mask)
 
 
-def poly_eval(f: Gf2Poly, a: FieldElt) -> FieldElt:
-    """Evaluate a GF(2) polynomial at a field element, schoolbook modulo
-    the level's modulus (no log tables)."""
-    return _elt(a.level, peval(f.mask, a.mask, conway.get_active().poly(a.level)))
-
-
 def artin_schreier_solve(c: FieldElt) -> FieldElt | None:
     """Some z with z^2 + z = c at c's level, or None if there is none.
 
@@ -449,7 +443,6 @@ __all__ = [
     "mul",
     "one",
     "parse_elt",
-    "poly_eval",
     "power",
     "random_elt",
     "sqrt",

@@ -7,7 +7,7 @@ Provides conjugacy classification (identity / unipotent / split with a
 canonical eigenvalue), the named shape subsets (diagonal, off-diagonal,
 upper/lower triangular and unitriangular), the two closed-form
 conjugation identities for diagonal and unitriangular targets, and the
-involution parametrization [[1+su, s^2],[u^2, 1+su]].
+factorization of a diagonal matrix into two involutions.
 
 Conjugation is fixed as conj(M, g) = M * g * M^(-1) everywhere.
 """
@@ -23,7 +23,6 @@ from .errors import (
     InvariantViolated,
     LevelOverflow,
     NonUnitDeterminant,
-    NotAnInvolution,
     ParseError,
     PreconditionError,
     SingularMatrix,
@@ -72,10 +71,6 @@ def upper_uni(y: ClosureElt) -> Mat2:
     return Mat2(ONE, y, ZERO, ONE)
 
 
-def lower_uni(z: ClosureElt) -> Mat2:
-    return Mat2(ONE, ZERO, z, ONE)
-
-
 def mdet(M: Mat2) -> ClosureElt:
     return cadd(cmul(M.a, M.d), cmul(M.b, M.c))
 
@@ -91,10 +86,6 @@ def mmul(M: Mat2, N: Mat2) -> Mat2:
         cadd(cmul(M.c, N.a), cmul(M.d, N.c)),
         cadd(cmul(M.c, N.b), cmul(M.d, N.d)),
     )
-
-
-def transpose(M: Mat2) -> Mat2:
-    return Mat2(M.a, M.c, M.b, M.d)
 
 
 def minv(M: Mat2) -> Mat2:
@@ -231,23 +222,6 @@ class SubsetName(enum.Enum):
     LOWER_UNI = "lower-uni"
 
 
-def is_member(M: Mat2, which: SubsetName) -> bool:
-    require_sl2(M)
-    if which is SubsetName.DIAG:
-        return M.b.is_zero and M.c.is_zero
-    if which is SubsetName.OFF_DIAG:
-        return M.a.is_zero and M.d.is_zero
-    if which is SubsetName.UPPER_TRI:
-        return M.c.is_zero
-    if which is SubsetName.UPPER_UNI:
-        return M.c.is_zero and M.a.is_one and M.d.is_one
-    if which is SubsetName.LOWER_TRI:
-        return M.b.is_zero
-    if which is SubsetName.LOWER_UNI:
-        return M.b.is_zero and M.a.is_one and M.d.is_one
-    raise ValueError(which)
-
-
 # ---------------------------------------------------------------------------
 # closed-form conjugations
 
@@ -290,51 +264,12 @@ def conjugate_eq2(lam: ClosureElt, s, t, u, v) -> Mat2:
 # involutions and generation helpers
 
 
-def involution_params(M: Mat2) -> tuple[ClosureElt, ClosureElt]:
-    """The (s, u) with M = [[1+su, s^2], [u^2, 1+su]] for an order-2 M."""
-    if morder(M) != 2:
-        raise NotAnInvolution(f"matrix {M} does not have order 2")
-    s = csqrt(M.b)
-    u = csqrt(M.c)
-    corner = cadd(ONE, cmul(s, u))
-    if Mat2(corner, M.b, M.c, corner) != M or (s.is_zero and u.is_zero):
-        raise InvariantViolated(f"parameters ({s}, {u}) do not rebuild {M}")
-    return s, u
-
-
 def diag_as_two_involutions(lam: ClosureElt) -> tuple[Mat2, Mat2]:
     """Two order-2 factors whose product is diag(lam, lam^(-1)):
     [[0,lam],[lam^(-1),0]] and the swap matrix."""
     if lam.is_zero:
         raise PreconditionError("lam must be nonzero")
     return off_diag_mat(lam), SWAP
-
-
-def commute_after_diag_twist(M: Mat2, lam: ClosureElt) -> bool:
-    """Does the order-2 matrix M commute with its diag(lam, lam^(-1))
-    twist D M D^(-1)?  True exactly when M is unitriangular (s = 0 or
-    u = 0); both routes are computed and must agree."""
-    if lam.is_zero or lam.is_one:
-        raise PreconditionError("lam must avoid 0 and 1")
-    s, u = involution_params(M)  # also enforces order 2
-    D = diag_mat(lam, cinv(lam))
-    twisted = conj(D, M)
-    direct = mmul(M, twisted) == mmul(twisted, M)
-    criterion = s.is_zero or u.is_zero
-    if direct != criterion:
-        raise InvariantViolated(f"commutation of {M} with its twist disagrees with the unitriangular criterion")
-    return direct
-
-
-def lt_conjugation_scaling(lam: ClosureElt, z: ClosureElt) -> Mat2:
-    """The diagonal D = diag(sqrt(lam z^(-1)), sqrt(lam^(-1) z)) that
-    conjugates [[1,0],[lam,1]] to [[1,0],[z,1]]."""
-    if lam.is_zero or z.is_zero:
-        raise PreconditionError("lam and z must be nonzero")
-    D = diag_mat(csqrt(cmul(lam, cinv(z))), csqrt(cmul(cinv(lam), z)))
-    if conj(D, lower_uni(lam)) != lower_uni(z):
-        raise InvariantViolated(f"{D} does not conjugate [[1,0],[{lam},1]] to [[1,0],[{z},1]]")
-    return D
 
 
 # ---------------------------------------------------------------------------
@@ -400,17 +335,12 @@ __all__ = [
     "SubsetName",
     "are_conjugate",
     "classify_jordan",
-    "commute_after_diag_twist",
     "conj",
     "conjugate_eq1",
     "conjugate_eq2",
     "diag_as_two_involutions",
     "diag_mat",
     "inv_transpose",
-    "involution_params",
-    "is_member",
-    "lower_uni",
-    "lt_conjugation_scaling",
     "mat_entry_masks",
     "mat_from_masks",
     "mat_to_json",
@@ -425,6 +355,5 @@ __all__ = [
     "random_sl2_mat",
     "require_sl2",
     "split_class",
-    "transpose",
     "upper_uni",
 ]

@@ -170,7 +170,7 @@ def _check_prop4(n: int):
     _need(fe.semidirect_check(G, delta, swap_grp), "semidirect decomposition failed")
     join = fe.subgroup_generated(G, np.concatenate([delta.indices(), swap_grp.indices()]))
     _need(join == nd, "diagonal and swap do not generate the normalizer")
-    _need(nd.size == 2 * delta.size, f"index of the diagonal in its normalizer is {nd.size / delta.size}")
+    _need(nd.size == 2 * delta.size, f"normalizer of order {nd.size} is not twice the diagonal's order {delta.size}")
     return {"normalizer_order": nd.size}
 
 

@@ -9,16 +9,17 @@ import numpy as np
 import pytest
 
 from sl2bar import finite_engine as fe, verify
-from sl2bar.closure import ONE, celt, cinv
+from sl2bar.closure import ONE, ZERO, celt, cinv
 from sl2bar.errors import BoundExceeded, InvariantViolated, PreconditionError
 from sl2bar.sl2_core import (
     SWAP,
+    Mat2,
     SubsetName,
     are_conjugate,
     classify_jordan,
     diag_mat,
-    is_member,
     mat_from_masks,
+    parse_mat,
     mmul,
     upper_uni,
 )
@@ -28,6 +29,31 @@ G2 = celt(2, 2)
 
 def sl2(n):
     return fe.enumerate_group(n, fe.KIND_SL2)
+
+
+def require_subgroup(H):
+    """The identity is present, and H is closed under inverses and products."""
+    G, idx = H.parent, H.indices()
+    assert H.member[0]
+    assert H.member[G.inv_index[idx]].all()
+    assert H.member[G.mul_vec(idx[:, None], idx[None, :])].all()
+
+
+def is_member(M, which):
+    """Scalar reference for fe.subset_member: is M in the named shape subset?"""
+    if which is SubsetName.DIAG:
+        return M.b.is_zero and M.c.is_zero
+    if which is SubsetName.OFF_DIAG:
+        return M.a.is_zero and M.d.is_zero
+    if which is SubsetName.UPPER_TRI:
+        return M.c.is_zero
+    if which is SubsetName.UPPER_UNI:
+        return M.c.is_zero and M.a.is_one and M.d.is_one
+    if which is SubsetName.LOWER_TRI:
+        return M.b.is_zero
+    if which is SubsetName.LOWER_UNI:
+        return M.b.is_zero and M.a.is_one and M.d.is_one
+    raise ValueError(which)
 
 
 def test_group_orders_match_formulas():
@@ -76,7 +102,7 @@ def test_centralizer_examples():
     assert czu.size == 4
     assert czu == fe.named_subgroup(G, SubsetName.UPPER_UNI)
     for H in (cz, czu):
-        H.validate()
+        require_subgroup(H)
 
 
 def test_commutation_agrees_with_scalar_matrix_products():
@@ -97,6 +123,17 @@ def test_subset_member_agrees_with_scalar_membership():
             assert fe.subset_indices(G, name).tolist() == [i for i, w in enumerate(want) if w]
 
 
+def test_subset_member_examples():
+    G = sl2(2)
+    M = parse_mat("[[0x2@2,0x1@1],[0x0@1,0x3@2]]")
+    for i, names in (
+        (0, set(SubsetName) - {SubsetName.OFF_DIAG}),
+        (G.index_of(SWAP), {SubsetName.OFF_DIAG}),
+        (G.index_of(M), {SubsetName.UPPER_TRI}),
+    ):
+        assert {name for name in SubsetName if fe.subset_member(G, name)[i]} == names
+
+
 def test_normalizer_examples():
     G = sl2(2)
     delta = fe.named_subgroup(G, SubsetName.DIAG)
@@ -106,7 +143,7 @@ def test_normalizer_examples():
     assert np.array_equal(nd.indices(), union)
     assert fe.normalizer_bf(G, fe.named_subgroup(G, SubsetName.UPPER_UNI)) == fe.named_subgroup(G, SubsetName.UPPER_TRI)
     assert fe.normalizer_bf(G, fe.named_subgroup(G, SubsetName.LOWER_UNI)) == fe.named_subgroup(G, SubsetName.LOWER_TRI)
-    nd.validate()
+    require_subgroup(nd)
 
 
 def test_abelian_and_metabelian():
@@ -118,7 +155,7 @@ def test_abelian_and_metabelian():
     assert fe.is_metabelian(nd)
     u = fe.named_subgroup(G, SubsetName.UPPER_TRI)
     assert fe.is_metabelian(u) and not fe.is_abelian(u)
-    assert not fe.is_metabelian(fe.whole_group(G))  # the group is simple and nonabelian
+    assert not fe.is_metabelian(fe.SubgroupRef(G, np.ones(len(G), dtype=bool)))  # the group is simple and nonabelian
 
 
 def test_ct_witnesses_are_deterministic():
@@ -216,7 +253,7 @@ def test_maximal_abelian():
     subs = fe.maximal_abelian_subgroups(sl2(2))
     for H in subs:
         assert fe.is_abelian(H)
-        H.validate()
+        require_subgroup(H)
     covered = np.zeros(60, dtype=bool)
     for H in subs:
         covered |= H.member
@@ -342,7 +379,8 @@ def test_semidirect_check():
     assert fe.semidirect_check(G, delta, swap_grp)
     ut = fe.named_subgroup(G, SubsetName.UPPER_UNI)
     assert fe.semidirect_check(G, ut, delta)
-    assert fe.semidirect_check(G, fe.whole_group(G), fe.trivial_subgroup(G))
+    whole, trivial = fe.SubgroupRef(G, np.ones(len(G), dtype=bool)), fe.SubgroupRef(G, np.arange(len(G)) == 0)
+    assert fe.semidirect_check(G, whole, trivial)
     assert not fe.semidirect_check(G, delta, delta)  # the intersection is everything
 
 
@@ -351,9 +389,7 @@ def test_ut_lt_disjointness():
     assert fe.ut_lt_disjointness(sl2(2))
     assert fe.ut_lt_disjointness(sl2(3))
     # the level-1 pair in matrices
-    from sl2bar.sl2_core import lower_uni, mmul
-
-    U, L = upper_uni(ONE), lower_uni(ONE)
+    U, L = upper_uni(ONE), Mat2(ONE, ZERO, ONE, ONE)
     assert mmul(U, L) != mmul(L, U)
 
 
@@ -363,13 +399,6 @@ def test_named_subgroup_rejects_off_diagonal():
 
 
 def test_subgroup_serialization():
-    G = sl2(2)
-    delta = fe.named_subgroup(G, SubsetName.DIAG)
-    idx = delta.to_index_json()
-    assert idx == sorted(idx) and len(idx) == 3 and idx[0] == 0
-    quads = delta.to_matrix_json()
-    assert len(quads) == 3 and all(len(q) == 4 for q in quads)
-    assert quads[0] == ["0x1@1", "0x0@1", "0x0@1", "0x1@1"]
     rep = fe.ct_check_centralizers(fe.enumerate_group(2, fe.KIND_GL2))
     js = rep.to_json()
     assert js["holds"] is False and len(js["witness"]) == 3

@@ -1,11 +1,15 @@
 """No verdict may rest on `assert`: ``python -O`` strips them.  Library
 functions compute and the verify registry checks, so every library
-self-check that remains is listed here with the reason it stays."""
+self-check that remains is listed here with the reason it stays.  Reports
+carry integers only, so the package never divides with `/`.  Every public
+library name has a caller in the package, the benchmark or the scripts."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-PKG = Path(__file__).resolve().parent.parent / "src" / "sl2bar"
+ROOT = Path(__file__).resolve().parent.parent
+PKG = ROOT / "src" / "sl2bar"
 
 
 def test_package_has_no_assert_statements():
@@ -24,11 +28,6 @@ KEPT_SELF_CHECKS = {
     ("gf2_field", "trace_abs"),
     ("gf2_field", "minimal_poly"),
     ("sl2_core", "classify_jordan"),
-    # helpers no registry check covers
-    ("sl2_core", "involution_params"),
-    ("sl2_core", "commute_after_diag_twist"),
-    ("sl2_core", "lt_conjugation_scaling"),
-    ("finite_engine", "SubgroupRef.validate"),
     # a constructor invariant: the witness leaves through `group ct`
     ("finite_engine", "CtReport.__post_init__"),
     # a guard against scanning past the group order
@@ -64,3 +63,54 @@ def test_library_self_checks_are_the_listed_ones():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found |= {(path.stem, scope) for scope in _self_check_sites(tree)}
     assert found == KEPT_SELF_CHECKS
+
+
+def test_package_has_no_true_division():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
+        ]
+    assert found == []
+
+
+def _references(tree: ast.AST):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1]
+
+
+def _public_defs(tree: ast.Module):
+    """Public top-level functions and classes, and the public methods of
+    top-level classes, as (qualified name, node)."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{node.name}.{sub.name}", sub
+
+
+def test_every_public_library_name_has_a_caller():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for folder in ("src", "perfbench", "scripts")
+        for path in sorted((ROOT / folder).rglob("*.py"))
+    }
+    total = Counter(name for tree in trees.values() for name in _references(tree))
+    uncalled = [
+        f"{path.stem}.{qualname}"
+        for path, tree in trees.items()
+        if path.parent == PKG
+        for qualname, node in _public_defs(tree)
+        if total[node.name] == Counter(_references(node))[node.name]
+    ]
+    assert uncalled == []

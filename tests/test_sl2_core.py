@@ -8,7 +8,6 @@ from sl2bar import closure
 from sl2bar.closure import ONE, ZERO, celt, cinv, reduce_elt
 from sl2bar.errors import (
     NonUnitDeterminant,
-    NotAnInvolution,
     ParseError,
     PreconditionError,
     SingularMatrix,
@@ -20,20 +19,14 @@ from sl2bar.sl2_core import (
     JORDAN_IDENTITY,
     JORDAN_UNIPOTENT,
     Mat2,
-    SubsetName,
     are_conjugate,
     classify_jordan,
-    commute_after_diag_twist,
     conj,
     conjugate_eq1,
     conjugate_eq2,
     diag_as_two_involutions,
     diag_mat,
     inv_transpose,
-    involution_params,
-    is_member,
-    lower_uni,
-    lt_conjugation_scaling,
     mat_entry_masks,
     mat_from_masks,
     mdet,
@@ -45,7 +38,6 @@ from sl2bar.sl2_core import (
     parse_mat,
     random_sl2_mat,
     split_class,
-    transpose,
     upper_uni,
 )
 
@@ -97,7 +89,7 @@ def test_inv_transpose():
     assert mdet(M) == ONE
     assert inv_transpose(M) == Mat2(M.d, M.c, M.b, M.a)
     assert inv_transpose(inv_transpose(M)) == M
-    assert inv_transpose(upper_uni(ONE)) == lower_uni(ONE)
+    assert inv_transpose(upper_uni(ONE)) == Mat2(ONE, ZERO, ONE, ONE)
     with pytest.raises(NonUnitDeterminant):
         inv_transpose(diag_mat(G2, G2))
 
@@ -179,7 +171,7 @@ def test_conjugate_eq2_examples():
     # u = 0 lands in the upper triangulars with corner lam s^2
     s = celt(3, 6)
     out = conjugate_eq2(lam, s, ONE, ZERO, cinv(s))
-    assert is_member(out, SubsetName.UPPER_UNI)
+    assert out.a == out.d == ONE and out.c == ZERO
     assert out.b == closure.cmul(lam, closure.cmul(s, s))
 
 
@@ -192,34 +184,6 @@ def test_eq1_eq2_match_triple_products():
         s, t, u, v = M.entries()
         assert conjugate_eq1(lam, s, t, u, v) == conj(M, diag_mat(lam, cinv(lam)))
         assert conjugate_eq2(lam, s, t, u, v) == conj(M, upper_uni(lam))
-
-
-def test_is_member():
-    for name in (SubsetName.DIAG, SubsetName.UPPER_TRI, SubsetName.UPPER_UNI, SubsetName.LOWER_TRI, SubsetName.LOWER_UNI):
-        assert is_member(IDENTITY, name)
-    assert not is_member(IDENTITY, SubsetName.OFF_DIAG)
-    assert is_member(SWAP, SubsetName.OFF_DIAG)
-    for name in set(SubsetName) - {SubsetName.OFF_DIAG}:
-        assert not is_member(SWAP, name)
-    M = parse_mat("[[0x2@2,0x1@1],[0x0@1,0x3@2]]")
-    assert is_member(M, SubsetName.UPPER_TRI)
-    for name in set(SubsetName) - {SubsetName.UPPER_TRI}:
-        assert not is_member(M, name)
-
-
-def test_involution_params():
-    assert involution_params(upper_uni(ONE)) == (ONE, ZERO)
-    assert involution_params(lower_uni(ONE)) == (ZERO, ONE)
-    with pytest.raises(NotAnInvolution):
-        involution_params(IDENTITY)
-    rng = random.Random(7)
-    for _ in range(100):
-        level = rng.choice([2, 3, 4])
-        M = random_sl2_mat(rng, level)
-        invol = conj(M, upper_uni(ONE))  # a conjugated involution
-        s, u = involution_params(invol)
-        corner = closure.cadd(ONE, closure.cmul(s, u))
-        assert Mat2(corner, invol.b, invol.c, corner) == invol
 
 
 def test_diag_as_two_involutions():
@@ -236,32 +200,6 @@ def test_diag_as_two_involutions():
         assert mmul(left, right) == diag_mat(lam, cinv(lam))
     with pytest.raises(PreconditionError):
         diag_as_two_involutions(ZERO)
-
-
-def test_commute_after_diag_twist():
-    assert commute_after_diag_twist(upper_uni(ONE), G2)
-    assert commute_after_diag_twist(lower_uni(ONE), G2)
-    assert not commute_after_diag_twist(SWAP, G2)  # s = u = 1
-    with pytest.raises(PreconditionError):
-        commute_after_diag_twist(SWAP, ONE)
-    with pytest.raises(NotAnInvolution):
-        commute_after_diag_twist(IDENTITY, G2)
-
-
-def test_lt_conjugation_scaling():
-    lam = celt(3, 7)
-    assert lt_conjugation_scaling(lam, lam) == IDENTITY
-    D = lt_conjugation_scaling(ONE, G2)
-    assert conj(D, lower_uni(ONE)) == lower_uni(G2)
-    rng = random.Random(9)
-    for _ in range(100):
-        level = rng.choice([2, 3, 4])
-        lam = reduce_elt(random_elt(rng, level, nonzero=True))
-        z = reduce_elt(random_elt(rng, level, nonzero=True))
-        D = lt_conjugation_scaling(lam, z)
-        assert conj(D, lower_uni(lam)) == lower_uni(z)
-    with pytest.raises(PreconditionError):
-        lt_conjugation_scaling(ZERO, ONE)
 
 
 def test_parse_mat():
@@ -282,9 +220,3 @@ def test_mat_masks_round_trip():
         M = random_sl2_mat(rng, 2)
         quad = mat_entry_masks(M, 4)
         assert mat_from_masks(4, quad) == M
-
-
-def test_transpose():
-    M = parse_mat("[[0x2@2,0x1@1],[0x0@1,0x3@2]]")
-    assert transpose(M) == parse_mat("[[0x2@2,0x0@1],[0x1@1,0x3@2]]")
-    assert transpose(transpose(M)) == M
