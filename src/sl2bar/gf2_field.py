@@ -34,7 +34,7 @@ import numpy as np
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
-from .gf2poly import Gf2Poly, divisors, factorize, pmulmod, ppowmod
+from .gf2poly import Gf2Poly, divisors, factorize, pinvmod, pmulmod, ppowmod
 
 N_MAX = conway.N_MAX
 
@@ -256,6 +256,11 @@ class LevelTables:
         return basis
 
     @cached_property
+    def sqrt_gen(self) -> int:
+        """The mask of the square root of g, g^(2^(n-1))."""
+        return ppowmod(2, 1 << (self.n - 1), self.mod)
+
+    @cached_property
     def as_images(self) -> tuple[int, ...]:
         """Schoolbook images of the basis masks g^i under the GF(2)-linear
         z -> z^2 + z."""
@@ -331,10 +336,15 @@ def power(a: FieldElt, e: int) -> FieldElt:
 
 
 def inv(a: FieldElt) -> FieldElt:
-    """Multiplicative inverse, a^(2^n - 2)."""
-    if a.mask == 0:
+    """Multiplicative inverse: a log lookup, or without log tables the
+    extended Euclidean algorithm against the modulus."""
+    n, x = a.level, a.mask
+    if x == 0:
         raise DivisionByZero("inverse of zero")
-    return power(a, -1)
+    t = _LEVELS.get(n) or _level(n)
+    if t.log is None:
+        return _elt(n, pinvmod(x, t.mod))
+    return _elt(n, t.exp[-t.log[x] % t.q1])
 
 
 def frobenius(a: FieldElt) -> FieldElt:
@@ -342,9 +352,25 @@ def frobenius(a: FieldElt) -> FieldElt:
     return mul(a, a)
 
 
+def _even_bits(x: int) -> int:
+    """Bits 0, 2, 4, ... of a mask below 2^32, packed into bits 0, 1, 2, ..."""
+    x &= 0x55555555
+    x = (x | x >> 1) & 0x33333333
+    x = (x | x >> 2) & 0x0F0F0F0F
+    x = (x | x >> 4) & 0x00FF00FF
+    return (x | x >> 8) & 0x0000FFFF
+
+
 def sqrt(a: FieldElt) -> FieldElt:
-    """The unique square root, a^(2^(n-1)); inverse of frobenius."""
-    return power(a, 1 << (a.level - 1))
+    """The unique square root, a^(2^(n-1)); inverse of frobenius.  Without
+    log tables it uses that the root is GF(2)-linear: for x = E(g^2) +
+    g O(g^2), with E and O the polynomials of the even and odd bits of x,
+    it is E(g) + sqrt(g) O(g), one product."""
+    n, x = a.level, a.mask
+    t = _LEVELS.get(n) or _level(n)
+    if t.log is not None:
+        return power(a, 1 << (n - 1))
+    return _elt(n, _even_bits(x) ^ pmulmod(t.sqrt_gen, _even_bits(x >> 1), t.mod))
 
 
 def trace_abs(a: FieldElt) -> FieldElt:

@@ -5,9 +5,10 @@ to b_i, so x is 0b10 and x^2+x+1 is 0b111.  Every nonzero polynomial is
 monic (the leading coefficient is the top set bit).  Addition is XOR;
 multiplication is carry-less.
 
-The schoolbook product, power and Horner evaluation modulo a mask
-(``pmulmod``, ``ppowmod``, ``peval``) are the package's only ones: the
-table validation and the field levels without log tables share them.
+The schoolbook product, power, inverse and Horner evaluation modulo a
+mask (``pmulmod``, ``ppowmod``, ``pinvmod``, ``peval``) are the package's
+only ones: the table validation and the field levels without log tables
+share them.
 Besides raw mask arithmetic the module provides irreducibility and
 primitivity tests (primitivity of degree n needs the factorization of
 2^n - 1, obtained by memoized trial division) and small integer helpers
@@ -66,6 +67,24 @@ def ppowmod(f: int, e: int, m: int) -> int:
         f = pmulmod(f, f, m)
         e >>= 1
     return r
+
+
+def pinvmod(f: int, m: int) -> int:
+    """The inverse of f modulo m by the extended Euclidean algorithm on
+    masks (Hankerson, Menezes & Vanstone, Guide to Elliptic Curve
+    Cryptography, 2004, Algorithm 2.48).  The invariants are
+    g1 f = u and g2 f = v modulo m; each step cancels the leading term of
+    the higher of u, v.  ZeroDivisionError when gcd(f, m) != 1."""
+    u, v, g1, g2 = pmod(f, m), m, 1, 0
+    while u != 1:
+        if not u:
+            raise ZeroDivisionError(f"{f:#x} is not invertible modulo {m:#x}")
+        j = degree(u) - degree(v)
+        if j < 0:
+            u, v, g1, g2, j = v, u, g2, g1, -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
 
 
 def peval(f: int, x: int, m: int) -> int:

@@ -230,18 +230,69 @@ def _check_dichotomy(n: int):
 # criterion 8: the two closed-form conjugation identities
 
 
+def _mmul_vec(mul, A, B):
+    """Entry masks of the products of two stacks of 2x2 matrices, each
+    given as the four entry-mask arrays (a, b, c, d)."""
+    a, b, c, d = A
+    e, f, g, h = B
+    return (mul(a, e) ^ mul(b, g), mul(a, f) ^ mul(b, h), mul(c, e) ^ mul(d, g), mul(c, f) ^ mul(d, h))
+
+
+def _eq1_eq2_sides(n: int, lam, s, t, u, v):
+    """Both sides of identities (1) and (2) for arrays of level-n masks,
+    from the level's product and inverse tables: the closed forms of
+    sl.conjugate_eq1/eq2, and M g M^(-1) with M^(-1) = [[v, t], [u, s]],
+    each as four entry-mask arrays.  Returns (closed1, conj1, closed2,
+    conj2)."""
+    tab = ensure_log_table(n)
+    mul = tab.mul_vec
+    li = tab.inv_table[lam]
+    one, zero = np.ones_like(lam), np.zeros_like(lam)
+    sv, tu, mix = mul(s, v), mul(t, u), lam ^ li
+    corner = one ^ mul(lam, mul(s, u))
+    closed1 = (mul(lam, sv) ^ mul(li, tu), mul(mix, mul(s, t)), mul(mix, mul(u, v)), mul(li, sv) ^ mul(lam, tu))
+    closed2 = (corner, mul(lam, mul(s, s)), mul(lam, mul(u, u)), corner)
+    M, M_inv = (s, t, u, v), (v, t, u, s)
+    conj1 = _mmul_vec(mul, _mmul_vec(mul, M, (lam, zero, zero, li)), M_inv)
+    conj2 = _mmul_vec(mul, _mmul_vec(mul, M, (one, lam, zero, one)), M_inv)
+    return closed1, conj1, closed2, conj2
+
+
 def _check_eq1_eq2(total: int = 10_000):
+    """Identities (1) and (2) on total/2 seeded (lam, M) pairs at levels
+    cycling 1..6: every pair over the level tables, and the first 300
+    level-6 pairs, whose entries reduce to levels 1, 2, 3 and 6, through
+    the closure closed forms against sl.conj.  A failure names the lowest
+    failing draw."""
     rng = random.Random(_seed("c08-eq1-eq2/random"))
     levels = [1, 2, 3, 4, 5, 6]
+    rows = {n: [] for n in levels}  # (draw index, lam, s, t, u, v) masks at the draw's level
+    sample = []
     for k in range(total // 2):
         n = levels[k % len(levels)]
-        lam = reduce_elt(random_elt(rng, n, nonzero=True))
+        lam = random_elt(rng, n, nonzero=True)
         M = sl.random_sl2_mat(rng, n)
+        rows[n].append((k, lam.mask, *sl.mat_entry_masks(M, n)))
+        if n == 6 and len(sample) < 300:
+            sample.append((k, reduce_elt(lam), M))
+    failures = []  # (draw index, identity)
+    for n, drawn in rows.items():
+        ks, lam, s, t, u, v = np.array(drawn, dtype=np.int64).T
+        closed1, conj1, closed2, conj2 = _eq1_eq2_sides(n, lam, s, t, u, v)
+        for which, sides in ((1, zip(closed1, conj1)), (2, zip(closed2, conj2))):
+            bad = np.any([x != y for x, y in sides], axis=0)
+            failures += [(int(k), which) for k in ks[bad]]
+    for k, lam, M in sample:
         s, t, u, v = M.entries()
         if sl.conjugate_eq1(lam, s, t, u, v) != sl.conj(M, sl.diag_mat(lam, cinv(lam))):
-            raise CheckFailure(f"identity (1) fails for lam={lam}, M={M}")
-        if sl.conjugate_eq2(lam, s, t, u, v) != sl.conj(M, sl.upper_uni(lam)):
-            raise CheckFailure(f"identity (2) fails for lam={lam}, M={M}")
+            failures.append((k, 1))
+        elif sl.conjugate_eq2(lam, s, t, u, v) != sl.conj(M, sl.upper_uni(lam)):
+            failures.append((k, 2))
+    if failures:
+        k, which = min(failures)
+        n = levels[k % len(levels)]
+        _, lam, *quad = rows[n][k // len(levels)]
+        raise CheckFailure(f"identity ({which}) fails for lam={reduce_elt(FieldElt(n, lam))}, M={sl.mat_from_masks(n, quad)}")
     return {"tuples": total}
 
 

@@ -205,6 +205,19 @@ def test_mul_matches_oracle(a):
     assert mul(a, b).mask == oracle_mul(a.mask, b.mask, a.level)
 
 
+@given(field_elts(levels=tuple(range(17, 31))))
+def test_inv_and_sqrt_without_log_tables(a):
+    # levels 21..30 never have log tables and 17..20 only on demand; there
+    # inv runs the extended Euclid and sqrt the linear map, checked here
+    # against the Fermat power and against squaring
+    mod = conway.get_active().poly(a.level)
+    if not a.is_zero:
+        assert inv(a).mask == gf2poly.ppowmod(a.mask, (1 << a.level) - 2, mod)
+    r = sqrt(a)
+    assert mul(r, r) == a
+    assert r.mask == gf2poly.ppowmod(a.mask, 1 << (a.level - 1), mod)
+
+
 @given(field_elts())
 def test_order_divides_group_order_and_is_odd(a):
     if a.is_zero:

@@ -3,6 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from sl2bar import conway
+
 from sl2bar.gf2poly import (
     Gf2Poly,
     degree,
@@ -12,6 +14,7 @@ from sl2bar.gf2poly import (
     is_primitive,
     pgcd,
     peval,
+    pinvmod,
     pmod,
     pmulmod,
     poly_str,
@@ -68,6 +71,23 @@ def test_pmulmod_matches_naive(f, g, m):
 def test_peval_matches_naive(f, x, m):
     # deg m >= 1, so the constant 1 is reduced; x may be unreduced
     assert peval(f, x, m) == naive_eval(f, x, m)
+
+
+@given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=(1 << 30) - 1))
+def test_pinvmod_matches_the_fermat_power(n, x):
+    # every table modulus is irreducible, so x^(2^n - 2) is the inverse of x mod m
+    m = conway.get_active().poly(n)
+    x %= 1 << n
+    if x:
+        assert pinvmod(x, m) == ppowmod(x, (1 << n) - 2, m)
+        assert pmulmod(pinvmod(x, m), x, m) == 1
+
+
+def test_pinvmod_rejects_a_common_factor():
+    with pytest.raises(ZeroDivisionError):
+        pinvmod(0, 0b111)
+    with pytest.raises(ZeroDivisionError):
+        pinvmod(0b11, 0b101)  # x^2 + 1 = (x + 1)^2
 
 
 @given(masks, st.integers(min_value=1, max_value=(1 << 12) - 1))

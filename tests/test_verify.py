@@ -3,14 +3,17 @@ the registry checks that catch a wrong answer from the library."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sl2bar import finite_engine as fe, gf2_field as gf, sl2_core as sl, verify
 from sl2bar.cli import main
+from sl2bar.closure import cadd, cmul
 from sl2bar.gf2_field import FieldElt
 
 GOLDEN = Path(__file__).parent / "golden" / "verify-max2.json"
@@ -81,11 +84,40 @@ def _artin_schreier_wrong_root(monkeypatch):
     monkeypatch.setattr(verify, "artin_schreier_solve", wrong)
 
 
-def _log_table_two_exps_swapped(monkeypatch):
-    bad = gf.LevelTables(4, gf.ensure_log_table(4).mod, logs=True)
+def _swap_two_exps(monkeypatch, n):
+    bad = gf.LevelTables(n, gf.ensure_log_table(n).mod, logs=True)
     bad.exp[1], bad.exp[3] = bad.exp[3], bad.exp[1]
     bad.log[bad.exp[1]], bad.log[bad.exp[3]] = 1, 3
-    monkeypatch.setitem(gf._LEVELS, 4, bad)
+    monkeypatch.setitem(gf._LEVELS, n, bad)
+
+
+def _log_table_two_exps_swapped(monkeypatch):
+    _swap_two_exps(monkeypatch, 4)
+
+
+def _level3_log_table_two_exps_swapped(monkeypatch):
+    _swap_two_exps(monkeypatch, 3)
+
+
+def _eq1_lam_for_lam_inverse(monkeypatch):
+    good = sl.conjugate_eq1
+
+    def wrong(lam, s, t, u, v):
+        out = good(lam, s, t, u, v)
+        return sl.Mat2(cadd(cmul(lam, cmul(s, v)), cmul(lam, cmul(t, u))), out.b, out.c, out.d)
+
+    monkeypatch.setattr(sl, "conjugate_eq1", wrong)
+
+
+def _eq2_corner_without_one(monkeypatch):
+    good = sl.conjugate_eq2
+
+    def wrong(lam, s, t, u, v):
+        out = good(lam, s, t, u, v)
+        corner = cmul(lam, cmul(s, u))
+        return sl.Mat2(corner, out.b, out.c, corner)
+
+    monkeypatch.setattr(sl, "conjugate_eq2", wrong)
 
 
 @pytest.mark.parametrize(
@@ -97,6 +129,9 @@ def _log_table_two_exps_swapped(monkeypatch):
         (_max_order_misses_a_mask, "c11-field-cohopf/max-order/n4"),
         (_artin_schreier_wrong_root, "c14-artin-schreier/n3"),
         (_log_table_two_exps_swapped, "c11-field-cohopf/endos/n4"),
+        (_eq1_lam_for_lam_inverse, "c08-eq1-eq2/random"),
+        (_eq2_corner_without_one, "c08-eq1-eq2/random"),
+        (_level3_log_table_two_exps_swapped, "c08-eq1-eq2/random"),
     ],
     ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"),
 )
@@ -104,3 +139,23 @@ def test_the_registry_check_catches_a_wrong_library_answer(monkeypatch, fault, c
     fault(monkeypatch)
     report = verify.run_suite(max_level=2, name_filter=check)
     assert [(c.name, c.status) for c in report.checks] == [(check, "fail")]
+
+
+def test_c08_table_sides_agree_with_the_scalar_closed_forms():
+    # c08's own draws: the first 100 pairs of every level 1..6
+    rng = random.Random(verify._seed("c08-eq1-eq2/random"))
+    drawn = {n: [] for n in range(1, 7)}
+    for k in range(600):
+        n = 1 + k % 6
+        drawn[n].append((gf.random_elt(rng, n, nonzero=True), sl.random_sl2_mat(rng, n)))
+    for n, pairs in drawn.items():
+        lam = np.array([x.mask for x, _ in pairs])
+        entries = np.array([sl.mat_entry_masks(M, n) for _, M in pairs]).T
+        closed1, conj1, closed2, conj2 = verify._eq1_eq2_sides(n, lam, *entries)
+        for i, (x, M) in enumerate(pairs):
+            lam_c = verify.reduce_elt(x)
+            s, t, u, v = M.entries()
+            eq1 = sl.mat_entry_masks(sl.conjugate_eq1(lam_c, s, t, u, v), n)
+            eq2 = sl.mat_entry_masks(sl.conjugate_eq2(lam_c, s, t, u, v), n)
+            assert tuple(int(e[i]) for e in closed1) == tuple(int(e[i]) for e in conj1) == eq1
+            assert tuple(int(e[i]) for e in closed2) == tuple(int(e[i]) for e in conj2) == eq2
