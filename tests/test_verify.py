@@ -13,7 +13,7 @@ import pytest
 
 from sl2bar import finite_engine as fe, gf2_field as gf, sl2_core as sl, verify
 from sl2bar.cli import main
-from sl2bar.closure import cadd, cmul
+from sl2bar.closure import cadd, cmul, reduce_elt
 from sl2bar.gf2_field import FieldElt
 
 GOLDEN = Path(__file__).parent / "golden" / "verify-max2.json"
@@ -153,7 +153,7 @@ def test_c08_table_sides_agree_with_the_scalar_closed_forms():
         entries = np.array([sl.mat_entry_masks(M, n) for _, M in pairs]).T
         closed1, conj1, closed2, conj2 = verify._eq1_eq2_sides(n, lam, *entries)
         for i, (x, M) in enumerate(pairs):
-            lam_c = verify.reduce_elt(x)
+            lam_c = reduce_elt(x)
             s, t, u, v = M.entries()
             eq1 = sl.mat_entry_masks(sl.conjugate_eq1(lam_c, s, t, u, v), n)
             eq2 = sl.mat_entry_masks(sl.conjugate_eq2(lam_c, s, t, u, v), n)
