@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 
-from . import closure, conway, finite_engine as fe, sl2_core as sl, verify
+from . import closure, conway, sl2_core as sl
 from .closure import ClosureElt, cadd, cinv, cmul, cpow
 from .errors import ParseError, Sl2BarError
 from .gf2_field import check_level, ensure_log_table, minimal_poly
@@ -184,16 +184,13 @@ def _cmd_mat(args) -> int:
     return 0
 
 
-def _group_table(args) -> fe.GroupTable:
-    return fe.enumerate_group(args.level, args.kind)
-
-
 def _cmd_group(args) -> int:
+    from . import finite_engine as fe  # numpy, which only the group layers need
+
+    G = fe.enumerate_group(args.level, args.kind)
     if args.subcommand == "enum":
-        G = _group_table(args)
         _emit(args, {"kind": G.kind, "level": G.level, "order": len(G)}, f"order {len(G)}")
     elif args.subcommand == "ct":
-        G = _group_table(args)
         rep = fe.ct_check_centralizers(G)
         obj = {"kind": G.kind, "level": G.level}
         obj.update(rep.to_json())
@@ -203,17 +200,14 @@ def _cmd_group(args) -> int:
             lits = " ".join(rep.witness_literals())
             _emit(args, obj, f"CT: fails\nwitness: {lits}")
     elif args.subcommand == "simple":
-        G = _group_table(args)
         simple = fe.is_simple(G)
         _emit(args, {"kind": G.kind, "level": G.level, "simple": simple}, f"simple: {'true' if simple else 'false'}")
     elif args.subcommand == "gen":
-        G = _group_table(args)
         got = fe.subgroup_generated(G, fe.generator_set(G, args.gens))
         full = got.size == len(G)
         obj = {"kind": G.kind, "level": G.level, "generators": args.gens, "generates": full, "order": got.size}
         _emit(args, obj, f"generates: {'true' if full else 'false'} (order {got.size})")
     elif args.subcommand == "a5":
-        G = _group_table(args)
         pa = fe.projective_action(G)
         obj = {
             "level": G.level,
@@ -233,6 +227,8 @@ def _cmd_group(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     conway.get_active()  # a bad table file is one usage error, not a failure of every check
     report = verify.run_suite(max_level=args.max_level, name_filter=args.filter)
     if args.json:
@@ -305,9 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         sp = gsub.add_parser(name, help=help_)
         sp.add_argument("--level", type=int, required=(name != "a5"), default=2 if name == "a5" else None)
-        sp.add_argument("--kind", choices=[fe.KIND_SL2, fe.KIND_GL2], default=fe.KIND_SL2)
+        sp.add_argument("--kind", choices=[sl.KIND_SL2, sl.KIND_GL2], default=sl.KIND_SL2)
         if name == "gen":
-            sp.add_argument("--gens", choices=fe.GENERATOR_SETS, default="involutions")
+            sp.add_argument("--gens", choices=sl.GENERATOR_SETS, default="involutions")
         sp.add_argument("--json", action="store_true")
 
     v = sub.add_parser("verify", help="run the verification suite")

@@ -27,10 +27,7 @@ from . import conway
 from .closure import celt
 from .errors import BoundExceeded, InvariantViolated, PreconditionError, SearchFailed
 from .gf2_field import ensure_log_table
-from .sl2_core import SWAP, Mat2, SubsetName, mat_entry_masks, mat_to_json
-
-KIND_SL2 = "sl2"
-KIND_GL2 = "gl2"
+from .sl2_core import GENERATOR_SETS, KIND_GL2, KIND_SL2, SWAP, Mat2, SubsetName, mat_entry_masks, mat_to_json
 
 SL2_MAX_LEVEL = 5
 GL2_MAX_LEVEL = 3
@@ -38,7 +35,6 @@ TRIPLES_MAX = 600
 SIMPLE_MAX = 5000
 MAXAB_MAX = 5000
 CLOSURE_CHUNK = 1 << 16  # products per step of subgroup_generated
-GENERATOR_SETS = ("involutions", "swap-lower", "ndelta-lower")
 
 
 def order_formula(level: int, kind: str) -> int:

@@ -12,9 +12,11 @@ and every function is pure, so the module is safe to use concurrently.
 
 All per-level data lives in one kernel per level, ``LevelTables``, in one
 cache that one invalidation hook drops when the modulus table changes.
-Its compact exp/log arrays (built by vectorized numpy) make products,
-powers and orders lookups and yield the numpy tables of the endomorphism
-scans and the cached product and inverse tables of the group engine.
+Its compact exp/log arrays (built by one pure-Python walk g^k -> g^(k+1))
+make products, powers and orders lookups and yield the numpy tables of
+the endomorphism scans and the cached product and inverse tables of the
+group engine.  Only those numpy members import numpy, on first use, so
+the scalar layers and the ``field`` and ``mat`` commands run without it.
 Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
 LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
 endomorphism scans); the rest multiply schoolbook (``gf2poly.pmulmod``)
@@ -29,12 +31,14 @@ import re
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
 from .gf2poly import Gf2Poly, divisors, factorize, pinvmod, pmulmod, ppowmod
+
+if TYPE_CHECKING:
+    import numpy as np
 
 N_MAX = conway.N_MAX
 
@@ -166,25 +170,27 @@ def _solve_gf2(vectors: tuple[int, ...], target: int) -> int | None:
 
 
 def _log_arrays(n: int, mod: int) -> tuple[array, array]:
-    """Compact exp (g^k, k < 2^n - 1) and log (its inverse) arrays, built by
-    doubling: g^(L+i) = g^i * g^L, multiplication by a constant being
-    GF(2)-linear.  TableInvalid unless g generates every nonzero mask."""
+    """Compact exp (g^k, k < 2^n - 1) and log (its inverse) arrays, from
+    the walk x -> x g: a shift and, when the degree reaches n, an XOR with
+    the modulus.  TableInvalid unless g generates every nonzero mask."""
     q1 = (1 << n) - 1
-    exp = np.left_shift(1, np.arange(min(n, q1), dtype=np.int32))  # the monomials; g = 1 at level 1
-    while len(exp) < q1:
-        src = exp[: q1 - len(exp)]
-        block = np.zeros_like(src)
-        c = pmulmod(int(exp[-1]), 2, mod)  # g^len(exp)
-        for b in range(n):
-            block ^= ((src >> b) & 1) * c
-            c = pmulmod(c, 2, mod)
-        exp = np.concatenate([exp, block])
-    log = np.zeros(q1 + 1, dtype=np.int32)
-    log[exp] = np.arange(q1)
-    if not (exp.all() and np.array_equal(log[exp], np.arange(q1))):
-        raise TableInvalid(f"level {n} modulus {mod:#x} is not primitive")
     code = "H" if n <= 16 else "I"  # uint16 or uint32
-    return array(code, exp.astype(code).tobytes()), array(code, log.astype(code).tobytes())
+    exp = array(code, [0]) * q1
+    log = array(code, [0]) * (q1 + 1)
+    top = 1 << n
+    x = 1
+    for k in range(q1):
+        exp[k] = x
+        log[x] = k
+        x <<= 1
+        if x & top:
+            x ^= mod
+    # A primitive walk visits every nonzero mask once and is back at 1 after
+    # 2^n - 1 steps, leaving exactly log[0] and log[1] zero.  The count alone
+    # would pass x^2 + 1 and x^2 at level 2.
+    if x != 1 or log.count(0) != 2:
+        raise TableInvalid(f"level {n} modulus {mod:#x} is not primitive")
+    return exp, log
 
 
 class LevelTables:
@@ -200,16 +206,22 @@ class LevelTables:
         self._bases: dict[int, tuple[int, ...]] = {}
 
     def _np(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return tuple(np.frombuffer(a, dtype=a.typecode).astype(np.int64) for a in (self.exp, self.log))
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise products of two mask arrays."""
+        import numpy as np
+
         exp, log = self._np()
         return np.where((x != 0) & (y != 0), exp[(log[x] + log[y]) % self.q1], 0)
 
     def pow_vec(self, masks: np.ndarray, e: int) -> np.ndarray:
         """masks^e elementwise, with 0^e = 0; on logs the Frobenius power
         x -> x^(2^j) is k -> 2^j k."""
+        import numpy as np
+
         exp, log = self._np()
         return np.where(masks != 0, exp[(log[masks] * e) % self.q1], 0)
 
@@ -218,18 +230,24 @@ class LevelTables:
         """The full product table, MUL[x, y] = x y over all mask pairs:
         4^n entries, built for the group engine's small levels (int64, the
         width its packed codes need)."""
+        import numpy as np
+
         x = np.arange(self.q1 + 1)
         return self.mul_vec(x[:, None], x[None, :])
 
     @cached_property
     def inv_table(self) -> np.ndarray:
         """INV[x] = x^(-1) for every nonzero mask, and INV[0] = 0."""
+        import numpy as np
+
         return self.pow_vec(np.arange(self.q1 + 1), -1)
 
     @cached_property
     def squares(self) -> np.ndarray:
         """The table mask -> mask^2, made without the log tables: squaring is
         GF(2)-linear, so the schoolbook squares of the masks g^i fix it."""
+        import numpy as np
+
         x = np.arange(self.q1 + 1, dtype=np.int64)
         out = np.zeros_like(x)
         for i, image in enumerate(self.as_images):
@@ -240,6 +258,8 @@ class LevelTables:
     def max_order(self) -> np.ndarray:
         """The masks of multiplicative order 2^n - 1, ascending: exp[k]
         for the k coprime to 2^n - 1."""
+        import numpy as np
+
         exp, _ = self._np()
         return np.unique(exp[np.gcd(np.arange(self.q1), self.q1) == 1])
 

@@ -31,6 +31,12 @@ from .gf2_field import artin_schreier_solve, random_elt
 from .gf2_field import add as fadd, inv as finv, mul as fmul, one as fone
 from .closure import lift, reduce_elt
 
+# The group kinds and the names of finite_engine.generator_set's sets live
+# below the group engine, so the CLI parser offers them without importing it.
+KIND_SL2 = "sl2"
+KIND_GL2 = "gl2"
+GENERATOR_SETS = ("involutions", "swap-lower", "ndelta-lower")
+
 
 @dataclass(frozen=True)
 class Mat2:
@@ -299,8 +305,9 @@ def parse_mat(text: str) -> Mat2:
     return Mat2(*cells)
 
 
-def random_sl2_mat(rng, level: int) -> Mat2:
-    """Uniformly random determinant-one matrix with entries at `level`."""
+def random_sl2_masks(rng, level: int) -> tuple[int, int, int, int]:
+    """Entry masks (s, t, u, v) at `level` of a uniformly random
+    determinant-one matrix [[s, t], [u, v]]."""
     while True:
         s = random_elt(rng, level)
         t = random_elt(rng, level)
@@ -312,7 +319,7 @@ def random_sl2_mat(rng, level: int) -> Mat2:
             v = random_elt(rng, level)
         else:
             continue
-        return Mat2(reduce_elt(s), reduce_elt(t), reduce_elt(u), reduce_elt(v))
+        return s.mask, t.mask, u.mask, v.mask
 
 
 def mat_entry_masks(M: Mat2, level: int) -> tuple[int, int, int, int]:
@@ -326,7 +333,10 @@ def mat_from_masks(level: int, quad) -> Mat2:
 
 
 __all__ = [
+    "GENERATOR_SETS",
     "IDENTITY",
+    "KIND_GL2",
+    "KIND_SL2",
     "SWAP",
     "JordanClass",
     "JORDAN_IDENTITY",
@@ -352,7 +362,7 @@ __all__ = [
     "normalize_to_sl2",
     "off_diag_mat",
     "parse_mat",
-    "random_sl2_mat",
+    "random_sl2_masks",
     "require_sl2",
     "split_class",
     "upper_uni",

@@ -271,10 +271,10 @@ def _check_eq1_eq2(total: int = 10_000):
     for k in range(total // 2):
         n = levels[k % len(levels)]
         lam = random_elt(rng, n, nonzero=True)
-        M = sl.random_sl2_mat(rng, n)
-        rows[n].append((k, lam.mask, *sl.mat_entry_masks(M, n)))
+        quad = sl.random_sl2_masks(rng, n)
+        rows[n].append((k, lam.mask, *quad))
         if n == 6 and len(sample) < 300:
-            sample.append((k, reduce_elt(lam), M))
+            sample.append((k, reduce_elt(lam), sl.mat_from_masks(n, quad)))
     failures = []  # (draw index, identity)
     for n, drawn in rows.items():
         ks, lam, s, t, u, v = np.array(drawn, dtype=np.int64).T

@@ -13,6 +13,7 @@ from sl2bar.cli import eval_expr, main
 from sl2bar.closure import ZERO, celt
 from sl2bar.conway import ConwayTable, format_table
 from sl2bar.errors import ParseError
+from sl2bar.gf2_field import gen, inv
 
 
 @pytest.fixture(autouse=True)
@@ -237,3 +238,60 @@ def test_unreadable_table_file_is_a_usage_error(tmp_path, how):
         assert done.returncode == 2, (argv, done.stderr)
         assert path in done.stderr and "Traceback" not in done.stderr
         assert done.stdout == ""
+
+
+# Runs each argv through sl2bar.cli.main in one fresh interpreter and
+# prints [exit code, stdout] per command, then whether numpy got imported.
+_IN_FRESH_PROCESS = """
+import contextlib, io, json, sys
+from sl2bar.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        results.append([main(argv), out.getvalue()])
+print(json.dumps({"results": results, "numpy": "numpy" in sys.modules}))
+"""
+
+
+def _in_fresh_process(argvs):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(conway.ENV_TABLE_PATH, None)
+    done = subprocess.run(
+        [sys.executable, "-c", _IN_FRESH_PROCESS, json.dumps(argvs)], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout)
+
+
+def test_field_and_mat_commands_never_import_numpy():
+    argvs, expected = [], []
+    for n in (3, 16, 25):
+        g, g_inv, x = f"0x2@{n}", str(inv(gen(n))), f"0x{(1 << n) - 3:x}@{n}"
+        split = f"[[{g},0x1@1],[0x0@1,{g_inv}]]"
+        argvs += [
+            ["field", "eval", f"({g} + {x}) * {g} ^ -1"],
+            ["field", "order", g],
+            ["field", "minpoly", x],
+            ["field", "sqrt", x],
+            ["field", "as-solve", x],
+            ["mat", "jordan", split],
+            ["mat", "order", split],
+            ["mat", "normalize", f"[[{g},0x1@1],[0x0@1,0x1@1]]"],
+            ["mat", "conjugate-test", split, f"[[{g},0x0@1],[0x0@1,{g_inv}]]"],
+            ["mat", "centralizer-descriptor", split],
+        ]
+        expected += [0] * 10
+    argvs.append(["field", "order", "0xZZ@3"])
+    expected.append(2)
+    got = _in_fresh_process(argvs)
+    assert [code for code, _ in got["results"]] == expected
+    orders = [out for argv, (_, out) in zip(argvs, got["results"]) if argv[:2] == ["mat", "order"]]
+    assert orders == [f"{(1 << n) - 1}\n" for n in (3, 16, 25)]
+    assert not got["numpy"]
+
+
+def test_group_commands_still_load_the_group_engine():
+    got = _in_fresh_process([["group", "enum", "--level", "2"]])
+    assert got["results"] == [[0, "order 60\n"]]
+    assert got["numpy"]

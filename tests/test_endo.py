@@ -29,7 +29,7 @@ from sl2bar.errors import (
     PreconditionError,
 )
 from sl2bar.gf2_field import FieldElt, gen, power
-from sl2bar.sl2_core import SWAP, Mat2, diag_mat, mmul, random_sl2_mat, upper_uni
+from sl2bar.sl2_core import SWAP, Mat2, diag_mat, mat_from_masks, mmul, random_sl2_masks, upper_uni
 
 G2 = celt(2, 2)
 
@@ -85,8 +85,8 @@ def test_apply_group_endo_is_homomorphism():
     ]
     for spec in specs:
         for _ in range(50):
-            M = random_sl2_mat(rng, 4)
-            N = random_sl2_mat(rng, 4)
+            M = mat_from_masks(4, random_sl2_masks(rng, 4))
+            N = mat_from_masks(4, random_sl2_masks(rng, 4))
             assert apply_group_endo(spec, mmul(M, N)) == mmul(apply_group_endo(spec, M), apply_group_endo(spec, N))
 
 

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from sl2bar import conway, gf2_field as gf
+from sl2bar import conway, finite_engine, gf2_field as gf
 from sl2bar.closure import _unlift, lift, reduce_elt
 from sl2bar.errors import BoundExceeded, TableInvalid
 from sl2bar.gf2_field import FieldElt, elt_order, ensure_log_table, frobenius, inv, mul, power
-from sl2bar.gf2poly import divisors, pmulmod
+from sl2bar.gf2poly import divisors, pmulmod, ppowmod
 
 
 @pytest.fixture(autouse=True)
@@ -92,6 +92,7 @@ def test_table_switch_rebuilds_through_the_single_hook():
     old = gf._LEVELS[5]
     assert gf._LEVELS.clear in conway._invalidation_hooks
     # one hook for the field kernels, one for the enumerated groups
+    assert finite_engine.enumerate_group.cache_clear in conway._invalidation_hooks
     assert len(conway._invalidation_hooks) == 2
     conway.set_active_path(None)
     assert gf._LEVELS == {}
@@ -99,7 +100,25 @@ def test_table_switch_rebuilds_through_the_single_hook():
     assert gf._LEVELS[5] is not old and gf._LEVELS[5].exp == old.exp
 
 
+def test_log_arrays_match_schoolbook_powers():
+    rng = random.Random(1016)
+    for n in range(1, 17):
+        mod = conway.get_active().poly(n)
+        exp, log = gf._log_arrays(n, mod)
+        q1 = (1 << n) - 1
+        assert len(exp) == q1 and len(log) == q1 + 1
+        for k in {0, q1 - 1, *(rng.randrange(q1) for _ in range(64))}:
+            assert exp[k] == ppowmod(2, k, mod), (n, k)
+        assert all(log[x] == k for k, x in enumerate(exp)), n
+
+
 def test_non_primitive_modulus_is_rejected():
-    # x^4+x^3+x^2+x+1 is irreducible, but its root has order 5, not 15
-    with pytest.raises(TableInvalid, match="not primitive"):
-        gf.LevelTables(4, 0b11111, logs=True)
+    for n, mod in [
+        (4, 0b11111),  # irreducible, but its root has order 5, not 15
+        (4, 0b10101),  # x^4+x^2+1 = (x^2+x+1)^2
+        (4, 0b11000),  # x^4+x^3: the walk sticks at x^3
+        (2, 0b101),  # x^2+1: 1, x, 1 leaves one mask unvisited
+        (2, 0b100),  # x^2: 1, x, 0
+    ]:
+        with pytest.raises(TableInvalid, match="not primitive"):
+            gf.LevelTables(n, mod, logs=True)

@@ -36,7 +36,7 @@ from sl2bar.sl2_core import (
     mtrace,
     normalize_to_sl2,
     parse_mat,
-    random_sl2_mat,
+    random_sl2_masks,
     split_class,
     upper_uni,
 )
@@ -46,6 +46,10 @@ G2 = celt(2, 2)  # the level-2 generator
 
 def rand_mat(rng, level):
     return Mat2(*(reduce_elt(random_elt(rng, level)) for _ in range(4)))
+
+
+def rand_sl2(rng, level):
+    return mat_from_masks(level, random_sl2_masks(rng, level))
 
 
 def test_det_trace_conventions():
@@ -60,7 +64,7 @@ def test_det_trace_conventions():
 def test_minv_entry_swap():
     rng = random.Random(1)
     for _ in range(100):
-        M = random_sl2_mat(rng, 3)
+        M = rand_sl2(rng, 3)
         s, t, u, v = M.entries()
         assert minv(M) == Mat2(v, t, u, s)
         assert mmul(minv(M), M) == IDENTITY
@@ -80,7 +84,7 @@ def test_det_multiplicative_and_trace_conjugation_invariant():
         level = rng.choice([2, 3, 4, 6])
         M, N = rand_mat(rng, level), rand_mat(rng, level)
         assert mdet(mmul(M, N)) == closure.cmul(mdet(M), mdet(N))
-        X = random_sl2_mat(rng, level)
+        X = rand_sl2(rng, level)
         assert mtrace(conj(X, M)) == mtrace(M)
 
 
@@ -97,12 +101,12 @@ def test_inv_transpose():
 def test_inv_transpose_is_swap_conjugation():
     rng = random.Random(3)
     for _ in range(200):
-        M = random_sl2_mat(rng, rng.choice([1, 2, 3]))
+        M = rand_sl2(rng, rng.choice([1, 2, 3]))
         assert inv_transpose(M) == conj(SWAP, M)
 
 
 def test_normalize_to_sl2():
-    M = random_sl2_mat(random.Random(4), 3)
+    M = rand_sl2(random.Random(4), 3)
     assert normalize_to_sl2(M) == M
     gI = diag_mat(G2, G2)
     assert normalize_to_sl2(gI) == IDENTITY  # det g^2, scale by g^(-1)
@@ -117,7 +121,7 @@ def test_normalize_to_sl2():
         done += 1
         Y = normalize_to_sl2(X)
         assert mdet(Y) == ONE
-        M = random_sl2_mat(rng, 4)
+        M = rand_sl2(rng, 4)
         assert conj(Y, M) == conj(X, M)
 
 
@@ -180,7 +184,7 @@ def test_eq1_eq2_match_triple_products():
     for _ in range(500):
         level = rng.choice([1, 2, 3, 4])
         lam = reduce_elt(random_elt(rng, level, nonzero=True))
-        M = random_sl2_mat(rng, level)
+        M = rand_sl2(rng, level)
         s, t, u, v = M.entries()
         assert conjugate_eq1(lam, s, t, u, v) == conj(M, diag_mat(lam, cinv(lam)))
         assert conjugate_eq2(lam, s, t, u, v) == conj(M, upper_uni(lam))
@@ -210,13 +214,13 @@ def test_parse_mat():
             parse_mat(bad)
     rng = random.Random(10)
     for _ in range(50):
-        M = random_sl2_mat(rng, 4)
+        M = rand_sl2(rng, 4)
         assert parse_mat(str(M)) == M
 
 
 def test_mat_masks_round_trip():
     rng = random.Random(11)
     for _ in range(50):
-        M = random_sl2_mat(rng, 2)
+        M = rand_sl2(rng, 2)
         quad = mat_entry_masks(M, 4)
         assert mat_from_masks(4, quad) == M

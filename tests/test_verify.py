@@ -147,15 +147,38 @@ def test_c08_table_sides_agree_with_the_scalar_closed_forms():
     drawn = {n: [] for n in range(1, 7)}
     for k in range(600):
         n = 1 + k % 6
-        drawn[n].append((gf.random_elt(rng, n, nonzero=True), sl.random_sl2_mat(rng, n)))
+        drawn[n].append((gf.random_elt(rng, n, nonzero=True), sl.random_sl2_masks(rng, n)))
     for n, pairs in drawn.items():
         lam = np.array([x.mask for x, _ in pairs])
-        entries = np.array([sl.mat_entry_masks(M, n) for _, M in pairs]).T
+        entries = np.array([quad for _, quad in pairs]).T
         closed1, conj1, closed2, conj2 = verify._eq1_eq2_sides(n, lam, *entries)
-        for i, (x, M) in enumerate(pairs):
+        for i, (x, quad) in enumerate(pairs):
             lam_c = reduce_elt(x)
-            s, t, u, v = M.entries()
+            s, t, u, v = sl.mat_from_masks(n, quad).entries()
             eq1 = sl.mat_entry_masks(sl.conjugate_eq1(lam_c, s, t, u, v), n)
             eq2 = sl.mat_entry_masks(sl.conjugate_eq2(lam_c, s, t, u, v), n)
             assert tuple(int(e[i]) for e in closed1) == tuple(int(e[i]) for e in conj1) == eq1
             assert tuple(int(e[i]) for e in closed2) == tuple(int(e[i]) for e in conj2) == eq2
+
+
+# c08's first draw at each level 1..6 (lam, then (s, t, u, v)), and the
+# rng's next 64 bits after them, as the reduce-and-lift draw gave them
+C08_FIRST_DRAWS = [
+    (1, 1, (1, 1, 1, 0)),
+    (2, 1, (3, 3, 1, 3)),
+    (3, 3, (4, 0, 6, 7)),
+    (4, 5, (4, 1, 5, 1)),
+    (5, 13, (10, 0, 31, 25)),
+    (6, 42, (61, 33, 63, 0)),
+]
+C08_NEXT_BITS = 347047151281987917
+
+
+def test_c08_draw_sequence_is_pinned():
+    rng = random.Random(verify._seed("c08-eq1-eq2/random"))
+    for n, lam, quad in C08_FIRST_DRAWS:
+        assert gf.random_elt(rng, n, nonzero=True).mask == lam
+        assert sl.random_sl2_masks(rng, n) == quad
+        s, t, u, v = (FieldElt(n, m) for m in quad)
+        assert (s * v + t * u).is_one
+    assert rng.getrandbits(64) == C08_NEXT_BITS
