@@ -36,8 +36,6 @@ from .errors import BoundExceeded, InvariantViolated, LevelMismatch, NoPrimitive
 from .gf2_field import LOG_TABLE_MAX, ensure_log_table, gen, power
 from .sl2_core import SWAP, Mat2, SubsetName, mat_to_json
 
-MAX_ORDER_SCAN_MAX_LEVEL = 16
-
 
 @dataclass(frozen=True)
 class FieldEndo:
@@ -78,14 +76,11 @@ def first_unpermuted_root(e: FieldEndo) -> int | None:
     return int(moved[0]) if len(moved) else None
 
 
-def endo_permutes_max_order(e: FieldEndo, n: int) -> bool:
-    """Does e restrict to a permutation of the maximal-order elements?
-    The set comes from the log tables, e from the schoolbook squaring table."""
-    if n > MAX_ORDER_SCAN_MAX_LEVEL:
-        raise BoundExceeded(f"max-order scan limited to levels <= {MAX_ORDER_SCAN_MAX_LEVEL}, got {n}")
-    if e.level != n:
-        raise LevelMismatch(f"endomorphism level {e.level} differs from requested level {n}")
-    t = ensure_log_table(n)
+def endo_permutes_max_order(e: FieldEndo) -> bool:
+    """Does e restrict to a permutation of the maximal-order elements of
+    its level?  The set comes from the log tables (BoundExceeded above
+    LOG_TABLE_MAX), e from the schoolbook squaring table."""
+    t = ensure_log_table(e.level)
     image = top = t.max_order
     for _ in range(e.frob_power):
         image = t.squares[image]

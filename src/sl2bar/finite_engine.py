@@ -195,8 +195,7 @@ def enumerate_group(level: int, kind: str = KIND_SL2) -> GroupTable:
         b0, d0 = np.meshgrid(bz, np.arange(q, dtype=np.int64), indexing="ij")
         b0, d0 = b0.ravel(), d0.ravel()
         part0 = np.stack([np.zeros_like(b0), b0, INV[b0], d0], axis=-1)
-        rows = np.concatenate([part1, part0])
-    rows = rows[np.argsort(_pack(rows, q))]
+        rows = np.concatenate([part0, part1])  # each part, and the gl2 grid, ascends by code
     ident = np.array([1, 0, 0, 1], dtype=np.int64)
     pos = int(np.flatnonzero(np.all(rows == ident, axis=1))[0])
     rows = np.concatenate([rows[pos : pos + 1], rows[:pos], rows[pos + 1 :]])
@@ -300,8 +299,6 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
     about CLOSURE_CHUNK products, so a large generating set never
     materializes the whole frontier-by-generators product array, and
     sorts only the products not yet in the subgroup."""
-    if isinstance(gens, SubgroupRef):
-        gens = gens.indices()
     gens = np.unique(np.asarray(list(gens), dtype=np.int64))
     member = np.zeros(len(G), dtype=bool)
     member[0] = True

@@ -16,7 +16,9 @@ Its compact exp/log arrays (built by one pure-Python walk g^k -> g^(k+1))
 make products, powers and orders lookups and yield the numpy tables of
 the endomorphism scans and the cached product and inverse tables of the
 group engine.  Only those numpy members import numpy, on first use, so
-the scalar layers and the ``field`` and ``mat`` commands run without it.
+the scalar layers and the ``field`` and ``mat`` commands run without it;
+they read the arrays through zero-copy views and widen to int64 only the
+values they gather, so every numpy result is int64.
 Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
 LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
 endomorphism scans); the rest multiply schoolbook (``gf2poly.pmulmod``)
@@ -206,24 +208,28 @@ class LevelTables:
         self._bases: dict[int, tuple[int, ...]] = {}
 
     def _np(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-copy numpy views of the exp and log arrays (uint16 or
+        uint32); callers widen only the values they gather."""
         import numpy as np
 
-        return tuple(np.frombuffer(a, dtype=a.typecode).astype(np.int64) for a in (self.exp, self.log))
+        return tuple(np.frombuffer(a, dtype=a.typecode) for a in (self.exp, self.log))
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Elementwise products of two mask arrays."""
+        """Elementwise products of two mask arrays, as int64."""
         import numpy as np
 
         exp, log = self._np()
-        return np.where((x != 0) & (y != 0), exp[(log[x] + log[y]) % self.q1], 0)
+        k = (log[x].astype(np.int64) + log[y]) % self.q1
+        return np.where((x != 0) & (y != 0), exp[k].astype(np.int64), 0)
 
     def pow_vec(self, masks: np.ndarray, e: int) -> np.ndarray:
-        """masks^e elementwise, with 0^e = 0; on logs the Frobenius power
-        x -> x^(2^j) is k -> 2^j k."""
+        """masks^e elementwise as int64, with 0^e = 0; on logs the
+        Frobenius power x -> x^(2^j) is k -> 2^j k."""
         import numpy as np
 
         exp, log = self._np()
-        return np.where(masks != 0, exp[(log[masks] * e) % self.q1], 0)
+        k = (log[masks].astype(np.int64) * e) % self.q1
+        return np.where(masks != 0, exp[k].astype(np.int64), 0)
 
     @cached_property
     def mul_table(self) -> np.ndarray:
@@ -261,7 +267,7 @@ class LevelTables:
         import numpy as np
 
         exp, _ = self._np()
-        return np.unique(exp[np.gcd(np.arange(self.q1), self.q1) == 1])
+        return np.unique(exp[np.gcd(np.arange(self.q1), self.q1) == 1]).astype(np.int64)
 
     def embed_basis(self, m: int) -> tuple[int, ...]:
         """Masks at this level of g_m^i, i < m, under the embedding

@@ -73,6 +73,14 @@ def test_enumeration_bounds():
         fe.enumerate_group(4, fe.KIND_GL2)
 
 
+@pytest.mark.parametrize("n, kind", [(n, fe.KIND_SL2) for n in range(1, 6)] + [(n, fe.KIND_GL2) for n in range(1, 4)])
+def test_enumeration_is_identity_then_ascending_code(n, kind):
+    # the lowest-index witnesses rest on this order, and no sort makes it
+    G = fe.enumerate_group(n, kind)
+    assert np.array_equal(G.masks[0], [1, 0, 0, 1])
+    assert np.all(np.diff(fe._pack(G.masks[1:], G.q)) > 0)
+
+
 def test_identity_first_and_lookup():
     G = sl2(2)
     assert np.array_equal(G.masks[0], [1, 0, 0, 1])

@@ -16,7 +16,9 @@ from sl2bar.cli import main
 from sl2bar.closure import cadd, cmul, reduce_elt
 from sl2bar.gf2_field import FieldElt
 
-GOLDEN = Path(__file__).parent / "golden" / "verify-max2.json"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden" / "verify-max2.json"
+GOLDEN_MAX5 = ROOT / "perfbench" / "golden" / "verify-max5.json"  # read only: a benchmark file
 
 
 def _zero_millis(report: dict) -> str:
@@ -25,13 +27,14 @@ def _zero_millis(report: dict) -> str:
     return json.dumps(report, separators=(",", ":")) + "\n"
 
 
-def test_level2_report_matches_golden():
-    got = _zero_millis(verify.run_suite(max_level=2).to_json())
-    assert got == GOLDEN.read_text(encoding="ascii")
+@pytest.mark.parametrize("max_level, golden", [(2, GOLDEN), (5, GOLDEN_MAX5)], ids=["max2", "max5"])
+def test_report_matches_golden(max_level, golden):
+    got = _zero_millis(verify.run_suite(max_level=max_level).to_json())
+    assert got == golden.read_text(encoding="ascii")
 
 
 def test_level2_report_under_optimize_matches_golden():
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     argv = [sys.executable, "-O", "-m", "sl2bar", "verify", "--max-level", "2", "--json"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
@@ -120,6 +123,18 @@ def _eq2_corner_without_one(monkeypatch):
     monkeypatch.setattr(sl, "conjugate_eq2", wrong)
 
 
+def _level13_pow_vec_merges_two_masks(monkeypatch):
+    # Masks 2 and 3 lie outside c11's 64-pair sample at level 13, its sums
+    # and products, and the Frobenius images of the sample, so only an
+    # exhaustive bijectivity test sees mask 2 sent onto the image of mask 3.
+    good = gf.LevelTables.pow_vec
+
+    def merged(t, masks, e):
+        return good(t, np.where(masks == 2, 3, masks) if t.n == 13 else masks, e)
+
+    monkeypatch.setattr(gf.LevelTables, "pow_vec", merged)
+
+
 @pytest.mark.parametrize(
     "fault, check",
     [
@@ -132,12 +147,14 @@ def _eq2_corner_without_one(monkeypatch):
         (_eq1_lam_for_lam_inverse, "c08-eq1-eq2/random"),
         (_eq2_corner_without_one, "c08-eq1-eq2/random"),
         (_level3_log_table_two_exps_swapped, "c08-eq1-eq2/random"),
+        (_level13_pow_vec_merges_two_masks, "c11-field-cohopf/max-order/n13"),
     ],
     ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"),
 )
 def test_the_registry_check_catches_a_wrong_library_answer(monkeypatch, fault, check):
     fault(monkeypatch)
-    report = verify.run_suite(max_level=2, name_filter=check)
+    gate = next(c.gate for c in verify.build_checks() if c.name == check)  # 2 for all but n13's 5
+    report = verify.run_suite(max_level=gate, name_filter=check)
     assert [(c.name, c.status) for c in report.checks] == [(check, "fail")]
 
 
@@ -149,16 +166,16 @@ def test_c08_table_sides_agree_with_the_scalar_closed_forms():
         n = 1 + k % 6
         drawn[n].append((gf.random_elt(rng, n, nonzero=True), sl.random_sl2_masks(rng, n)))
     for n, pairs in drawn.items():
-        lam = np.array([x.mask for x, _ in pairs])
-        entries = np.array([quad for _, quad in pairs]).T
-        closed1, conj1, closed2, conj2 = verify._eq1_eq2_sides(n, lam, *entries)
+        lam = np.array([x.mask for x, _ in pairs], dtype=np.int64)
+        M = np.array([quad for _, quad in pairs], dtype=np.int64)
+        closed1, conj1, closed2, conj2 = verify._eq1_eq2_sides(n, lam, M)
         for i, (x, quad) in enumerate(pairs):
             lam_c = reduce_elt(x)
             s, t, u, v = sl.mat_from_masks(n, quad).entries()
             eq1 = sl.mat_entry_masks(sl.conjugate_eq1(lam_c, s, t, u, v), n)
             eq2 = sl.mat_entry_masks(sl.conjugate_eq2(lam_c, s, t, u, v), n)
-            assert tuple(int(e[i]) for e in closed1) == tuple(int(e[i]) for e in conj1) == eq1
-            assert tuple(int(e[i]) for e in closed2) == tuple(int(e[i]) for e in conj2) == eq2
+            assert tuple(closed1[i].tolist()) == tuple(conj1[i].tolist()) == eq1
+            assert tuple(closed2[i].tolist()) == tuple(conj2[i].tolist()) == eq2
 
 
 # c08's first draw at each level 1..6 (lam, then (s, t, u, v)), and the
