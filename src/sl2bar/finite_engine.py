@@ -4,12 +4,15 @@ queries: centralizers, normalizers, commutation-transitivity reports,
 subgroup generation, simplicity, the projective-line action, and
 semidirect product checks.
 
-Elements are stored as rows of entry masks in a numpy array; element 0 is
-always the identity and the remaining rows are sorted by packed code, so
-"lowest index" witnesses are deterministic.  Every product goes through
-mask arithmetic on the rows, read from the level kernel's product and
-inverse tables, plus a lookup of the packed code.  Each table holds the
-closure values of its level's q masks, so a matrix is read from them,
+A table stores its elements once, as four entry columns of masks; element
+0 is always the identity and the remaining elements ascend by packed
+code, so "lowest index" witnesses are deterministic.  One product, `_mul`,
+multiplies entry columns through the level kernel's product table, read
+flat, and every product, determinant, inverse and conjugate here goes
+through it, with a lookup of the packed code back to an index.  Two
+elements commute when their two products have the same code, so a wrong
+commutation test can only come from a wrong product.  Each table holds
+the closure values of its level's q masks, so a matrix is read from them,
 never reduced again.
 
 Tables are immutable once built (the lazy caches are idempotent), and all
@@ -31,9 +34,8 @@ from .sl2_core import GENERATOR_SETS, KIND_GL2, KIND_SL2, SWAP, Mat2, SubsetName
 
 SL2_MAX_LEVEL = 5
 GL2_MAX_LEVEL = 3
-TRIPLES_MAX = 600
+PAIRS_MAX = 600  # elements of a group whose whole pair table may be built
 SIMPLE_MAX = 5000
-MAXAB_MAX = 5000
 CLOSURE_CHUNK = 1 << 16  # products per step of subgroup_generated
 
 
@@ -46,74 +48,55 @@ def order_formula(level: int, kind: str) -> int:
     raise ValueError(kind)
 
 
-def _mul_rows(MUL: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Matrix product of mask rows; x and y broadcast over (..., 4)."""
-    a1, b1, c1, d1 = (x[..., i] for i in range(4))
-    a2, b2, c2, d2 = (y[..., i] for i in range(4))
-    return np.stack(
-        [
-            MUL[a1, a2] ^ MUL[b1, c2],
-            MUL[a1, b2] ^ MUL[b1, d2],
-            MUL[c1, a2] ^ MUL[d1, c2],
-            MUL[c1, b2] ^ MUL[d1, d2],
-        ],
-        axis=-1,
+def _mul(MUL: np.ndarray, n: int, x, y) -> tuple:
+    """Matrix product x y of level-n entry columns: x and y are 4-tuples
+    (a, b, c, d) of mask arrays or ints that broadcast together, and MUL
+    is the level's product table, flat, so that u v = MUL[(u << n) | v]."""
+    a1, b1, c1, d1 = (e << n for e in x)
+    a2, b2, c2, d2 = y
+    return (
+        MUL[a1 | a2] ^ MUL[b1 | c2],
+        MUL[a1 | b2] ^ MUL[b1 | d2],
+        MUL[c1 | a2] ^ MUL[d1 | c2],
+        MUL[c1 | b2] ^ MUL[d1 | d2],
     )
 
 
-def _commuting(MUL: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Do the mask rows x and y commute?  Broadcasts like _mul_rows.
-
-    In characteristic 2 the commutator difference xy + yx has diagonal
-    entries b1 c2 + b2 c1 and off-diagonal entries b1 t2 + b2 t1 and
-    c1 t2 + c2 t1, with t = a + d the trace, so three pairs of entry
-    products decide it without forming xy or yx."""
-    a1, b1, c1, d1 = (x[..., i] for i in range(4))
-    a2, b2, c2, d2 = (y[..., i] for i in range(4))
-    t1, t2 = a1 ^ d1, a2 ^ d2
-    return (MUL[b1, c2] == MUL[b2, c1]) & (MUL[b1, t2] == MUL[b2, t1]) & (MUL[c1, t2] == MUL[c2, t1])
-
-
-def _pack(rows: np.ndarray, q: int) -> np.ndarray:
-    """Packed code of mask rows: the four entries as base-q digits."""
-    return ((rows[..., 0] * q + rows[..., 1]) * q + rows[..., 2]) * q + rows[..., 3]
-
-
-def _det_rows(MUL: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return MUL[x[..., 0], x[..., 3]] ^ MUL[x[..., 1], x[..., 2]]
-
-
-def _inv_rows(MUL: np.ndarray, INV: np.ndarray, x: np.ndarray) -> np.ndarray:
-    adj = x[..., [3, 1, 2, 0]]
-    di = INV[_det_rows(MUL, x)]
-    return np.stack([MUL[di, adj[..., i]] for i in range(4)], axis=-1)
+def _code(n: int, e) -> np.ndarray:
+    """Packed code of level-n entry columns: the four entries as n-bit fields."""
+    a, b, c, d = e
+    return (((((a << n) | b) << n) | c) << n) | d
 
 
 class GroupTable:
     """An exhaustively enumerated matrix group at one fixed level."""
 
     def __init__(self, level: int, kind: str, masks: np.ndarray):
-        self.level = level
+        self.level = n = level
         self.kind = kind
         t = ensure_log_table(level)
         self.q = q = 1 << level
         self.MUL, self.INV = t.mul_table, t.inv_table  # the kernel's product and inverse tables
+        self._flat = self.MUL.ravel()  # a view: _mul reads it
         self.elts = [celt(level, x) for x in range(q)]  # mask -> closure value
-        self.masks = masks
+        self.cols = np.ascontiguousarray(masks.T)  # (4, |G|): the entries, stored once
+        self.masks = self.cols.T  # (|G|, 4): a view, one row per element
         lookup = np.full(q**4, -1, dtype=np.int64)
-        lookup[_pack(masks, q)] = np.arange(len(masks))
+        lookup[_code(n, self.cols)] = np.arange(len(masks))
         self._lookup = lookup
-        self.inv_masks = _inv_rows(self.MUL, self.INV, masks)
-        self.inv_index = lookup[_pack(self.inv_masks, q)]
+        a, b, c, d = self.cols
+        adj = (d, b, c, a)  # x adj(x) = det(x) I in characteristic 2
+        di = self.INV[_mul(self._flat, n, self.cols, adj)[0]]
+        self.inv_index = lookup[_code(n, _mul(self._flat, n, adj, (di, 0, 0, di)))]
         self._orders: np.ndarray | None = None
 
     # -- basic accessors ----------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return self.cols.shape[1]
 
     def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        idx = self._lookup[_pack(rows, self.q)]
+        idx = self._lookup[_code(self.level, rows.T)]
         if np.any(idx < 0):
             raise ValueError("matrix is not a member of the group")
         return idx
@@ -123,7 +106,7 @@ class GroupTable:
         return int(self.index_of_rows(row[None, :])[0])
 
     def mat(self, i: int) -> Mat2:
-        return Mat2(*(self.elts[x] for x in self.masks[i].tolist()))
+        return Mat2(*(self.elts[x] for x in self.cols[:, i].tolist()))
 
     def literal(self, i: int) -> str:
         return str(self.mat(i))
@@ -135,19 +118,21 @@ class GroupTable:
 
     def mul_vec(self, i, j) -> np.ndarray:
         """Indexwise product; i and j broadcast together."""
-        return self._lookup[_pack(_mul_rows(self.MUL, self.masks[i], self.masks[j]), self.q)]
+        n, c = self.level, self.cols
+        return self._lookup[_code(n, _mul(self._flat, n, c[:, i], c[:, j]))]
 
     def mul_index(self, i: int, j: int) -> int:
         return int(self.mul_vec(np.int64(i), np.int64(j)))
 
     def conj_vec(self, i, j) -> np.ndarray:
         """Index of element i * j * i^(-1), broadcasting."""
-        left = _mul_rows(self.MUL, self.masks[i], self.masks[j])
-        return self._lookup[_pack(_mul_rows(self.MUL, left, self.inv_masks[i]), self.q)]
+        n, F, c = self.level, self._flat, self.cols
+        return self._lookup[_code(n, _mul(F, n, _mul(F, n, c[:, i], c[:, j]), c[:, self.inv_index[i]]))]
 
     def commutes_with(self, g: int) -> np.ndarray:
-        """Boolean vector: which elements commute with element g."""
-        return _commuting(self.MUL, self.masks, self.masks[g][None, :])
+        """Boolean vector: which elements x have g x = x g."""
+        n, x, y = self.level, self.cols, self.cols[:, g]
+        return _code(n, _mul(self._flat, n, y, x)) == _code(n, _mul(self._flat, n, x, y))
 
     def element_orders(self) -> np.ndarray:
         if self._orders is None:
@@ -183,23 +168,21 @@ def enumerate_group(level: int, kind: str = KIND_SL2) -> GroupTable:
     t = ensure_log_table(level)
     q, MUL, INV = 1 << level, t.mul_table, t.inv_table
     if kind == KIND_GL2:
-        grid = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1).T
-        rows = grid[_det_rows(MUL, grid) != 0]
+        grid = np.indices((q, q, q, q), dtype=np.int64).reshape(4, -1)
+        a, b, c, d = grid
+        cols = grid[:, _mul(MUL.ravel(), level, grid, (d, b, c, a))[0] != 0]  # x adj(x) = det(x) I
     else:
         a, b, c = (x.ravel() for x in np.indices((q, q, q), dtype=np.int64))
         nz = a != 0
         an, bn, cn = a[nz], b[nz], c[nz]
         dn = MUL[INV[an], 1 ^ MUL[bn, cn]]  # d = (1 + bc) / a
-        part1 = np.stack([an, bn, cn, dn], axis=-1)
-        bz = np.arange(1, q, dtype=np.int64)
-        b0, d0 = np.meshgrid(bz, np.arange(q, dtype=np.int64), indexing="ij")
-        b0, d0 = b0.ravel(), d0.ravel()
-        part0 = np.stack([np.zeros_like(b0), b0, INV[b0], d0], axis=-1)
-        rows = np.concatenate([part0, part1])  # each part, and the gl2 grid, ascends by code
-    ident = np.array([1, 0, 0, 1], dtype=np.int64)
-    pos = int(np.flatnonzero(np.all(rows == ident, axis=1))[0])
-    rows = np.concatenate([rows[pos : pos + 1], rows[:pos], rows[pos + 1 :]])
-    return GroupTable(level, kind, rows)
+        b0, d0 = (x.ravel() for x in np.indices((q - 1, q), dtype=np.int64))
+        b0 += 1
+        # each part, and the gl2 grid, ascends by code
+        cols = np.concatenate([np.stack([np.zeros_like(b0), b0, INV[b0], d0]), np.stack([an, bn, cn, dn])], axis=1)
+    pos = int(np.flatnonzero((cols[0] == 1) & (cols[1] == 0) & (cols[2] == 0) & (cols[3] == 1))[0])
+    cols = np.concatenate([cols[:, pos : pos + 1], cols[:, :pos], cols[:, pos + 1 :]], axis=1)
+    return GroupTable(level, kind, cols.T)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +213,7 @@ class SubgroupRef:
 
 def subset_member(G: GroupTable, name: SubsetName) -> np.ndarray:
     """Boolean membership vector of the named shape subset."""
-    a, b, c, d = (G.masks[:, i] for i in range(4))
+    a, b, c, d = G.cols
     if name is SubsetName.DIAG:
         return (b == 0) & (c == 0)
     if name is SubsetName.OFF_DIAG:
@@ -274,9 +257,16 @@ def normalizer_bf(G: GroupTable, H: SubgroupRef) -> SubgroupRef:
     return SubgroupRef(G, keep)
 
 
+def _pair_codes(G: GroupTable, idx) -> np.ndarray:
+    """P[i, j], the code of the product of elements idx[i] and idx[j]:
+    the two commute exactly where P equals its transpose."""
+    x = G.cols[:, idx]
+    return _code(G.level, _mul(G._flat, G.level, x[:, :, None], x[:, None, :]))
+
+
 def is_abelian(H: SubgroupRef) -> bool:
-    sub = H.parent.masks[H.indices()]
-    return bool(np.all(_commuting(H.parent.MUL, sub[:, None, :], sub[None, :, :])))
+    P = _pair_codes(H.parent, H.indices())
+    return bool(np.array_equal(P, P.T))
 
 
 def derived_subgroup(H: SubgroupRef) -> SubgroupRef:
@@ -299,7 +289,7 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
     about CLOSURE_CHUNK products, so a large generating set never
     materializes the whole frontier-by-generators product array, and
     sorts only the products not yet in the subgroup."""
-    gens = np.unique(np.asarray(list(gens), dtype=np.int64))
+    gens = np.unique(np.asarray(gens, dtype=np.int64))
     member = np.zeros(len(G), dtype=bool)
     member[0] = True
     frontier = gens[~member[gens]]
@@ -368,28 +358,27 @@ def ct_check_centralizers(G: GroupTable) -> CtReport:
         cz = np.flatnonzero(G.commutes_with(g))
         if len(cz) * len(cls) != len(G):
             raise InvariantViolated(f"element {g}: centralizer of {len(cz)} and class of {len(cls)} in a group of {len(G)}")
-        sub = G.masks[cz]
-        same = _commuting(G.MUL, sub[:, None, :], sub[None, :, :])
-        if not same.all():
-            i, j = np.argwhere(~same)[0]
+        P = _pair_codes(G, cz)
+        if not np.array_equal(P, P.T):
+            i, j = np.argwhere(P != P.T)[0]
             return CtReport(G, False, (int(cz[i]), g, int(cz[j])))
     return CtReport(G, True)
 
 
 def _commute_matrix(G: GroupTable) -> np.ndarray:
-    """comm[g, h]: do elements g and h commute?  Built one row at a time."""
-    comm = np.zeros((len(G), len(G)), dtype=bool)
-    for g in range(len(G)):
-        comm[g] = G.commutes_with(g)
-    return comm
+    """comm[g, h]: do elements g and h commute?  The whole pair table, read
+    against its transpose, so limited to groups of at most PAIRS_MAX
+    elements."""
+    if len(G) > PAIRS_MAX:
+        raise BoundExceeded(f"pair scan limited to {PAIRS_MAX} elements, group has {len(G)}")
+    P = _pair_codes(G, np.arange(len(G)))
+    return P == P.T
 
 
 def ct_check_triples(G: GroupTable) -> CtReport:
     """Direct cubic evaluation of the transitivity sentence over all
-    triples; limited to groups of at most TRIPLES_MAX elements."""
+    triples, on the commutation table of _commute_matrix."""
     n = len(G)
-    if n > TRIPLES_MAX:
-        raise BoundExceeded(f"triple scan limited to {TRIPLES_MAX} elements, group has {n}")
     comm = _commute_matrix(G)
     for x in range(n):
         ys = np.flatnonzero(comm[x])
@@ -434,8 +423,6 @@ def maximal_abelian_subgroups(G: GroupTable) -> list[SubgroupRef]:
 
 def maximal_abelian_intersections(G: GroupTable) -> bool:
     """Do distinct maximal abelian subgroups intersect trivially?"""
-    if len(G) > MAXAB_MAX:
-        raise BoundExceeded(f"scan limited to {MAXAB_MAX} elements, group has {len(G)}")
     subs = maximal_abelian_subgroups(G)
     for i, H in enumerate(subs):
         for K in subs[i + 1 :]:
@@ -587,7 +574,7 @@ def projective_action(G: GroupTable) -> ProjectiveAction:
     if G.kind != KIND_SL2 or G.level > 4:
         raise BoundExceeded("projective action limited to determinant-one tables at levels <= 4")
     q, MUL, INV = G.q, G.MUL, G.INV
-    a, b, c, d = (G.masks[:, i] for i in range(4))
+    a, b, c, d = G.cols
     perms = np.empty((len(G), q + 1), dtype=np.int64)
     for p in range(q + 1):
         px, py = (p, 1) if p < q else (1, 0)
@@ -605,9 +592,9 @@ __all__ = [
     "GL2_MAX_LEVEL",
     "KIND_GL2",
     "KIND_SL2",
+    "PAIRS_MAX",
     "SIMPLE_MAX",
     "SL2_MAX_LEVEL",
-    "TRIPLES_MAX",
     "CtReport",
     "GroupTable",
     "ProjectiveAction",

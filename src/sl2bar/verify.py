@@ -235,20 +235,18 @@ def _eq1_eq2_sides(n: int, lam: np.ndarray, M: np.ndarray):
     mask rows M (N, 4) = (s, t, u, v), from the level's product and
     inverse tables: the closed forms of sl.conjugate_eq1/eq2 by MUL
     gathers, and M g M^(-1) with M^(-1) = [[v, t], [u, s]] through the
-    group engine's row product.  Returns (closed1, conj1, closed2, conj2),
+    group engine's product.  Returns (closed1, conj1, closed2, conj2),
     each (N, 4)."""
     tab = ensure_log_table(n)
-    MUL = tab.mul_table
+    MUL, flat = tab.mul_table, tab.mul_table.ravel()
     li = tab.inv_table[lam]
     s, t, u, v = M.T
     sv, tu, mix = MUL[s, v], MUL[t, u], lam ^ li
     corner = 1 ^ MUL[lam, MUL[s, u]]
     closed1 = np.stack([MUL[lam, sv] ^ MUL[li, tu], MUL[mix, MUL[s, t]], MUL[mix, MUL[u, v]], MUL[li, sv] ^ MUL[lam, tu]], axis=1)
     closed2 = np.stack([corner, MUL[lam, MUL[s, s]], MUL[lam, MUL[u, u]], corner], axis=1)
-    zero, one = np.zeros_like(lam), np.ones_like(lam)
-    M_inv = M[:, [3, 1, 2, 0]]
-    conj1 = fe._mul_rows(MUL, fe._mul_rows(MUL, M, np.stack([lam, zero, zero, li], axis=1)), M_inv)
-    conj2 = fe._mul_rows(MUL, fe._mul_rows(MUL, M, np.stack([one, lam, zero, one], axis=1)), M_inv)
+    conj1 = np.stack(fe._mul(flat, n, fe._mul(flat, n, (s, t, u, v), (lam, 0, 0, li)), (v, t, u, s)), axis=1)
+    conj2 = np.stack(fe._mul(flat, n, fe._mul(flat, n, (s, t, u, v), (1, lam, 0, 1)), (v, t, u, s)), axis=1)
     return closed1, conj1, closed2, conj2
 
 

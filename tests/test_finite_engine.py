@@ -17,14 +17,18 @@ from sl2bar.sl2_core import (
     SubsetName,
     are_conjugate,
     classify_jordan,
+    conj,
     diag_mat,
     mat_from_masks,
+    minv,
     parse_mat,
     mmul,
     upper_uni,
 )
+from sl2bar.gf2_field import FieldElt
 
 G2 = celt(2, 2)
+TABLES = [(n, fe.KIND_SL2) for n in range(1, 6)] + [(n, fe.KIND_GL2) for n in range(1, 4)]
 
 
 def sl2(n):
@@ -73,12 +77,12 @@ def test_enumeration_bounds():
         fe.enumerate_group(4, fe.KIND_GL2)
 
 
-@pytest.mark.parametrize("n, kind", [(n, fe.KIND_SL2) for n in range(1, 6)] + [(n, fe.KIND_GL2) for n in range(1, 4)])
+@pytest.mark.parametrize("n, kind", TABLES)
 def test_enumeration_is_identity_then_ascending_code(n, kind):
     # the lowest-index witnesses rest on this order, and no sort makes it
     G = fe.enumerate_group(n, kind)
     assert np.array_equal(G.masks[0], [1, 0, 0, 1])
-    assert np.all(np.diff(fe._pack(G.masks[1:], G.q)) > 0)
+    assert np.all(np.diff(fe._code(n, G.cols[:, 1:])) > 0)
 
 
 def test_identity_first_and_lookup():
@@ -88,6 +92,41 @@ def test_identity_first_and_lookup():
     assert G.mat(i) == diag_mat(G2, cinv(G2))
     with pytest.raises(ValueError):
         G.index_of(diag_mat(G2, G2))  # determinant g^2, not a member
+
+
+@pytest.mark.parametrize("n, kind", TABLES)
+def test_index_of_rows_rejects_every_non_member(n, kind):
+    # the rows with a = b = 0, and 300 seeded rows; at n >= 2 the latter
+    # hold determinants other than 0 and 1, the gl2-only rows of an sl2 table
+    G = fe.enumerate_group(n, kind)
+    c, d = (x.ravel() for x in np.indices((G.q, G.q), dtype=np.int64))
+    rng = np.random.default_rng(1000 * n + (kind == fe.KIND_GL2))
+    rows = np.concatenate([np.stack([0 * c, 0 * c, c, d], axis=1), rng.integers(0, G.q, size=(300, 4))])
+    dets = []
+    for row in rows:
+        e = [FieldElt(n, int(x)) for x in row]
+        det = (e[0] * e[3] + e[1] * e[2]).mask
+        dets.append(det)
+        if det == 1 or (det != 0 and kind == fe.KIND_GL2):
+            assert G.masks[G.index_of_rows(row[None, :])[0]].tolist() == row.tolist()
+        else:
+            with pytest.raises(ValueError):
+                G.index_of_rows(row[None, :])
+    assert 0 in dets and (n == 1 or set(dets) - {0, 1})
+
+
+@pytest.mark.parametrize("n, kind", TABLES)
+def test_index_products_agree_with_scalar_products_on_every_table(n, kind):
+    G = fe.enumerate_group(n, kind)
+    rng = np.random.default_rng(2000 * n + (kind == fe.KIND_GL2))
+    i, j = rng.integers(0, len(G), size=(2, 200))
+    prods, conjs = G.mul_vec(i, j), G.conj_vec(i, j)
+    for k, (x, y) in enumerate(zip(i.tolist(), j.tolist())):
+        X, Y = G.mat(x), G.mat(y)
+        assert prods[k] == G.index_of(mmul(X, Y))
+        assert conjs[k] == G.index_of(conj(X, Y))
+        assert G.inv_index[x] == G.index_of(minv(X))
+        assert G.commutes_with(x)[y] == (mmul(X, Y) == mmul(Y, X))
 
 
 def test_index_products_agree_with_scalar_matrix_products():
@@ -193,8 +232,7 @@ def _ct_by_scanning_every_element(G):
     nonabelian one."""
     for g in range(1, len(G)):
         cz = np.flatnonzero(G.commutes_with(g))
-        sub = G.masks[cz]
-        same = fe._commuting(G.MUL, sub[:, None, :], sub[None, :, :])
+        same = G.mul_vec(cz[:, None], cz[None, :]) == G.mul_vec(cz[None, :], cz[:, None])
         if not same.all():
             i, j = np.argwhere(~same)[0]
             return False, (int(cz[i]), g, int(cz[j]))
@@ -258,6 +296,8 @@ def test_maximal_abelian():
     assert fe.maximal_abelian_intersections(sl2(2))
     assert fe.maximal_abelian_intersections(sl2(3))
     assert not fe.maximal_abelian_intersections(fe.enumerate_group(2, fe.KIND_GL2))
+    with pytest.raises(BoundExceeded):
+        fe.maximal_abelian_subgroups(sl2(4))  # 4080 elements, past the pair table's bound
     subs = fe.maximal_abelian_subgroups(sl2(2))
     for H in subs:
         assert fe.is_abelian(H)

@@ -135,27 +135,45 @@ def _level13_pow_vec_merges_two_masks(monkeypatch):
     monkeypatch.setattr(gf.LevelTables, "pow_vec", merged)
 
 
+def _product_ignores_the_order(monkeypatch):
+    # x y becomes min(x, y) max(x, y), by code: that orders the factors as
+    # their indices do, since the identity, the one element out of code
+    # order, gives the same product either way
+    good = fe._mul
+
+    def ordered(MUL, n, x, y):
+        swap = fe._code(n, x) > fe._code(n, y)
+        return good(MUL, n, [np.where(swap, v, u) for u, v in zip(x, y)], [np.where(swap, u, v) for u, v in zip(x, y)])
+
+    monkeypatch.setattr(fe, "_mul", ordered)
+
+
+FAULT_CASES = [  # (fault, the check that catches it, the start of its failure message)
+    (_morder_off_by_one_on_split, "c07-dichotomy/orders/n2", "class-based order 4 disagrees"),
+    (_enumerate_group_drops_a_row, "c01-orders/sl2/n2", "enumerated 59 elements"),
+    (_involution_factors_reversed, "c09-generation/diag-two-involutions", "factor product fails"),
+    (_max_order_misses_a_mask, "c11-field-cohopf/max-order/n4", "count 7 differs from the totient"),
+    (_artin_schreier_wrong_root, "c14-artin-schreier/n3", "claimed solution invalid"),
+    (_log_table_two_exps_swapped, "c11-field-cohopf/endos/n4", "frob^1 is not additive"),
+    (_eq1_lam_for_lam_inverse, "c08-eq1-eq2/random", "identity (1) fails"),
+    (_eq2_corner_without_one, "c08-eq1-eq2/random", "identity (2) fails"),
+    (_level3_log_table_two_exps_swapped, "c08-eq1-eq2/random", "identity (1) fails"),
+    (_level13_pow_vec_merges_two_masks, "c11-field-cohopf/max-order/n13", "frob^0 is not injective"),
+    # every pair commutes, so the orbit-stabilizer guard of the class route trips
+    (_product_ignores_the_order, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180"),
+]
+
+
 @pytest.mark.parametrize(
-    "fault, check",
-    [
-        (_morder_off_by_one_on_split, "c07-dichotomy/orders/n2"),
-        (_enumerate_group_drops_a_row, "c01-orders/sl2/n2"),
-        (_involution_factors_reversed, "c09-generation/diag-two-involutions"),
-        (_max_order_misses_a_mask, "c11-field-cohopf/max-order/n4"),
-        (_artin_schreier_wrong_root, "c14-artin-schreier/n3"),
-        (_log_table_two_exps_swapped, "c11-field-cohopf/endos/n4"),
-        (_eq1_lam_for_lam_inverse, "c08-eq1-eq2/random"),
-        (_eq2_corner_without_one, "c08-eq1-eq2/random"),
-        (_level3_log_table_two_exps_swapped, "c08-eq1-eq2/random"),
-        (_level13_pow_vec_merges_two_masks, "c11-field-cohopf/max-order/n13"),
-    ],
-    ids=lambda v: v if isinstance(v, str) else v.__name__.lstrip("_"),
+    "fault, check, message", [pytest.param(*case, id=f"{case[0].__name__.lstrip('_')}-{case[1]}") for case in FAULT_CASES]
 )
-def test_the_registry_check_catches_a_wrong_library_answer(monkeypatch, fault, check):
+def test_the_registry_check_catches_a_wrong_library_answer(monkeypatch, fault, check, message):
+    # the message pins the reason: a check that crashes on the fault is also a "fail"
     fault(monkeypatch)
     gate = next(c.gate for c in verify.build_checks() if c.name == check)  # 2 for all but n13's 5
     report = verify.run_suite(max_level=gate, name_filter=check)
     assert [(c.name, c.status) for c in report.checks] == [(check, "fail")]
+    assert report.checks[0].witness["error"].startswith(message)
 
 
 def test_c08_table_sides_agree_with_the_scalar_closed_forms():
