@@ -1,5 +1,5 @@
-"""Exact algebra in the tower of binary fields, SL2 over its union, and a
-brute-force finite group verification engine."""
+"""Exact algebra in the tower of binary fields, SL2 over its union, and an
+exhaustive finite group verification engine."""
 
 from . import errors
 from .gf2_field import FieldElt

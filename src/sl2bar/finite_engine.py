@@ -1,8 +1,9 @@
 """Exhaustive enumeration of the determinant-one and invertible 2x2
-matrix groups over small binary fields, with brute-force structure
-queries: centralizers, normalizers, commutation-transitivity reports,
-subgroup generation, simplicity, the projective-line action, and
-semidirect product checks.
+matrix groups over small binary fields, with structure queries:
+centralizers, normalizers, commutation-transitivity reports, subgroup
+generation, simplicity, the projective-line action, and semidirect
+product checks.  Normalizers, semidirect checks and derived subgroups
+work from a greedy generating set of each subgroup, not from every member.
 
 A table stores its elements once, as four entry columns of masks; element
 0 is always the identity and the remaining elements ascend by packed
@@ -247,21 +248,24 @@ def centralizer_bf(G: GroupTable, g) -> SubgroupRef:
 
 
 def normalizer_bf(G: GroupTable, H: SubgroupRef) -> SubgroupRef:
-    """Brute-force normalizer: all x with x H x^(-1) = H."""
-    idx = H.indices()
+    """Normalizer: all x with x H x^(-1) = H.  As H is finite, that holds
+    once x conjugates each generator of H into H."""
     keep = np.ones(len(G), dtype=bool)
-    allx = np.arange(len(G))
-    for h in idx:
-        conj = G.conj_vec(allx, np.int64(h))
-        keep &= H.member[conj]
+    for h in _generators(H):  # one |G| conjugation per generator keeps the peak low
+        keep &= H.member[G.conj_vec(np.arange(len(G)), h)]
     return SubgroupRef(G, keep)
 
 
 def _pair_codes(G: GroupTable, idx) -> np.ndarray:
     """P[i, j], the code of the product of elements idx[i] and idx[j]:
-    the two commute exactly where P equals its transpose."""
-    x = G.cols[:, idx]
-    return _code(G.level, _mul(G._flat, G.level, x[:, :, None], x[:, None, :]))
+    the two commute exactly where P equals its transpose.  Built in row
+    blocks of about CLOSURE_CHUNK products, so its temporaries stay small."""
+    n, x = G.level, G.cols[:, idx]
+    P = np.empty((len(idx), len(idx)), dtype=np.int64)
+    step = max(1, CLOSURE_CHUNK // len(idx))
+    for k in range(0, len(idx), step):
+        P[k : k + step] = _code(n, _mul(G._flat, n, x[:, k : k + step, None], x[:, None, :]))
+    return P
 
 
 def is_abelian(H: SubgroupRef) -> bool:
@@ -270,17 +274,36 @@ def is_abelian(H: SubgroupRef) -> bool:
 
 
 def derived_subgroup(H: SubgroupRef) -> SubgroupRef:
-    """Subgroup generated by all commutators x y x^(-1) y^(-1) of H."""
+    """Subgroup generated by all commutators x y x^(-1) y^(-1) of H: the
+    normal closure of the commutators of a generating set S of H.  It is
+    grown from those commutators by adding the conjugates by S of each new
+    generator until none falls outside; every element of S has finite
+    order, so closure under conjugation by S is closure under H."""
     G = H.parent
-    idx = H.indices()
-    xy = G.mul_vec(idx[:, None], idx[None, :])
-    yx = G.mul_vec(idx[None, :], idx[:, None])
-    comm = G.mul_vec(xy, G.inv_index[yx])
-    return subgroup_generated(G, np.unique(comm))
+    s = _generators(H)
+    xy = G.mul_vec(s[:, None], s[None, :])
+    gens = new = G.mul_vec(xy, G.inv_index[xy.T]).ravel()
+    while True:
+        D = subgroup_generated(G, gens)
+        conj = G.conj_vec(s[:, None], new[None, :]).ravel()
+        new = np.unique(conj[~D.member[conj]])
+        if not len(new):
+            return D
+        gens = np.concatenate([gens, new])
 
 
 def is_metabelian(H: SubgroupRef) -> bool:
     return is_abelian(derived_subgroup(H))
+
+
+def _generators(H: SubgroupRef) -> np.ndarray:
+    """A greedy generating set of H: scanning H in index order, each member
+    not in the subgroup generated by those kept before it.  Each kept
+    member at least doubles that subgroup, so at most log2 |H| are kept."""
+    gens: list[int] = []
+    while (rest := H.member & ~subgroup_generated(H.parent, gens).member).any():
+        gens.append(int(np.argmax(rest)))
+    return np.array(gens, dtype=np.int64)
 
 
 def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
@@ -360,7 +383,7 @@ def ct_check_centralizers(G: GroupTable) -> CtReport:
             raise InvariantViolated(f"element {g}: centralizer of {len(cz)} and class of {len(cls)} in a group of {len(G)}")
         P = _pair_codes(G, cz)
         if not np.array_equal(P, P.T):
-            i, j = np.argwhere(P != P.T)[0]
+            i, j = np.unravel_index(np.argmax(P != P.T), P.shape)  # the first in row-major order
             return CtReport(G, False, (int(cz[i]), g, int(cz[j])))
     return CtReport(G, True)
 
@@ -438,14 +461,14 @@ def maximal_abelian_intersections(G: GroupTable) -> bool:
 
 def conjugacy_classes(G: GroupTable) -> list[np.ndarray]:
     """Conjugacy classes as sorted index arrays, ordered by least member."""
-    n = len(G)
-    assigned = np.zeros(n, dtype=bool)
-    allx = np.arange(n)
+    n, F, x = G.level, G._flat, G.cols
+    xi = x[:, G.inv_index]  # every inverse's entries, gathered once for all representatives
+    assigned = np.zeros(len(G), dtype=bool)
     classes = []
-    for rep in range(n):
+    for rep in range(len(G)):
         if assigned[rep]:
             continue
-        orbit = np.unique(G.conj_vec(allx, np.int64(rep)))
+        orbit = np.unique(G._lookup[_code(n, _mul(F, n, _mul(F, n, x, x[:, rep]), xi))])
         assigned[orbit] = True
         classes.append(orbit)
     return classes
@@ -496,16 +519,17 @@ def unipotent_as_order3_product(G: GroupTable) -> tuple[int, int]:
 
 def semidirect_check(G: GroupTable, N: SubgroupRef, H: SubgroupRef) -> bool:
     """Is <N u H> the (inner) semidirect product of N by H?  Checks that N
-    is normal in the join, N and H intersect trivially, and N H fills the
+    is normal in the join (each generator of N and of H conjugates each
+    generator of N into N), N and H intersect trivially, and N H fills the
     join."""
-    join = subgroup_generated(G, np.concatenate([N.indices(), H.indices()]))
-    nidx = N.indices()
-    for x in join.indices():
-        if not np.all(N.member[G.conj_vec(np.int64(x), nidx)]):
-            return False
+    ns = _generators(N)
+    xs = np.concatenate([ns, _generators(H)])  # generators of the join
+    if not np.all(N.member[G.conj_vec(xs[:, None], ns[None, :])]):
+        return False
     if (N.member & H.member).sum() != 1:
         return False
-    prods = np.unique(G.mul_vec(nidx[:, None], H.indices()[None, :]))
+    join = subgroup_generated(G, xs)
+    prods = np.unique(G.mul_vec(N.indices()[:, None], H.indices()[None, :]))
     return len(prods) == join.size and bool(np.all(join.member[prods]))
 
 

@@ -1,4 +1,4 @@
-"""Brute-force group queries on the enumerated tables."""
+"""Group queries on the enumerated tables."""
 
 import os
 import subprocess
@@ -203,6 +203,43 @@ def test_abelian_and_metabelian():
     u = fe.named_subgroup(G, SubsetName.UPPER_TRI)
     assert fe.is_metabelian(u) and not fe.is_abelian(u)
     assert not fe.is_metabelian(fe.SubgroupRef(G, np.ones(len(G), dtype=bool)))  # the group is simple and nonabelian
+
+
+def _normalizer_by_every_member(G, H):
+    """The reference normalizer: conjugate by every member of H."""
+    keep = np.ones(len(G), dtype=bool)
+    for h in H.indices():
+        keep &= H.member[G.conj_vec(np.arange(len(G)), np.int64(h))]
+    return keep
+
+
+def _derived_by_every_pair(H):
+    """The reference derived subgroup: generated by the commutators of every pair of members."""
+    G, idx = H.parent, H.indices()
+    xy = G.mul_vec(idx[:, None], idx[None, :])
+    yx = G.mul_vec(idx[None, :], idx[:, None])
+    return fe.subgroup_generated(G, np.unique(G.mul_vec(xy, G.inv_index[yx]))).member
+
+
+@pytest.mark.parametrize(
+    "kind, n", [(fe.KIND_SL2, n) for n in (1, 2, 3, 4)] + [(fe.KIND_GL2, n) for n in (1, 2, 3)]
+)
+def test_generator_routes_match_the_every_member_references(kind, n):
+    G = fe.enumerate_group(n, kind)
+    subs = [fe.named_subgroup(G, name) for name in SubsetName if name is not SubsetName.OFF_DIAG]
+    delta = fe.named_subgroup(G, SubsetName.DIAG)
+    subs.append(fe.SubgroupRef(G, _normalizer_by_every_member(G, delta)))
+    if len(G) <= fe.PAIRS_MAX:
+        subs.append(fe.SubgroupRef(G, np.ones(len(G), dtype=bool)))
+    for H in subs:
+        gens = fe._generators(H)
+        for k, g in enumerate(gens):
+            before = fe.subgroup_generated(G, gens[:k]).member
+            assert not before[g]  # outside the subgroup the earlier ones generate
+            assert before[: g][H.member[: g]].all()  # and the least member of H that is
+        assert np.array_equal(fe.subgroup_generated(G, gens).member, H.member)
+        assert np.array_equal(fe.normalizer_bf(G, H).member, _normalizer_by_every_member(G, H))
+        assert np.array_equal(fe.derived_subgroup(H).member, _derived_by_every_pair(H))
 
 
 def test_ct_witnesses_are_deterministic():
@@ -430,6 +467,19 @@ def test_semidirect_check():
     whole, trivial = fe.SubgroupRef(G, np.ones(len(G), dtype=bool)), fe.SubgroupRef(G, np.arange(len(G)) == 0)
     assert fe.semidirect_check(G, whole, trivial)
     assert not fe.semidirect_check(G, delta, delta)  # the intersection is everything
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_semidirect_check_rejects_a_factor_that_is_not_normal(n):
+    # the diagonal meets the lower unitriangulars trivially, and their
+    # product fills the join, the lower triangulars: only normality fails
+    G = sl2(n)
+    delta, lt = fe.named_subgroup(G, SubsetName.DIAG), fe.named_subgroup(G, SubsetName.LOWER_UNI)
+    lower = fe.named_subgroup(G, SubsetName.LOWER_TRI)
+    assert (delta.member & lt.member).sum() == 1
+    assert fe.subgroup_generated(G, np.concatenate([delta.indices(), lt.indices()])) == lower
+    assert len(np.unique(G.mul_vec(delta.indices()[:, None], lt.indices()[None, :]))) == lower.size
+    assert not fe.semidirect_check(G, delta, lt)
 
 
 def test_ut_lt_disjointness():

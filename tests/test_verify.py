@@ -148,6 +148,11 @@ def _product_ignores_the_order(monkeypatch):
     monkeypatch.setattr(fe, "_mul", ordered)
 
 
+def _generators_drops_its_last(monkeypatch):
+    good = fe._generators
+    monkeypatch.setattr(fe, "_generators", lambda H: good(H)[:-1])
+
+
 FAULT_CASES = [  # (fault, the check that catches it, the start of its failure message)
     (_morder_off_by_one_on_split, "c07-dichotomy/orders/n2", "class-based order 4 disagrees"),
     (_enumerate_group_drops_a_row, "c01-orders/sl2/n2", "enumerated 59 elements"),
@@ -161,6 +166,7 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     (_level13_pow_vec_merges_two_masks, "c11-field-cohopf/max-order/n13", "frob^0 is not injective"),
     # every pair commutes, so the orbit-stabilizer guard of the class route trips
     (_product_ignores_the_order, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180"),
+    (_generators_drops_its_last, "c04-prop4/diag-normalizer/n2", "normalizer of the diagonal is not its union"),
 ]
 
 
