@@ -3,7 +3,11 @@ matrix groups over small binary fields, with structure queries:
 centralizers, normalizers, commutation-transitivity reports, subgroup
 generation, simplicity, the projective-line action, and semidirect
 product checks.  Normalizers, semidirect checks and derived subgroups
-work from a greedy generating set of each subgroup, not from every member.
+work from a greedy generating set of each subgroup, not from every member;
+conjugacy classes are the orbits of a greedy generating set of the group,
+and element orders are computed once per class.  Commutation tables are
+built above the diagonal in row blocks, and a query that needs one
+non-commuting pair stops at the first block that holds one.
 
 A table stores its elements once, as four entry columns of masks; element
 0 is always the identity and the remaining elements ascend by packed
@@ -37,7 +41,7 @@ SL2_MAX_LEVEL = 5
 GL2_MAX_LEVEL = 3
 PAIRS_MAX = 600  # elements of a group whose whole pair table may be built
 SIMPLE_MAX = 5000
-CLOSURE_CHUNK = 1 << 16  # products per step of subgroup_generated
+CLOSURE_CHUNK = 1 << 16  # products per step of subgroup_generated; sizes the commutation blocks too
 
 
 def order_formula(level: int, kind: str) -> int:
@@ -136,21 +140,22 @@ class GroupTable:
         return _code(n, _mul(self._flat, n, y, x)) == _code(n, _mul(self._flat, n, x, y))
 
     def element_orders(self) -> np.ndarray:
+        """Orders by iterated products, of one member per conjugacy class:
+        order is a class invariant, so each is spread over its class."""
         if self._orders is None:
-            n = len(self)
-            orders = np.zeros(n, dtype=np.int64)
-            orders[0] = 1
-            cur = np.arange(n)
-            k = 1
+            classes = conjugacy_classes(self)
+            reps = np.array([cls[0] for cls in classes])
+            orders = np.zeros(len(reps), dtype=np.int64)
+            cur = np.zeros_like(reps)  # reps to the power k, from the identity
+            k = 0
             while np.any(orders == 0):
                 k += 1
-                if k > n + 1:
+                if k > len(self):
                     raise InvariantViolated("order scan ran past the group order")
                 live = orders == 0
-                cur[live] = self.mul_vec(cur[live], np.flatnonzero(live))
-                done = live & (cur == 0)
-                orders[done] = k
-            self._orders = orders
+                cur[live] = self.mul_vec(cur[live], reps[live])
+                orders[live & (cur == 0)] = k
+            self._orders = np.repeat(orders, [len(cls) for cls in classes])[np.argsort(np.concatenate(classes))]
         return self._orders
 
 
@@ -256,21 +261,22 @@ def normalizer_bf(G: GroupTable, H: SubgroupRef) -> SubgroupRef:
     return SubgroupRef(G, keep)
 
 
-def _pair_codes(G: GroupTable, idx) -> np.ndarray:
-    """P[i, j], the code of the product of elements idx[i] and idx[j]:
-    the two commute exactly where P equals its transpose.  Built in row
-    blocks of about CLOSURE_CHUNK products, so its temporaries stay small."""
+def _commute_blocks(G: GroupTable, idx):
+    """The commutation table of the elements idx above its diagonal, in row
+    blocks: yields (k, C), where C[i, j] tells whether idx[k + i] and
+    idx[k + j] commute, for the rows from k and only the columns from k.
+    Two elements commute when their two products have the same code.  A
+    block makes about CLOSURE_CHUNK / 2 products or fewer; blocks of
+    CLOSURE_CHUNK ran slower on the 504-element table."""
     n, x = G.level, G.cols[:, idx]
-    P = np.empty((len(idx), len(idx)), dtype=np.int64)
-    step = max(1, CLOSURE_CHUNK // len(idx))
+    step = max(1, CLOSURE_CHUNK // (4 * len(idx)))  # rows: two products a pair
     for k in range(0, len(idx), step):
-        P[k : k + step] = _code(n, _mul(G._flat, n, x[:, k : k + step, None], x[:, None, :]))
-    return P
+        r, c = x[:, k : k + step, None], x[:, None, k:]
+        yield k, _code(n, _mul(G._flat, n, r, c)) == _code(n, _mul(G._flat, n, c, r))
 
 
 def is_abelian(H: SubgroupRef) -> bool:
-    P = _pair_codes(H.parent, H.indices())
-    return bool(np.array_equal(P, P.T))
+    return all(C.all() for _, C in _commute_blocks(H.parent, H.indices()))
 
 
 def derived_subgroup(H: SubgroupRef) -> SubgroupRef:
@@ -381,21 +387,23 @@ def ct_check_centralizers(G: GroupTable) -> CtReport:
         cz = np.flatnonzero(G.commutes_with(g))
         if len(cz) * len(cls) != len(G):
             raise InvariantViolated(f"element {g}: centralizer of {len(cz)} and class of {len(cls)} in a group of {len(G)}")
-        P = _pair_codes(G, cz)
-        if not np.array_equal(P, P.T):
-            i, j = np.unravel_index(np.argmax(P != P.T), P.shape)  # the first in row-major order
-            return CtReport(G, False, (int(cz[i]), g, int(cz[j])))
+        for k, C in _commute_blocks(G, cz):
+            if not C.all():  # commutation is symmetric: the first pair in row-major order
+                i, j = np.unravel_index(np.argmax(~C), C.shape)
+                return CtReport(G, False, (int(cz[k + i]), g, int(cz[k + j])))
     return CtReport(G, True)
 
 
 def _commute_matrix(G: GroupTable) -> np.ndarray:
-    """comm[g, h]: do elements g and h commute?  The whole pair table, read
-    against its transpose, so limited to groups of at most PAIRS_MAX
-    elements."""
+    """comm[g, h]: do elements g and h commute?  The whole table, both
+    triangles filled from the blocks above the diagonal, so limited to
+    groups of at most PAIRS_MAX elements."""
     if len(G) > PAIRS_MAX:
         raise BoundExceeded(f"pair scan limited to {PAIRS_MAX} elements, group has {len(G)}")
-    P = _pair_codes(G, np.arange(len(G)))
-    return P == P.T
+    comm = np.zeros((len(G), len(G)), dtype=bool)
+    for k, C in _commute_blocks(G, np.arange(len(G))):
+        comm[k : k + len(C), k:] = C
+    return comm | comm.T  # each pair is filled on at least one side
 
 
 def ct_check_triples(G: GroupTable) -> CtReport:
@@ -460,18 +468,19 @@ def maximal_abelian_intersections(G: GroupTable) -> bool:
 
 
 def conjugacy_classes(G: GroupTable) -> list[np.ndarray]:
-    """Conjugacy classes as sorted index arrays, ordered by least member."""
-    n, F, x = G.level, G._flat, G.cols
-    xi = x[:, G.inv_index]  # every inverse's entries, gathered once for all representatives
-    assigned = np.zeros(len(G), dtype=bool)
-    classes = []
-    for rep in range(len(G)):
-        if assigned[rep]:
-            continue
-        orbit = np.unique(G._lookup[_code(n, _mul(F, n, _mul(F, n, x, x[:, rep]), xi))])
-        assigned[orbit] = True
-        classes.append(orbit)
-    return classes
+    """Conjugacy classes as sorted index arrays, ordered by least member:
+    the orbits of G under conjugation by a generating set S of G."""
+    s = _generators(SubgroupRef(G, np.ones(len(G), dtype=bool)))
+    conj = np.array([G.conj_vec(h, np.arange(len(G))) for h in s])  # one |G| conjugation at a time keeps the peak low
+    label = np.arange(len(G))
+    while not np.array_equal(low := np.minimum(label, label[conj].min(0)), label):
+        label = low[low]
+    # Now each label is at most the labels of its images under every s.
+    # Conjugation by s permutes G in cycles, so labels are constant on the
+    # orbits; a label is always a member of its element's orbit and never
+    # above that element, so each orbit's label is its least member.
+    order = np.argsort(label, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(label[order])) + 1)
 
 
 def is_simple(G: GroupTable) -> bool:

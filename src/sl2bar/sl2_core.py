@@ -205,7 +205,9 @@ def morder(M: Mat2) -> int:
 
     Identity has order 1, unipotent matrices order 2, split matrices the
     multiplicative order of the eigenvalue.  The verify check c07 compares
-    it with the iterated orders of every element of SL2(2^n), n <= 4.
+    it, on every element of SL2(2^n), n <= 4, with the table's orders:
+    iterated products of one member per conjugacy class, spread over the
+    class.
     """
     k = classify_jordan(M)
     if k.kind == "identity":

@@ -3,6 +3,8 @@
 import os
 import subprocess
 import sys
+from collections import Counter
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +385,57 @@ def test_subgroup_generated_matches_the_reference_closure(n, which):
     gens = fe.generator_set(G, which)
     for part in (gens, gens[:2]):  # the whole group, and a proper subgroup
         assert np.array_equal(fe.subgroup_generated(G, part).member, _closure_sorting_every_product(G, part))
+
+
+def _classes_by_conjugating_every_element(G):
+    """The reference classes: conjugate each new representative by every element."""
+    assigned = np.zeros(len(G), dtype=bool)
+    classes = []
+    for rep in range(len(G)):
+        if not assigned[rep]:
+            orbit = np.unique(G.conj_vec(np.arange(len(G)), np.int64(rep)))
+            assigned[orbit] = True
+            classes.append(orbit)
+    return classes
+
+
+def _orders_by_iterating_every_element(G):
+    """The reference orders: iterate the products of every element at once."""
+    orders = np.zeros(len(G), dtype=np.int64)
+    orders[0] = 1
+    cur = np.arange(len(G))
+    k = 1
+    while np.any(orders == 0):
+        k += 1
+        live = orders == 0
+        cur[live] = G.mul_vec(cur[live], np.flatnonzero(live))
+        orders[live & (cur == 0)] = k
+    return orders
+
+
+@pytest.mark.parametrize("n, kind", TABLES)
+def test_class_routes_match_the_every_element_references(n, kind):
+    G = fe.enumerate_group(n, kind)
+    got, want = fe.conjugacy_classes(G), _classes_by_conjugating_every_element(G)
+    assert len(got) == len(want)
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    assert np.array_equal(G.element_orders(), _orders_by_iterating_every_element(G))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_order_histogram_matches_dicksons_closed_form(n):
+    # SL2(q), q = 2^n: the identity, q^2 - 1 involutions, and phi(d) q(q+1)/2
+    # elements of each order d > 1 dividing q - 1 (split), phi(d) q(q-1)/2 of
+    # each order d > 1 dividing q + 1 (nonsplit); Dickson, 1901
+    q = 1 << n
+    want = Counter({1: 1, 2: q * q - 1})
+    for m, per_unit in ((q - 1, q * (q + 1) // 2), (q + 1, q * (q - 1) // 2)):
+        for d in range(2, m + 1):
+            if m % d == 0:
+                want[d] += sum(gcd(k, d) == 1 for k in range(1, d + 1)) * per_unit
+    orders, counts = np.unique(sl2(n).element_orders(), return_counts=True)
+    assert dict(zip(orders.tolist(), counts.tolist())) == want
+    assert sum(want.values()) == len(sl2(n))
 
 
 def test_element_orders_against_matrix_layer():

@@ -153,6 +153,16 @@ def _generators_drops_its_last(monkeypatch):
     monkeypatch.setattr(fe, "_generators", lambda H: good(H)[:-1])
 
 
+def _conjugacy_classes_splits_one(monkeypatch):
+    good = fe.conjugacy_classes
+
+    def split(G):
+        cls = good(G)
+        return [cls[0], cls[1][::2], cls[1][1::2], *cls[2:]]
+
+    monkeypatch.setattr(fe, "conjugacy_classes", split)
+
+
 FAULT_CASES = [  # (fault, the check that catches it, the start of its failure message)
     (_morder_off_by_one_on_split, "c07-dichotomy/orders/n2", "class-based order 4 disagrees"),
     (_enumerate_group_drops_a_row, "c01-orders/sl2/n2", "enumerated 59 elements"),
@@ -167,6 +177,8 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     # every pair commutes, so the orbit-stabilizer guard of the class route trips
     (_product_ignores_the_order, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180"),
     (_generators_drops_its_last, "c04-prop4/diag-normalizer/n2", "normalizer of the diagonal is not its union"),
+    # the orbit-stabilizer guard of the class route sees half a class
+    (_conjugacy_classes_splits_one, "c02-ct/centralizers/sl2/n2", "InvariantViolated: element 1: centralizer of 4 and class of 8"),
 ]
 
 
