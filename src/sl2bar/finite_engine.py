@@ -14,7 +14,11 @@ A table stores its elements once, as four entry columns of masks; element
 code, so "lowest index" witnesses are deterministic.  One product, `_mul`,
 multiplies entry columns through the level kernel's product table, read
 flat, and every product, determinant, inverse and conjugate here goes
-through it, with a lookup of the packed code back to an index.  Two
+through it.  One index, `GroupTable._index`, maps entry columns back to
+an index: in closed form for the determinant-one group, whose members are
+fixed by three of their entries, and through a table of the at most 4096
+packed codes for the invertible group.  Membership is a round trip: a row
+is a member when the element at its index has its entries.  Two
 elements commute when their two products have the same code, so a wrong
 commutation test can only come from a wrong product.  Each table holds
 the closure values of its level's q masks, so a matrix is read from them,
@@ -86,14 +90,29 @@ class GroupTable:
         self.elts = [celt(level, x) for x in range(q)]  # mask -> closure value
         self.cols = np.ascontiguousarray(masks.T)  # (4, |G|): the entries, stored once
         self.masks = self.cols.T  # (|G|, 4): a view, one row per element
-        lookup = np.full(q**4, -1, dtype=np.int64)
-        lookup[_code(n, self.cols)] = np.arange(len(masks))
-        self._lookup = lookup
+        if kind == KIND_GL2:  # at most 4096 codes: a table of them is small
+            self._lookup = np.full(q**4, -1, dtype=np.int64)
+            self._lookup[_code(n, self.cols)] = np.arange(len(masks))
         a, b, c, d = self.cols
         adj = (d, b, c, a)  # x adj(x) = det(x) I in characteristic 2
         di = self.INV[_mul(self._flat, n, self.cols, adj)[0]]
-        self.inv_index = lookup[_code(n, _mul(self._flat, n, adj, (di, 0, 0, di)))]
+        self.inv_index = self._index(_mul(self._flat, n, adj, (di, 0, 0, di)))
         self._orders: np.ndarray | None = None
+
+    def _index(self, e) -> np.ndarray:
+        """Index of the members with entry columns e.  A determinant-one
+        table is read in closed form: its members ascend by code, the a = 0
+        block first (b != 0, c = 1/b, any d), then the a != 0 block (any b
+        and c, d = (1 + bc)/a).  So a member's place in code order is
+        pos = (b - 1)q + d or q(q - 1) + (a - 1)q^2 + bq + c, which is
+        v - q below, and the identity, at pos = q(q - 1), moves to the
+        front.  A non-member's index is some number, maybe out of range."""
+        n, q = self.level, self.q
+        if self.kind == KIND_GL2:
+            return self._lookup[_code(n, e)]
+        a, b, c, d = e
+        v = ((a << n | b) << n) | np.where(a == 0, d, c)
+        return np.where(v == q * q, 0, v - q + (v < q * q))
 
     # -- basic accessors ----------------------------------------------------
 
@@ -101,8 +120,10 @@ class GroupTable:
         return self.cols.shape[1]
 
     def index_of_rows(self, rows: np.ndarray) -> np.ndarray:
-        idx = self._lookup[_code(self.level, rows.T)]
-        if np.any(idx < 0):
+        """Indices of the member rows; a row is a member when the element at
+        its index has exactly its entries."""
+        idx = np.clip(self._index(rows.T), 0, len(self) - 1)
+        if np.any(self.masks[idx] != rows):
             raise ValueError("matrix is not a member of the group")
         return idx
 
@@ -124,7 +145,7 @@ class GroupTable:
     def mul_vec(self, i, j) -> np.ndarray:
         """Indexwise product; i and j broadcast together."""
         n, c = self.level, self.cols
-        return self._lookup[_code(n, _mul(self._flat, n, c[:, i], c[:, j]))]
+        return self._index(_mul(self._flat, n, c[:, i], c[:, j]))
 
     def mul_index(self, i: int, j: int) -> int:
         return int(self.mul_vec(np.int64(i), np.int64(j)))
@@ -132,7 +153,7 @@ class GroupTable:
     def conj_vec(self, i, j) -> np.ndarray:
         """Index of element i * j * i^(-1), broadcasting."""
         n, F, c = self.level, self._flat, self.cols
-        return self._lookup[_code(n, _mul(F, n, _mul(F, n, c[:, i], c[:, j]), c[:, self.inv_index[i]]))]
+        return self._index(_mul(F, n, _mul(F, n, c[:, i], c[:, j]), c[:, self.inv_index[i]]))
 
     def commutes_with(self, g: int) -> np.ndarray:
         """Boolean vector: which elements x have g x = x g."""
@@ -313,26 +334,32 @@ def _generators(H: SubgroupRef) -> np.ndarray:
 
 
 def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
-    """Closure of a generating set under products (breadth-first).  Each
-    step multiplies the frontier by the generators in chunks of at most
-    about CLOSURE_CHUNK products, so a large generating set never
-    materializes the whole frontier-by-generators product array, and
-    sorts only the products not yet in the subgroup."""
-    gens = np.unique(np.asarray(gens, dtype=np.int64))
+    """Closure of a generating set under products, one generator at a time,
+    in ascending order.  A generator already in the subgroup is skipped;
+    any other is kept, and every member is multiplied by the kept
+    generators, then each new product in turn (breadth-first), until no
+    product falls outside.  A step multiplies in chunks of at most about
+    CLOSURE_CHUNK products, so a large generating set never materializes
+    the whole frontier-by-generators product array, and sorts only the
+    products not yet in the subgroup."""
     member = np.zeros(len(G), dtype=bool)
     member[0] = True
-    frontier = gens[~member[gens]]
-    member[gens] = True
-    while len(frontier):
-        step = max(1, CLOSURE_CHUNK // len(frontier))
-        found = []
-        for k in range(0, len(gens), step):
-            # one name, so a chunk's products are freed before the next is made
-            new = G.mul_vec(frontier[:, None], gens[None, k : k + step]).ravel()
-            new = np.unique(new[~member[new]])
-            member[new] = True
-            found.append(new)
-        frontier = np.concatenate(found)
+    kept = []
+    for g in np.unique(np.asarray(gens, dtype=np.int64)).tolist():
+        if member[g]:
+            continue
+        kept.append(g)
+        s, frontier = np.array(kept), np.flatnonzero(member)
+        while len(frontier):
+            step = max(1, CLOSURE_CHUNK // len(frontier))
+            found = []
+            for k in range(0, len(s), step):
+                # one name, so a chunk's products are freed before the next is made
+                new = G.mul_vec(frontier[:, None], s[None, k : k + step]).ravel()
+                new = np.unique(new[~member[new]])
+                member[new] = True
+                found.append(new)
+            frontier = np.concatenate(found)
     return SubgroupRef(G, member)
 
 

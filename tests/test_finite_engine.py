@@ -96,6 +96,22 @@ def test_identity_first_and_lookup():
         G.index_of(diag_mat(G2, G2))  # determinant g^2, not a member
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_the_closed_form_index_reads_back_every_member(n):
+    G = sl2(n)
+    assert np.array_equal(G._index(G.cols), np.arange(len(G)))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_a_determinant_one_table_holds_no_array_of_every_code(n):
+    # a table of all q^4 codes has q^3 / (q^2 - 1) > q entries per element,
+    # more than the 4 of the entry columns
+    G = sl2(n)
+    G.element_orders()
+    sizes = {k: v.size for k, v in vars(G).items() if isinstance(v, np.ndarray)}
+    assert max(sizes.values()) <= 4 * len(G), sizes
+
+
 @pytest.mark.parametrize("n, kind", TABLES)
 def test_index_of_rows_rejects_every_non_member(n, kind):
     # the rows with a = b = 0, and 300 seeded rows; at n >= 2 the latter
@@ -360,7 +376,8 @@ def test_subgroup_generated_examples():
 
 
 def _closure_sorting_every_product(G, gens):
-    """Membership of the closure of gens, each chunk's products sorted whole."""
+    """Membership of the closure of gens: breadth-first from the generators,
+    multiplying by all of them at once, each chunk's products sorted whole."""
     gens = np.unique(np.asarray(gens, dtype=np.int64))
     member = np.zeros(len(G), dtype=bool)
     member[0] = True
@@ -385,6 +402,14 @@ def test_subgroup_generated_matches_the_reference_closure(n, which):
     gens = fe.generator_set(G, which)
     for part in (gens, gens[:2]):  # the whole group, and a proper subgroup
         assert np.array_equal(fe.subgroup_generated(G, part).member, _closure_sorting_every_product(G, part))
+
+
+@pytest.mark.parametrize("n, kind", [t for t in TABLES if t[0] <= 4])
+def test_closing_one_generator_at_a_time_matches_the_breadth_first_closure(n, kind):
+    G = fe.enumerate_group(n, kind)
+    inputs = [fe.generator_set(G, which) for which in fe.GENERATOR_SETS] + fe.conjugacy_classes(G)
+    for gens in inputs:
+        assert np.array_equal(fe.subgroup_generated(G, gens).member, _closure_sorting_every_product(G, gens))
 
 
 def _classes_by_conjugating_every_element(G):
