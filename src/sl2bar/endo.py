@@ -13,13 +13,15 @@ group a specification is its image permutation: a base map costs one
 pass over the table, and a composition gathers its parts' permutations.
 
 The replay builds and checks each base map once, against the scalar path
-and for the homomorphism property on a generating set (composites of
-automorphisms need no check), then walks the eight-step argument for each
-family member: fix an order-3 diagonal g, keep its image in g's class
-and straighten it by the lowest inner map (both read from one conjugator
-table per level, so the loop works on table indices), track the
-diagonal subgroup, the swap matrix, and the lower-unitriangular set,
-choose the final twist, and conclude bijectivity.
+and for the homomorphism property on the greedy generating set of the
+whole group that the one subgroup closure keeps (three elements at every
+replay level; composites of automorphisms need no check), then walks the
+eight-step argument for each family member: fix an order-3 diagonal g,
+keep its image in g's class and straighten it by the lowest inner map
+(both read from one conjugator table per level, so the loop works on
+table indices), track the diagonal subgroup, the swap matrix, and the
+lower-unitriangular set, choose the final twist, and conclude
+bijectivity.
 """
 
 from __future__ import annotations
@@ -249,9 +251,10 @@ def _fail(step: int, msg: str, witness=None):
 def _check_base_map(spec: GroupEndoSpec, G: fe.GroupTable, p: np.ndarray, gens: np.ndarray, prods: np.ndarray) -> None:
     """Raise InvariantViolated unless the permutation p of a base map
     agrees with the scalar path and is a homomorphism: p[x s] = p[x] p[s]
-    for every x and every generator s (prods[x, j] = x gens[j]).  The y
-    with p(xy) = p(x)p(y) for all x form a subgroup, so the generators
-    suffice, and composites of checked base maps need no check."""
+    for every x and every s in gens (prods[x, j] = x gens[j]), a greedy
+    generating set of G.  The y with p(xy) = p(x)p(y) for all x form a
+    subgroup, and it holds gens, so it is G; composites of checked base
+    maps need no check."""
     for i in (0, 1, len(G) // 2):
         if G.index_of(apply_group_endo(spec, G.mat(i))) != p[i]:
             raise InvariantViolated(f"{spec_str(spec)} disagrees with the scalar path at element {i}")
@@ -291,7 +294,7 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     family = replay_family(n)
     perms: dict = {}  # base map -> permutation
     straighten: dict[int, np.ndarray] = {}  # conjugator index -> its inner map's permutation
-    gens = fe.generator_set(G, "swap-lower")
+    gens = fe._generators(fe.SubgroupRef(G, np.ones(len(G), dtype=bool)))
     prods = G.mul_vec(np.arange(len(G))[:, None], gens[None, :])
     for spec in family:
         if not isinstance(spec, Compose):

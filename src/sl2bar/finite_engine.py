@@ -2,10 +2,13 @@
 matrix groups over small binary fields, with structure queries:
 centralizers, normalizers, commutation-transitivity reports, subgroup
 generation, simplicity, the projective-line action, and semidirect
-product checks.  Normalizers, semidirect checks and derived subgroups
-work from a greedy generating set of each subgroup, not from every member;
-conjugacy classes are the orbits of a greedy generating set of the group,
-and element orders are computed once per class.  Commutation tables are
+product checks.  One closure, `_closure`, grows a subgroup from a wanted
+set and keeps a greedy generating set of it in the same pass; subgroup
+generation, greedy generating sets and derived subgroups all read it.
+Normalizers, semidirect checks and derived subgroups work from a greedy
+generating set of each subgroup, not from every member; conjugacy classes
+are the orbits of a greedy generating set of the group, and element
+orders are computed once per class.  Commutation tables are
 built above the diagonal in row blocks, and a query that needs one
 non-commuting pair stops at the first block that holds one.
 
@@ -45,7 +48,7 @@ SL2_MAX_LEVEL = 5
 GL2_MAX_LEVEL = 3
 PAIRS_MAX = 600  # elements of a group whose whole pair table may be built
 SIMPLE_MAX = 5000
-CLOSURE_CHUNK = 1 << 16  # products per step of subgroup_generated; sizes the commutation blocks too
+CLOSURE_CHUNK = 1 << 16  # products per step of _closure; sizes the commutation blocks too
 
 
 def order_formula(level: int, kind: str) -> int:
@@ -302,53 +305,46 @@ def is_abelian(H: SubgroupRef) -> bool:
 
 def derived_subgroup(H: SubgroupRef) -> SubgroupRef:
     """Subgroup generated by all commutators x y x^(-1) y^(-1) of H: the
-    normal closure of the commutators of a generating set S of H.  It is
-    grown from those commutators by adding the conjugates by S of each new
-    generator until none falls outside; every element of S has finite
-    order, so closure under conjugation by S is closure under H."""
+    normal closure of the commutators of a generating set S of H.  The
+    commutators of S are closed, then the conjugates by S of the kept
+    generators join them, until every such conjugate is a member; every
+    element of S has finite order, so closure under conjugation by S is
+    closure under H."""
     G = H.parent
     s = _generators(H)
     xy = G.mul_vec(s[:, None], s[None, :])
-    gens = new = G.mul_vec(xy, G.inv_index[xy.T]).ravel()
+    want = np.zeros(len(G), dtype=bool)
+    want[G.mul_vec(xy, G.inv_index[xy.T])] = True
     while True:
-        D = subgroup_generated(G, gens)
-        conj = G.conj_vec(s[:, None], new[None, :]).ravel()
-        new = np.unique(conj[~D.member[conj]])
-        if not len(new):
-            return D
-        gens = np.concatenate([gens, new])
+        member, kept = _closure(G, want)
+        conj = G.conj_vec(s[:, None], kept[None, :])
+        if member[conj].all():
+            return SubgroupRef(G, member)
+        want[conj] = True
 
 
 def is_metabelian(H: SubgroupRef) -> bool:
     return is_abelian(derived_subgroup(H))
 
 
-def _generators(H: SubgroupRef) -> np.ndarray:
-    """A greedy generating set of H: scanning H in index order, each member
-    not in the subgroup generated by those kept before it.  Each kept
-    member at least doubles that subgroup, so at most log2 |H| are kept."""
-    gens: list[int] = []
-    while (rest := H.member & ~subgroup_generated(H.parent, gens).member).any():
-        gens.append(int(np.argmax(rest)))
-    return np.array(gens, dtype=np.int64)
-
-
-def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
-    """Closure of a generating set under products, one generator at a time,
-    in ascending order.  A generator already in the subgroup is skipped;
-    any other is kept, and every member is multiplied by the kept
-    generators, then each new product in turn (breadth-first), until no
-    product falls outside.  A step multiplies in chunks of at most about
-    CLOSURE_CHUNK products, so a large generating set never materializes
-    the whole frontier-by-generators product array, and sorts only the
-    products not yet in the subgroup."""
+def _closure(G: GroupTable, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(member, kept): the membership vector of the subgroup generated by
+    the elements where want is true, and a greedy generating set of it.
+    While some wanted element is not yet a member, the least one is kept,
+    and every member is multiplied by the kept elements, then each new
+    product in turn (breadth-first), until no product falls outside.  So
+    each kept element lies outside the subgroup generated by those kept
+    before it, and at least doubles it: at most log2 of the subgroup's
+    order are kept.  A step
+    multiplies in chunks of at most about CLOSURE_CHUNK products, so a
+    large generating set never materializes the whole frontier-by-
+    generators product array, and sorts only the products not yet in the
+    subgroup."""
     member = np.zeros(len(G), dtype=bool)
     member[0] = True
     kept = []
-    for g in np.unique(np.asarray(gens, dtype=np.int64)).tolist():
-        if member[g]:
-            continue
-        kept.append(g)
+    while (rest := want & ~member).any():
+        kept.append(int(np.argmax(rest)))
         s, frontier = np.array(kept), np.flatnonzero(member)
         while len(frontier):
             step = max(1, CLOSURE_CHUNK // len(frontier))
@@ -360,7 +356,20 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
                 member[new] = True
                 found.append(new)
             frontier = np.concatenate(found)
-    return SubgroupRef(G, member)
+    return member, np.array(kept, dtype=np.int64)
+
+
+def _generators(H: SubgroupRef) -> np.ndarray:
+    """A greedy generating set of H: scanning H in index order, each member
+    not in the subgroup generated by those kept before it."""
+    return _closure(H.parent, H.member)[1]
+
+
+def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
+    """Closure of a generating set under products (see _closure)."""
+    want = np.zeros(len(G), dtype=bool)
+    want[np.asarray(gens, dtype=np.int64)] = True
+    return SubgroupRef(G, _closure(G, want)[0])
 
 
 # ---------------------------------------------------------------------------
