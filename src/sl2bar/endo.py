@@ -9,19 +9,22 @@ element, and permutes the set of maximal-order elements.
 Group endomorphism specifications combine entrywise field endomorphisms,
 inner conjugations, the inverse-transpose map, and compositions of these
 (a composition applies its parts left to right).  Over an enumerated
-group a specification is its image permutation: a base map costs one
-pass over the table, and a composition gathers its parts' permutations.
+group a base map is its image permutation, one pass over the table, and
+a specification maps any array of element indices by gathering through
+its parts' permutations.
 
-The replay builds and checks each base map once, against the scalar path
-and for the homomorphism property on the greedy generating set of the
-whole group that the one subgroup closure keeps (three elements at every
-replay level; composites of automorphisms need no check), then walks the
-eight-step argument for each family member: fix an order-3 diagonal g,
-keep its image in g's class and straighten it by the lowest inner map
-(both read from one conjugator table per level, so the loop works on
-table indices), track the diagonal subgroup, the swap matrix, and the
-lower-unitriangular set, choose the final twist, and conclude
-bijectivity.
+The replay builds each base map's permutation once and checks it once:
+bijective, in agreement with the scalar path, and a homomorphism on the
+greedy generating set of the whole group that the one subgroup closure
+keeps (three elements at every replay level).  Composites of checked
+bijective homomorphisms need no check.  It then walks the eight-step
+argument for each family member on the images of the elements the
+argument reads, U = [g, swap, diagonal, lower triangulars] (257 at
+level 4): fix an order-3 diagonal g, keep its image in g's class and
+straighten the images by the lowest inner map sending it back to g (one
+conjugator table per level), track the diagonal subgroup, the swap
+matrix and the lower-triangular set, choose the final twist, and
+conclude bijectivity from the checked base maps.
 """
 
 from __future__ import annotations
@@ -175,18 +178,19 @@ def _base_perm(spec: GroupEndoSpec, G: fe.GroupTable) -> np.ndarray:
     raise TypeError(spec)
 
 
-def apply_spec_to_table(spec: GroupEndoSpec, G: fe.GroupTable, perms: dict | None = None) -> np.ndarray:
-    """Image index of every group element under the specification.  Each
-    part is one permutation, built once per ``perms`` dict (a cache for
-    this one table) when one is given; a composition gathers its parts'
-    permutations, p2[p1], left to right."""
-    perms = {} if perms is None else perms
-    img = np.arange(len(G))
-    for part in spec.parts if isinstance(spec, Compose) else (spec,):
-        if part not in perms:
-            perms[part] = apply_spec_to_table(part, G, perms) if isinstance(part, Compose) else _base_perm(part, G)
-        img = perms[part][img]
-    return img
+def apply_spec_to_table(spec: GroupEndoSpec, G: fe.GroupTable, perms: dict, idx: np.ndarray) -> np.ndarray:
+    """Image indices of the group elements idx under the specification.
+    Each base map is one permutation of the table, built by _base_perm
+    once per ``perms`` dict (a cache for this one table); a composition
+    gathers through its parts, left to right, so once its base maps are
+    built a call costs len(idx) per part."""
+    if isinstance(spec, Compose):
+        for part in spec.parts:
+            idx = apply_spec_to_table(part, G, perms, idx)
+        return idx
+    if spec not in perms:
+        perms[spec] = _base_perm(spec, G)
+    return perms[spec][idx]
 
 
 # ---------------------------------------------------------------------------
@@ -249,12 +253,15 @@ def _fail(step: int, msg: str, witness=None):
 
 
 def _check_base_map(spec: GroupEndoSpec, G: fe.GroupTable, p: np.ndarray, gens: np.ndarray, prods: np.ndarray) -> None:
-    """Raise InvariantViolated unless the permutation p of a base map
-    agrees with the scalar path and is a homomorphism: p[x s] = p[x] p[s]
-    for every x and every s in gens (prods[x, j] = x gens[j]), a greedy
-    generating set of G.  The y with p(xy) = p(x)p(y) for all x form a
-    subgroup, and it holds gens, so it is G; composites of checked base
-    maps need no check."""
+    """Raise InvariantViolated unless the permutation p of a base map is a
+    bijection of G, agrees with the scalar path and is a homomorphism:
+    p[x s] = p[x] p[s] for every x and every s in gens (prods[x, j] =
+    x gens[j]), a greedy generating set of G.  The y with p(xy) =
+    p(x)p(y) for all x form a subgroup, and it holds gens, so it is G;
+    composites of checked base maps are bijective homomorphisms too and
+    need no check."""
+    if not np.array_equal(np.sort(p), np.arange(len(G))):
+        raise InvariantViolated(f"{spec_str(spec)} is not bijective")
     for i in (0, 1, len(G) // 2):
         if G.index_of(apply_group_endo(spec, G.mat(i))) != p[i]:
             raise InvariantViolated(f"{spec_str(spec)} disagrees with the scalar path at element {i}")
@@ -264,11 +271,17 @@ def _check_base_map(spec: GroupEndoSpec, G: fe.GroupTable, p: np.ndarray, gens: 
 
 def replay_cohopf_skeleton(n: int) -> ReplayReport:
     """Run the eight-step argument for every family member over the
-    level-n determinant-one group.  Each member is its image permutation,
-    gathered from the once-built (and once-checked) base-map permutations.
-    Raises InvariantViolated on a base map that is not a homomorphism and
-    StepFailed on any step violation; a returned report therefore records
-    only passes (with witnesses)."""
+    level-n determinant-one group.  Each base map is one permutation of
+    the table, built and checked (bijective, scalar path, homomorphism)
+    once; each member is then only its images of U = [g, swap, diagonal,
+    lower triangulars], the elements steps 2-7 read, gathered through its
+    parts and straightened by one inner map, so no per-member work scans
+    the whole table.  Step 8 needs no scan: a composite of checked
+    bijections, straightened by an inner map, is a bijection, and its
+    witness is the group order.  Raises InvariantViolated on a base map
+    that is not a bijective homomorphism and StepFailed on any step
+    violation; a returned report therefore records only passes (with
+    witnesses)."""
     if n > REPLAY_MAX_LEVEL:
         raise BoundExceeded(f"replay limited to levels <= {REPLAY_MAX_LEVEL}, got {n}")
     if n % 2:
@@ -280,12 +293,14 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
         raise InvariantViolated(f"anchor {theta} does not have order 3")
     g_mat = sl.diag_mat(theta, cinv(theta))
     g_idx = G.index_of(g_mat)
-    swap_idx = G.index_of(SWAP)
     orders = G.element_orders()
 
     names = (SubsetName.DIAG, SubsetName.OFF_DIAG, SubsetName.UPPER_UNI, SubsetName.LOWER_UNI, SubsetName.LOWER_TRI)
     delta_member, dprime_member, ut_member, lt_member, lower_member = (fe.subset_member(G, s) for s in names)
-    delta, lt, lower = (np.flatnonzero(m) for m in (delta_member, lt_member, lower_member))
+    delta, lower = np.flatnonzero(delta_member), np.flatnonzero(lower_member)
+    lt_nontriv = lt_member[lower] & (lower != 0)  # lower-unitriangulars but I, as a mask on lower
+    U = np.concatenate([[g_idx, G.index_of(SWAP)], delta, lower])
+    lower_at = 2 + len(delta)  # U[2:lower_at] is the diagonal, U[lower_at:] the lower triangulars
     # alpha_of[h]: the lowest x with x h x^(-1) = g, or -1 off g's class
     conjugates, first_x = np.unique(G.conj_vec(G.inv_index, np.int64(g_idx)), return_index=True)
     alpha_of = np.full(len(G), -1)
@@ -293,24 +308,23 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
 
     family = replay_family(n)
     perms: dict = {}  # base map -> permutation
-    straighten: dict[int, np.ndarray] = {}  # conjugator index -> its inner map's permutation
     gens = fe._generators(fe.SubgroupRef(G, np.ones(len(G), dtype=bool)))
     prods = G.mul_vec(np.arange(len(G))[:, None], gens[None, :])
     for spec in family:
         if not isinstance(spec, Compose):
-            _check_base_map(spec, G, apply_spec_to_table(spec, G, perms), gens, prods)
+            _check_base_map(spec, G, apply_spec_to_table(spec, G, perms, np.arange(len(G))), gens, prods)
 
     anchor = {"theta": str(theta), "g": mat_to_json(g_mat)}
     entries = []
     for spec in family:
         steps = []
-        img = apply_spec_to_table(spec, G, perms)
+        img = apply_spec_to_table(spec, G, perms, U)
 
         # 1: the order-3 diagonal anchor exists at this level
         steps.append(ReplayStep(1, "pass", anchor))
 
         # 2: the image of g keeps order 3 and stays in its conjugacy class
-        ig = int(img[g_idx])
+        ig = int(img[0])
         if orders[ig] != 3:
             _fail(2, f"image of g has order {orders[ig]}", {"image": G.mat_json(ig)})
         if alpha_of[ig] < 0:
@@ -319,40 +333,36 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
 
         # 3: straighten with the first inner map sending the image back to g
         alpha = int(alpha_of[ig])
-        if alpha not in straighten:
-            straighten[alpha] = G.conj_vec(alpha, np.arange(len(G)))
-        aphi = straighten[alpha][img]
-        if int(aphi[g_idx]) != g_idx:
+        aimg = G.conj_vec(alpha, img)
+        if int(aimg[0]) != g_idx:
             _fail(3, "straightened map does not fix g")
         steps.append(ReplayStep(3, "pass", {"alpha": G.mat_json(alpha)}))
 
         # 4: the straightened map restricts to a bijection of the diagonal
-        dimg = aphi[delta]
+        dimg = aimg[2:lower_at]
         if not np.all(delta_member[dimg]):
             bad = int(delta[~delta_member[dimg]][0])
             _fail(4, "diagonal image left the diagonal", {"element": G.mat_json(bad)})
-        if not np.array_equal(np.bincount(dimg, minlength=len(G)), delta_member):
+        if not np.array_equal(np.sort(dimg), delta):
             _fail(4, "diagonal image is not the full diagonal")
         steps.append(ReplayStep(4, "pass", {"diagonal_size": int(len(delta))}))
 
-        # 5: the swap matrix lands off-diagonal and stays in the image
-        sw = int(aphi[swap_idx])
+        # 5: the swap matrix lands off-diagonal
+        sw = int(aimg[1])
         if not dprime_member[sw]:
             _fail(5, "image of the swap matrix is not off-diagonal", {"image": G.mat_json(sw)})
         # sw = [[0, lam], [c, 0]] has lam c = 1, so diag(lam^-1, lam) sw = SWAP iff lam^-1 lam = 1
         lam = int(G.masks[sw, 1])
         if G.MUL[G.INV[lam], lam] != 1:
             _fail(5, "off-diagonal image does not rebuild the swap matrix")
-        if not np.any(aphi == swap_idx):
-            _fail(5, "swap matrix is outside the image")
         sw_json = G.mat_json(sw)
         steps.append(ReplayStep(5, "pass", {"image_of_swap": sw_json, "lambda": sw_json[1]}))
 
         # 6: lower-unitriangular images pick exactly one unitriangular side
-        lt_nontriv = lt[lt != 0]
-        limg = aphi[lt_nontriv]
+        lower_img = aimg[lower_at:]
+        limg = lower_img[lt_nontriv]
         if not np.all(ut_member[limg] | lt_member[limg]):
-            bad = int(lt_nontriv[~(ut_member[limg] | lt_member[limg])][0])
+            bad = int(lower[lt_nontriv][~(ut_member[limg] | lt_member[limg])][0])
             _fail(6, "a lower-unitriangular image is not unitriangular", {"element": G.mat_json(bad)})
         meets_lt = bool(np.any(lt_member[limg] & (limg != 0)))
         meets_ut = bool(np.any(ut_member[limg] & (limg != 0)))
@@ -364,16 +374,13 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
         steps.append(ReplayStep(6, "pass", {"beta": "invtrans" if beta_is_invtrans else "identity"}))
 
         # 7: after the twist, the lower-triangular set maps onto itself
-        final = apply_spec_to_table(InvTranspose(), G, perms)[aphi] if beta_is_invtrans else aphi
-        if not np.array_equal(np.bincount(final[lower], minlength=len(G)), lower_member):
+        final = apply_spec_to_table(InvTranspose(), G, perms, lower_img) if beta_is_invtrans else lower_img
+        if not np.array_equal(np.sort(final), lower):
             _fail(7, "twisted map is not onto the lower-triangular set")
         steps.append(ReplayStep(7, "pass", {"lower_triangular_size": int(len(lower))}))
 
         # 8: the twisted map, hence the original, permutes the whole group
-        if not np.bincount(final, minlength=len(G)).all():
-            _fail(8, "twisted map is not injective on the group")
-        if not np.bincount(img, minlength=len(G)).all():
-            _fail(8, "original map is not injective on the group")
+        # (a composite of checked bijections: see the docstring)
         steps.append(ReplayStep(8, "pass", {"group_order": int(len(G))}))
 
         entries.append(ReplayEntry(spec_str(spec), steps))

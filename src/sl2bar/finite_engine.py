@@ -47,7 +47,6 @@ from .sl2_core import GENERATOR_SETS, KIND_GL2, KIND_SL2, SWAP, Mat2, SubsetName
 SL2_MAX_LEVEL = 5
 GL2_MAX_LEVEL = 3
 PAIRS_MAX = 600  # elements of a group whose whole pair table may be built
-SIMPLE_MAX = 5000
 CLOSURE_CHUNK = 1 << 16  # products per step of _closure; sizes the commutation blocks too
 
 
@@ -521,8 +520,6 @@ def conjugacy_classes(G: GroupTable) -> list[np.ndarray]:
 
 def is_simple(G: GroupTable) -> bool:
     """No conjugacy class generates a proper nontrivial normal subgroup."""
-    if len(G) > SIMPLE_MAX:
-        raise BoundExceeded(f"simplicity scan limited to {SIMPLE_MAX} elements, group has {len(G)}")
     if len(G) == 1:
         return False
     for cls in conjugacy_classes(G):
@@ -662,7 +659,6 @@ __all__ = [
     "KIND_GL2",
     "KIND_SL2",
     "PAIRS_MAX",
-    "SIMPLE_MAX",
     "SL2_MAX_LEVEL",
     "CtReport",
     "GroupTable",

@@ -99,6 +99,11 @@ def test_group_commands(capsys):
     assert code == 0 and "image order: 60" in out and "all even: true" in out
 
 
+def test_group_simple_runs_at_the_top_level(capsys):
+    # no element bound stands between is_simple and SL2(32)
+    assert run(capsys, "group", "simple", "--level", "5") == (0, "simple: true", "")
+
+
 def test_exit_codes(capsys):
     code, _, err = run(capsys, "field", "order", "0xZZ@2")
     assert code == 2 and "0xZZ@2" in err

@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 
+import numpy as np
 import pytest
 
 from sl2bar import endo, finite_engine as fe, sl2_core, verify
@@ -92,13 +93,19 @@ def test_apply_group_endo_is_homomorphism():
 
 def test_vectorized_apply_matches_scalar():
     G = fe.enumerate_group(2)
+    every = np.arange(len(G))
+    # U of the replay at n2: g, the swap matrix, the diagonal and the lower triangulars
+    diag, lower = (fe.subset_indices(G, s) for s in (sl2_core.SubsetName.DIAG, sl2_core.SubsetName.LOWER_TRI))
+    subset = np.concatenate([[G.index_of(diag_mat(G2, cinv(G2))), G.index_of(SWAP)], diag, lower])
+    assert len(subset) == 2 + 3 + 12 and len(np.unique(subset)) < len(G)
     perms = {}
     for spec in replay_family(2)[:24]:
-        img = apply_spec_to_table(spec, G)
+        img = apply_spec_to_table(spec, G, {}, every)
         assert [int(x) for x in img] == [G.index_of(apply_group_endo(spec, G.mat(i))) for i in range(len(G))]
-        assert list(apply_spec_to_table(spec, G, perms)) == list(img)  # a shared cache changes nothing
+        assert list(apply_spec_to_table(spec, G, perms, every)) == list(img)  # a shared cache changes nothing
+        assert list(apply_spec_to_table(spec, G, perms, subset)) == list(img[subset])
     with pytest.raises(LevelMismatch):
-        apply_spec_to_table(Entrywise(FieldEndo(4, 1)), G)
+        apply_spec_to_table(Entrywise(FieldEndo(4, 1)), G, {}, every)
 
 
 def test_spec_str():
@@ -156,6 +163,40 @@ def test_replay_fails_on_the_transpose_mutant(monkeypatch):
     assert by_name["c12-replay/n2"].status == "fail"
     error = by_name["c12-replay/n2"].witness["error"]
     assert error.startswith("InvariantViolated: ") and "is not a homomorphism" in error
+
+
+def _replay_n2_error(monkeypatch, corrupt) -> str:
+    # c12-replay/n2 with the inner map by the swap matrix corrupted by corrupt(p)
+    real = endo._base_perm
+
+    def mutant(spec, G):
+        p = real(spec, G)
+        if spec == InnerConj(SWAP):
+            corrupt(p)
+        return p
+
+    monkeypatch.setattr(endo, "_base_perm", mutant)
+    report = verify.run_suite(max_level=2, name_filter="c12-replay")
+    check = {c.name: c for c in report.checks}["c12-replay/n2"]
+    assert check.status == "fail"
+    return check.witness["error"]
+
+
+def test_replay_fails_on_a_base_map_that_merges_two_elements(monkeypatch):
+    def merge(p):
+        p[7] = p[8]
+
+    error = _replay_n2_error(monkeypatch, merge)
+    assert error == f"InvariantViolated: {spec_str(InnerConj(SWAP))} is not bijective"
+
+
+def test_replay_fails_on_a_base_map_with_two_entries_swapped(monkeypatch):
+    def swap(p):
+        p[[7, 8]] = p[[8, 7]]
+
+    error = _replay_n2_error(monkeypatch, swap)
+    assert error.startswith("InvariantViolated: ")
+    assert "disagrees with the scalar path" in error or "is not a homomorphism" in error
 
 
 def test_replay_rejects_bad_levels():
