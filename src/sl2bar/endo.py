@@ -6,25 +6,26 @@ Field endomorphisms of GF(2^n) are exactly the n squaring powers
 x -> x^(2^j); each is bijective, permutes the conjugate set of every
 element, and permutes the set of maximal-order elements.
 
-Group endomorphism specifications combine entrywise field endomorphisms,
-inner conjugations, the inverse-transpose map, and compositions of these
-(a composition applies its parts left to right).  Over an enumerated
-group a base map is its image permutation, one pass over the table, and
-a specification maps any array of element indices by gathering through
-its parts' permutations.
+Group endomorphism specifications are the three base kinds: entrywise
+field endomorphisms, inner conjugations and the inverse-transpose map.
+Over an enumerated group a base map is its image permutation, one pass
+over the table.  A member of the replay family is a word over its base
+maps, a tuple of base positions applied left to right, and its images of
+any index array come from gathering through the rows of one
+(base maps, |G|) permutation stack.
 
-The replay builds each base map's permutation once and checks it once:
-bijective, in agreement with the scalar path, and a homomorphism on the
-greedy generating set of the whole group that the one subgroup closure
-keeps (three elements at every replay level).  Composites of checked
-bijective homomorphisms need no check.  It then walks the eight-step
-argument for each family member on the images of the elements the
-argument reads, U = [g, swap, diagonal, lower triangulars] (257 at
-level 4): fix an order-3 diagonal g, keep its image in g's class and
-straighten the images by the lowest inner map sending it back to g (one
-conjugator table per level), track the diagonal subgroup, the swap
-matrix and the lower-triangular set, choose the final twist, and
-conclude bijectivity from the checked base maps.
+The replay builds the stack once and checks each row once: bijective, in
+agreement with the scalar path, and a homomorphism on the greedy
+generating set of the whole group that the one subgroup closure keeps
+(three elements at every replay level).  Words over checked bijective
+homomorphisms need no check.  It then walks the eight-step argument for
+each word on the images of the elements the argument reads, U = [g,
+swap, diagonal, lower triangulars] (257 at level 4): fix an order-3
+diagonal g, keep its image in g's class and straighten the images by the
+lowest inner map sending it back to g (one conjugator table per level),
+track the diagonal subgroup, the swap matrix and the lower-triangular
+set, choose the final twist, and conclude bijectivity from the checked
+base maps.
 """
 
 from __future__ import annotations
@@ -115,16 +116,7 @@ class InvTranspose:
     pass
 
 
-@dataclass(frozen=True)
-class Compose:
-    parts: tuple  # applied left to right
-
-    def __post_init__(self):
-        if not self.parts:
-            raise ValueError("empty composition")
-
-
-GroupEndoSpec = Union[Entrywise, InnerConj, InvTranspose, Compose]
+GroupEndoSpec = Union[Entrywise, InnerConj, InvTranspose]
 
 
 def spec_str(spec: GroupEndoSpec) -> str:
@@ -134,8 +126,6 @@ def spec_str(spec: GroupEndoSpec) -> str:
         return f"inner({spec.mat})"
     if isinstance(spec, InvTranspose):
         return "invtrans"
-    if isinstance(spec, Compose):
-        return "*".join(spec_str(p) for p in spec.parts)
     raise TypeError(spec)
 
 
@@ -153,10 +143,6 @@ def apply_group_endo(spec: GroupEndoSpec, M: Mat2) -> Mat2:
         return sl.conj(spec.mat, M)
     if isinstance(spec, InvTranspose):
         return sl.inv_transpose(M)
-    if isinstance(spec, Compose):
-        for part in spec.parts:
-            M = apply_group_endo(part, M)
-        return M
     raise TypeError(spec)
 
 
@@ -176,21 +162,6 @@ def _base_perm(spec: GroupEndoSpec, G: fe.GroupTable) -> np.ndarray:
     if isinstance(spec, InvTranspose):
         return G.index_of_rows(G.masks[:, [3, 2, 1, 0]])
     raise TypeError(spec)
-
-
-def apply_spec_to_table(spec: GroupEndoSpec, G: fe.GroupTable, perms: dict, idx: np.ndarray) -> np.ndarray:
-    """Image indices of the group elements idx under the specification.
-    Each base map is one permutation of the table, built by _base_perm
-    once per ``perms`` dict (a cache for this one table); a composition
-    gathers through its parts, left to right, so once its base maps are
-    built a call costs len(idx) per part."""
-    if isinstance(spec, Compose):
-        for part in spec.parts:
-            idx = apply_spec_to_table(part, G, perms, idx)
-        return idx
-    if spec not in perms:
-        perms[spec] = _base_perm(spec, G)
-    return perms[spec][idx]
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +203,21 @@ class ReplayReport:
         return [e.to_json() for e in self.entries]
 
 
-def replay_family(n: int) -> list[GroupEndoSpec]:
-    """The deterministic endomorphism family: entrywise squaring powers,
-    the inverse transpose, three fixed inner conjugations, and all
-    compositions of those base maps up to depth 3."""
+def replay_family(n: int) -> tuple[list[GroupEndoSpec], list[tuple[int, ...]]]:
+    """The deterministic endomorphism family as (base, words).  The base
+    maps are the entrywise squaring powers, the inverse transpose and three
+    fixed inner conjugations; a word is a tuple of base positions, applied
+    left to right, and the family is every word of length 1 to 3, in
+    itertools.product order within each length."""
     g = closure.reduce_elt(gen(n))
     base: list[GroupEndoSpec] = [Entrywise(FieldEndo(n, j)) for j in range(n)]
     base.append(InvTranspose())
     base.append(InnerConj(SWAP))
     base.append(InnerConj(sl.diag_mat(g, cinv(g))))
     base.append(InnerConj(sl.upper_uni(closure.ONE)))
-    specs: list[GroupEndoSpec] = list(base)
-    for depth in range(2, _COMPOSE_DEPTH + 1):
-        specs.extend(Compose(word) for word in itertools.product(base, repeat=depth))
-    return specs
+    positions = range(len(base))
+    words = [w for depth in range(1, _COMPOSE_DEPTH + 1) for w in itertools.product(positions, repeat=depth)]
+    return base, words
 
 
 def _fail(step: int, msg: str, witness=None):
@@ -258,8 +230,8 @@ def _check_base_map(spec: GroupEndoSpec, G: fe.GroupTable, p: np.ndarray, gens: 
     p[x s] = p[x] p[s] for every x and every s in gens (prods[x, j] =
     x gens[j]), a greedy generating set of G.  The y with p(xy) =
     p(x)p(y) for all x form a subgroup, and it holds gens, so it is G;
-    composites of checked base maps are bijective homomorphisms too and
-    need no check."""
+    words over checked base maps are bijective homomorphisms too and need
+    no check."""
     if not np.array_equal(np.sort(p), np.arange(len(G))):
         raise InvariantViolated(f"{spec_str(spec)} is not bijective")
     for i in (0, 1, len(G) // 2):
@@ -271,17 +243,17 @@ def _check_base_map(spec: GroupEndoSpec, G: fe.GroupTable, p: np.ndarray, gens: 
 
 def replay_cohopf_skeleton(n: int) -> ReplayReport:
     """Run the eight-step argument for every family member over the
-    level-n determinant-one group.  Each base map is one permutation of
-    the table, built and checked (bijective, scalar path, homomorphism)
-    once; each member is then only its images of U = [g, swap, diagonal,
-    lower triangulars], the elements steps 2-7 read, gathered through its
-    parts and straightened by one inner map, so no per-member work scans
-    the whole table.  Step 8 needs no scan: a composite of checked
-    bijections, straightened by an inner map, is a bijection, and its
-    witness is the group order.  Raises InvariantViolated on a base map
-    that is not a bijective homomorphism and StepFailed on any step
-    violation; a returned report therefore records only passes (with
-    witnesses)."""
+    level-n determinant-one group.  The base maps are the rows of one
+    permutation stack P, built and checked (bijective, scalar path,
+    homomorphism) once; each member is a word over them and only its
+    images of U = [g, swap, diagonal, lower triangulars], the elements
+    steps 2-7 read, gathered through the rows of P its word names and
+    straightened by one inner map, so no per-member work scans the whole
+    table.  Step 8 needs no scan: a word of checked bijections,
+    straightened by an inner map, is a bijection, and its witness is the
+    group order.  Raises InvariantViolated on a base map that is not a
+    bijective homomorphism and StepFailed on any step violation; a
+    returned report therefore records only passes (with witnesses)."""
     if n > REPLAY_MAX_LEVEL:
         raise BoundExceeded(f"replay limited to levels <= {REPLAY_MAX_LEVEL}, got {n}")
     if n % 2:
@@ -306,19 +278,22 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     alpha_of = np.full(len(G), -1)
     alpha_of[conjugates] = first_x
 
-    family = replay_family(n)
-    perms: dict = {}  # base map -> permutation
+    base, words = replay_family(n)
     gens = fe._generators(fe.SubgroupRef(G, np.ones(len(G), dtype=bool)))
     prods = G.mul_vec(np.arange(len(G))[:, None], gens[None, :])
-    for spec in family:
-        if not isinstance(spec, Compose):
-            _check_base_map(spec, G, apply_spec_to_table(spec, G, perms, np.arange(len(G))), gens, prods)
+    P = np.stack([_base_perm(spec, G) for spec in base])  # P[b]: the permutation of base map b
+    for spec, p in zip(base, P):
+        _check_base_map(spec, G, p, gens, prods)
+    invtrans = P[base.index(InvTranspose())]
+    names = [spec_str(spec) for spec in base]
 
     anchor = {"theta": str(theta), "g": mat_to_json(g_mat)}
     entries = []
-    for spec in family:
+    for word in words:
         steps = []
-        img = apply_spec_to_table(spec, G, perms, U)
+        img = U
+        for b in word:
+            img = P[b, img]
 
         # 1: the order-3 diagonal anchor exists at this level
         steps.append(ReplayStep(1, "pass", anchor))
@@ -333,7 +308,7 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
 
         # 3: straighten with the first inner map sending the image back to g
         alpha = int(alpha_of[ig])
-        aimg = G.conj_vec(alpha, img)
+        aimg = G.conj_vec(alpha, img)  # per member: a batch over the words raised verify's peak RSS
         if int(aimg[0]) != g_idx:
             _fail(3, "straightened map does not fix g")
         steps.append(ReplayStep(3, "pass", {"alpha": G.mat_json(alpha)}))
@@ -374,7 +349,7 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
         steps.append(ReplayStep(6, "pass", {"beta": "invtrans" if beta_is_invtrans else "identity"}))
 
         # 7: after the twist, the lower-triangular set maps onto itself
-        final = apply_spec_to_table(InvTranspose(), G, perms, lower_img) if beta_is_invtrans else lower_img
+        final = invtrans[lower_img] if beta_is_invtrans else lower_img
         if not np.array_equal(np.sort(final), lower):
             _fail(7, "twisted map is not onto the lower-triangular set")
         steps.append(ReplayStep(7, "pass", {"lower_triangular_size": int(len(lower))}))
@@ -383,12 +358,11 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
         # (a composite of checked bijections: see the docstring)
         steps.append(ReplayStep(8, "pass", {"group_order": int(len(G))}))
 
-        entries.append(ReplayEntry(spec_str(spec), steps))
+        entries.append(ReplayEntry("*".join(names[b] for b in word), steps))
     return ReplayReport(n, entries)
 
 
 __all__ = [
-    "Compose",
     "Entrywise",
     "FieldEndo",
     "GroupEndoSpec",
@@ -399,7 +373,6 @@ __all__ = [
     "ReplayReport",
     "ReplayStep",
     "apply_group_endo",
-    "apply_spec_to_table",
     "endo_permutes_max_order",
     "field_endos",
     "first_unpermuted_root",

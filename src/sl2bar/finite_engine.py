@@ -269,10 +269,9 @@ def named_subgroup(G: GroupTable, name: SubsetName) -> SubgroupRef:
     return SubgroupRef(G, subset_member(G, name))
 
 
-def centralizer_bf(G: GroupTable, g) -> SubgroupRef:
-    """Brute-force centralizer of an element (index or Mat2)."""
-    gi = g if isinstance(g, (int, np.integer)) else G.index_of(g)
-    return SubgroupRef(G, G.commutes_with(int(gi)))
+def centralizer_bf(G: GroupTable, g: int) -> SubgroupRef:
+    """Brute-force centralizer of the element with index g."""
+    return SubgroupRef(G, G.commutes_with(g))
 
 
 def normalizer_bf(G: GroupTable, H: SubgroupRef) -> SubgroupRef:

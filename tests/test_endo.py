@@ -10,13 +10,12 @@ import pytest
 from sl2bar import endo, finite_engine as fe, sl2_core, verify
 from sl2bar.closure import ONE, ZERO, celt, cinv
 from sl2bar.endo import (
-    Compose,
     Entrywise,
     FieldEndo,
     InnerConj,
     InvTranspose,
+    _base_perm,
     apply_group_endo,
-    apply_spec_to_table,
     endo_permutes_max_order,
     field_endos,
     replay_cohopf_skeleton,
@@ -33,6 +32,13 @@ from sl2bar.gf2_field import FieldElt, gen, power
 from sl2bar.sl2_core import SWAP, Mat2, diag_mat, mat_from_masks, mmul, random_sl2_masks, upper_uni
 
 G2 = celt(2, 2)
+
+
+def _apply_word(parts, M):
+    # the scalar image of M under base maps applied left to right
+    for part in parts:
+        M = apply_group_endo(part, M)
+    return M
 
 
 def test_field_endos_examples():
@@ -67,8 +73,7 @@ def test_apply_group_endo_examples():
     assert apply_group_endo(InvTranspose(), upper_uni(ONE)) == lower
     inner = InnerConj(SWAP)
     assert apply_group_endo(inner, upper_uni(ONE)) == lower
-    comp = Compose((squaring, InvTranspose()))
-    assert apply_group_endo(comp, D) == diag_mat(G2, cinv(G2))
+    assert _apply_word((squaring, InvTranspose()), D) == diag_mat(G2, cinv(G2))
     with pytest.raises(PreconditionError):
         InnerConj(diag_mat(G2, G2))
     with pytest.raises(LevelMismatch):
@@ -77,18 +82,31 @@ def test_apply_group_endo_examples():
 
 def test_apply_group_endo_is_homomorphism():
     rng = random.Random(14)
-    specs = [
-        Entrywise(FieldEndo(4, 1)),
-        Entrywise(FieldEndo(4, 3)),
-        InvTranspose(),
-        InnerConj(SWAP),
-        Compose((Entrywise(FieldEndo(4, 2)), InvTranspose(), InnerConj(upper_uni(ONE)))),
+    words = [
+        (Entrywise(FieldEndo(4, 1)),),
+        (Entrywise(FieldEndo(4, 3)),),
+        (InvTranspose(),),
+        (InnerConj(SWAP),),
+        (Entrywise(FieldEndo(4, 2)), InvTranspose(), InnerConj(upper_uni(ONE))),
     ]
-    for spec in specs:
+    for word in words:
         for _ in range(50):
             M = mat_from_masks(4, random_sl2_masks(rng, 4))
             N = mat_from_masks(4, random_sl2_masks(rng, 4))
-            assert apply_group_endo(spec, mmul(M, N)) == mmul(apply_group_endo(spec, M), apply_group_endo(spec, N))
+            assert _apply_word(word, mmul(M, N)) == mmul(_apply_word(word, M), _apply_word(word, N))
+
+
+def test_base_perms_match_scalar():
+    # every element at n2, a fixed stride of 240 elements at n4
+    for n, stride in ((2, 1), (4, 17)):
+        G = fe.enumerate_group(n)
+        sample = range(0, len(G), stride)
+        assert len(sample) == (len(G) if n == 2 else 240)
+        for spec in replay_family(n)[0]:
+            p = _base_perm(spec, G)
+            assert [int(p[i]) for i in sample] == [G.index_of(apply_group_endo(spec, G.mat(i))) for i in sample]
+    with pytest.raises(LevelMismatch):
+        _base_perm(Entrywise(FieldEndo(4, 1)), fe.enumerate_group(2))
 
 
 def test_vectorized_apply_matches_scalar():
@@ -98,39 +116,45 @@ def test_vectorized_apply_matches_scalar():
     diag, lower = (fe.subset_indices(G, s) for s in (sl2_core.SubsetName.DIAG, sl2_core.SubsetName.LOWER_TRI))
     subset = np.concatenate([[G.index_of(diag_mat(G2, cinv(G2))), G.index_of(SWAP)], diag, lower])
     assert len(subset) == 2 + 3 + 12 and len(np.unique(subset)) < len(G)
-    perms = {}
-    for spec in replay_family(2)[:24]:
-        img = apply_spec_to_table(spec, G, {}, every)
-        assert [int(x) for x in img] == [G.index_of(apply_group_endo(spec, G.mat(i))) for i in range(len(G))]
-        assert list(apply_spec_to_table(spec, G, perms, every)) == list(img)  # a shared cache changes nothing
-        assert list(apply_spec_to_table(spec, G, perms, subset)) == list(img[subset])
-    with pytest.raises(LevelMismatch):
-        apply_spec_to_table(Entrywise(FieldEndo(4, 1)), G, {}, every)
+    base, words = replay_family(2)
+    P = np.stack([_base_perm(spec, G) for spec in base])
+    for word in words[:24]:
+        img, sub = every, subset
+        for b in word:
+            img, sub = P[b, img], P[b, sub]
+        parts = [base[b] for b in word]
+        assert [int(x) for x in img] == [G.index_of(_apply_word(parts, G.mat(i))) for i in range(len(G))]
+        assert list(sub) == list(img[subset])
 
 
 def test_spec_str():
     assert spec_str(Entrywise(FieldEndo(2, 1))) == "frob^1"
     assert spec_str(InvTranspose()) == "invtrans"
-    assert spec_str(Compose((InvTranspose(), Entrywise(FieldEndo(2, 0))))) == "invtrans*frob^0"
     assert spec_str(InnerConj(SWAP)).startswith("inner(")
 
 
 def test_replay_family_size_and_determinism():
-    fam2 = replay_family(2)
-    base = 2 + 1 + 3
-    assert len(fam2) == base + base**2 + base**3
-    assert [spec_str(s) for s in fam2] == [spec_str(s) for s in replay_family(2)]
+    for n, size in ((2, 6 + 36 + 216), (4, 8 + 64 + 512)):
+        base, words = replay_family(n)
+        assert len(base) == n + 4 and len(words) == size
+        assert [spec_str(s) for s in base] == [spec_str(s) for s in replay_family(n)[0]]
+        assert words == replay_family(n)[1]
+    base, words = replay_family(2)
+    assert [spec_str(s) for s in base[:3]] == ["frob^0", "frob^1", "invtrans"]
+    assert base[3:] == [InnerConj(SWAP), InnerConj(diag_mat(G2, cinv(G2))), InnerConj(upper_uni(ONE))]
+    assert words[:7] == [(0,), (1,), (2,), (3,), (4,), (5,), (0, 0)] and words[-1] == (5, 5, 5)
 
 
 def test_replay_level2():
     report = replay_cohopf_skeleton(2)
     assert report.level == 2
-    assert len(report.entries) == len(replay_family(2))
+    assert len(report.entries) == len(replay_family(2)[1])
     for entry in report.entries:
         assert [s.id for s in entry.steps] == list(range(1, 9))
         assert all(s.status == "pass" for s in entry.steps)
     payload = report.to_json()
     assert isinstance(payload, list) and payload[0]["phi"] == "frob^0"
+    assert payload[7]["phi"] == "frob^0*frob^1"  # the word (0, 1)
     assert {s["id"] for s in payload[0]["steps"]} == set(range(1, 9))
     json.dumps(payload)  # serializable
 

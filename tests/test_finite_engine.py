@@ -160,10 +160,10 @@ def test_index_products_agree_with_scalar_matrix_products():
 def test_centralizer_examples():
     G = sl2(2)
     assert fe.centralizer_bf(G, 0).size == len(G)
-    cz = fe.centralizer_bf(G, diag_mat(G2, cinv(G2)))
+    cz = fe.centralizer_bf(G, G.index_of(diag_mat(G2, cinv(G2))))
     assert cz.size == 3
     assert cz == fe.named_subgroup(G, SubsetName.DIAG)
-    czu = fe.centralizer_bf(G, upper_uni(ONE))
+    czu = fe.centralizer_bf(G, G.index_of(upper_uni(ONE)))
     assert czu.size == 4
     assert czu == fe.named_subgroup(G, SubsetName.UPPER_UNI)
     for H in (cz, czu):
