@@ -140,8 +140,8 @@ def test_replay_family_size_and_determinism():
         assert [spec_str(s) for s in base] == [spec_str(s) for s in replay_family(n)[0]]
         assert words == replay_family(n)[1]
     base, words = replay_family(2)
-    assert [spec_str(s) for s in base[:3]] == ["frob^0", "frob^1", "invtrans"]
-    assert base[3:] == [InnerConj(SWAP), InnerConj(diag_mat(G2, cinv(G2))), InnerConj(upper_uni(ONE))]
+    frob = [Entrywise(FieldEndo(2, j)) for j in (0, 1)]
+    assert base == [*frob, InvTranspose(), InnerConj(SWAP), InnerConj(diag_mat(G2, cinv(G2))), InnerConj(upper_uni(ONE))]
     assert words[:7] == [(0,), (1,), (2,), (3,), (4,), (5,), (0, 0)] and words[-1] == (5, 5, 5)
 
 
