@@ -108,9 +108,13 @@ class _ExprParser:
                 self.take()
                 sign = -1
             tok = self.take()
-            if not tok.isdigit():
+            if not (tok.isascii() and tok.isdigit()):  # str.isdigit alone takes '²' and other scripts' digits
                 raise ParseError(f"bad exponent {tok!r}")
-            val = cpow(val, sign * int(tok))
+            try:
+                e = int(tok)
+            except ValueError:  # more digits than int() converts
+                raise ParseError(f"bad exponent {tok!r}: too many digits") from None
+            val = cpow(val, sign * e)
         return val
 
     def atom(self) -> ClosureElt:

@@ -68,15 +68,6 @@ class ClosureElt:
     def is_one(self) -> bool:
         return self.elt.is_one
 
-    def __add__(self, other: "ClosureElt") -> "ClosureElt":
-        return cadd(self, other)
-
-    def __mul__(self, other: "ClosureElt") -> "ClosureElt":
-        return cmul(self, other)
-
-    def __pow__(self, e: int) -> "ClosureElt":
-        return cpow(self, e)
-
     def __str__(self) -> str:
         return str(self.elt)
 

@@ -21,9 +21,10 @@ through it.  One index, `GroupTable._index`, maps entry columns back to
 an index: in closed form for the determinant-one group, whose members are
 fixed by three of their entries, and through a table of the at most 4096
 packed codes for the invertible group.  Membership is a round trip: a row
-is a member when the element at its index has its entries.  Two
-elements commute when their two products have the same code, so a wrong
-commutation test can only come from a wrong product.  Each table holds
+is a member when the element at its index has its entries.  One
+commutation test, `GroupTable.commute_vec`, says two elements commute
+when their two products have the same code, so a wrong commutation test
+can only come from a wrong product.  Each table holds
 the closure values of its level's q masks, so a matrix is read from them,
 never reduced again.
 
@@ -136,9 +137,6 @@ class GroupTable:
     def mat(self, i: int) -> Mat2:
         return Mat2(*(self.elts[x] for x in self.cols[:, i].tolist()))
 
-    def literal(self, i: int) -> str:
-        return str(self.mat(i))
-
     def mat_json(self, i: int) -> list[str]:
         return mat_to_json(self.mat(i))
 
@@ -149,18 +147,18 @@ class GroupTable:
         n, c = self.level, self.cols
         return self._index(_mul(self._flat, n, c[:, i], c[:, j]))
 
-    def mul_index(self, i: int, j: int) -> int:
-        return int(self.mul_vec(np.int64(i), np.int64(j)))
-
     def conj_vec(self, i, j) -> np.ndarray:
         """Index of element i * j * i^(-1), broadcasting."""
         n, F, c = self.level, self._flat, self.cols
         return self._index(_mul(F, n, _mul(F, n, c[:, i], c[:, j]), c[:, self.inv_index[i]]))
 
-    def commutes_with(self, g: int) -> np.ndarray:
-        """Boolean vector: which elements x have g x = x g."""
-        n, x, y = self.level, self.cols, self.cols[:, g]
-        return _code(n, _mul(self._flat, n, y, x)) == _code(n, _mul(self._flat, n, x, y))
+    def commute_vec(self, i, j) -> np.ndarray:
+        """Indexwise: do elements i and j commute?  i and j broadcast
+        together; two elements commute when their two products have the
+        same code."""
+        n, F, c = self.level, self._flat, self.cols
+        x, y = c[:, i], c[:, j]
+        return _code(n, _mul(F, n, x, y)) == _code(n, _mul(F, n, y, x))
 
     def element_orders(self) -> np.ndarray:
         """Orders by iterated products, of one member per conjugacy class:
@@ -271,7 +269,7 @@ def named_subgroup(G: GroupTable, name: SubsetName) -> SubgroupRef:
 
 def centralizer_bf(G: GroupTable, g: int) -> SubgroupRef:
     """Brute-force centralizer of the element with index g."""
-    return SubgroupRef(G, G.commutes_with(g))
+    return SubgroupRef(G, G.commute_vec(slice(None), g))  # a view of every column: an index array would gather a copy
 
 
 def normalizer_bf(G: GroupTable, H: SubgroupRef) -> SubgroupRef:
@@ -287,14 +285,11 @@ def _commute_blocks(G: GroupTable, idx):
     """The commutation table of the elements idx above its diagonal, in row
     blocks: yields (k, C), where C[i, j] tells whether idx[k + i] and
     idx[k + j] commute, for the rows from k and only the columns from k.
-    Two elements commute when their two products have the same code.  A
-    block makes about CLOSURE_CHUNK / 2 products or fewer; blocks of
+    A block makes about CLOSURE_CHUNK / 2 products or fewer; blocks of
     CLOSURE_CHUNK ran slower on the 504-element table."""
-    n, x = G.level, G.cols[:, idx]
     step = max(1, CLOSURE_CHUNK // (4 * len(idx)))  # rows: two products a pair
     for k in range(0, len(idx), step):
-        r, c = x[:, k : k + step, None], x[:, None, k:]
-        yield k, _code(n, _mul(G._flat, n, r, c)) == _code(n, _mul(G._flat, n, c, r))
+        yield k, G.commute_vec(idx[k : k + step, None], idx[None, k:])
 
 
 def is_abelian(H: SubgroupRef) -> bool:
@@ -390,10 +385,8 @@ class CtReport:
         if self.holds != (self.witness is None):
             raise InvariantViolated("a report fails exactly when it carries a witness")
         if self.witness is not None:
-            G = self.group
             x, y, z = self.witness
-            commutes = [G.mul_index(s, t) == G.mul_index(t, s) for s, t in ((x, y), (y, z), (x, z))]
-            if y == 0 or commutes != [True, True, False]:
+            if y == 0 or self.group.commute_vec([x, y, x], [y, z, z]).tolist() != [True, True, False]:
                 raise InvariantViolated(f"witness {self.witness} is not a commutation-transitivity counterexample")
 
     def to_json(self) -> dict:
@@ -405,7 +398,7 @@ class CtReport:
     def witness_literals(self) -> list[str] | None:
         if self.witness is None:
             return None
-        return [self.group.literal(i) for i in self.witness]
+        return [str(self.group.mat(i)) for i in self.witness]
 
 
 def ct_check_centralizers(G: GroupTable) -> CtReport:
@@ -418,7 +411,7 @@ def ct_check_centralizers(G: GroupTable) -> CtReport:
     Orbit-stabilizer, |C(g)| |class(g)| = |G|, guards the classes."""
     for cls in conjugacy_classes(G)[1:]:
         g = int(cls[0])
-        cz = np.flatnonzero(G.commutes_with(g))
+        cz = centralizer_bf(G, g).indices()
         if len(cz) * len(cls) != len(G):
             raise InvariantViolated(f"element {g}: centralizer of {len(cz)} and class of {len(cls)} in a group of {len(G)}")
         for k, C in _commute_blocks(G, cz):
@@ -552,7 +545,7 @@ def unipotent_as_order3_product(G: GroupTable) -> tuple[int, int]:
     target = G.index_of_rows(np.array([[1, 1, 0, 1]], dtype=np.int64))[0]
     orders = G.element_orders()
     for a in np.flatnonzero(orders == 3):
-        b = G.mul_index(int(G.inv_index[a]), int(target))
+        b = int(G.mul_vec(G.inv_index[a], target))
         if orders[b] == 3:
             return int(a), int(b)
     raise SearchFailed("no order-3 factorization of the unipotent element")
@@ -583,9 +576,7 @@ def ut_lt_disjointness(G: GroupTable) -> bool:
         return False
     ut = ut[ut != 0]
     lt = lt[lt != 0]
-    left = G.mul_vec(ut[:, None], lt[None, :])
-    right = G.mul_vec(lt[None, :], ut[:, None])
-    return bool(np.all(left != right))
+    return not G.commute_vec(ut[:, None], lt[None, :]).any()
 
 
 # ---------------------------------------------------------------------------
@@ -639,12 +630,10 @@ def projective_action(G: GroupTable) -> ProjectiveAction:
     if G.kind != KIND_SL2 or G.level > 4:
         raise BoundExceeded("projective action limited to determinant-one tables at levels <= 4")
     q, MUL, INV = G.q, G.MUL, G.INV
-    a, b, c, d = G.cols
     perms = np.empty((len(G), q + 1), dtype=np.int64)
     for p in range(q + 1):
         px, py = (p, 1) if p < q else (1, 0)
-        xs = MUL[a, px] ^ MUL[b, py]
-        ys = MUL[c, px] ^ MUL[d, py]
+        xs, _, ys, _ = _mul(G._flat, G.level, G.cols, (px, 0, py, 0))  # each element times the column (px, py)
         perms[:, p] = np.where(ys != 0, MUL[xs, INV[ys]], q)
     return ProjectiveAction(G, perms)
 

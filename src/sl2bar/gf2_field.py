@@ -75,15 +75,6 @@ class FieldElt:
     def is_one(self) -> bool:
         return self.mask == 1
 
-    def __add__(self, other: "FieldElt") -> "FieldElt":
-        return add(self, other)
-
-    def __mul__(self, other: "FieldElt") -> "FieldElt":
-        return mul(self, other)
-
-    def __pow__(self, e: int) -> "FieldElt":
-        return power(self, e)
-
     def __str__(self) -> str:
         return f"0x{self.mask:x}@{self.level}"
 
@@ -123,7 +114,10 @@ def parse_elt(text: str) -> FieldElt:
     if not m:
         raise ParseError(f"bad element literal {text!r}")
     mask = int(m.group(1), 16)
-    level = int(m.group(2))
+    try:
+        level = int(m.group(2))
+    except ValueError:  # more digits than int() converts
+        raise ParseError(f"bad element literal {text!r}: level outside 1..{N_MAX}") from None
     if not 1 <= level <= N_MAX:
         raise ParseError(f"bad element literal {text!r}: level {level} outside 1..{N_MAX}")
     if mask >= 1 << level:

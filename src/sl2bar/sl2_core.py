@@ -47,9 +47,6 @@ class Mat2:
     c: ClosureElt
     d: ClosureElt
 
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return mmul(self, other)
-
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
 

@@ -91,10 +91,6 @@ def _seed(name: str) -> int:
     return zlib.crc32(name.encode())
 
 
-def _sl2(n: int) -> fe.GroupTable:
-    return fe.enumerate_group(n, fe.KIND_SL2)
-
-
 def _need(cond: bool, msg: str, witness=None) -> None:
     if not cond:
         raise CheckFailure(msg, witness)
@@ -144,11 +140,11 @@ def _check_ct_maxab_agree(n: int, kind: str):
 
 
 def _check_prop3(n: int):
-    G = _sl2(n)
+    G = fe.enumerate_group(n, fe.KIND_SL2)
     q = 1 << n
     delta = fe.named_subgroup(G, SubsetName.DIAG)
     for i in delta.indices()[1:]:
-        _need(fe.centralizer_bf(G, i) == delta, f"centralizer of {G.literal(i)} is not the diagonal subgroup")
+        _need(fe.centralizer_bf(G, i) == delta, f"centralizer of {G.mat(i)} is not the diagonal subgroup")
     _need(delta.size == q - 1, f"diagonal subgroup has {delta.size} elements")
     dorders = G.element_orders()[delta.indices()]
     _need(int(dorders.max()) == q - 1, "diagonal subgroup is not cyclic of full order")
@@ -156,7 +152,7 @@ def _check_prop3(n: int):
 
 
 def _check_prop4(n: int):
-    G = _sl2(n)
+    G = fe.enumerate_group(n, fe.KIND_SL2)
     delta = fe.named_subgroup(G, SubsetName.DIAG)
     dprime = fe.subset_indices(G, SubsetName.OFF_DIAG)
     nd = fe.normalizer_bf(G, delta)
@@ -175,7 +171,7 @@ def _check_prop4(n: int):
 
 
 def _check_prop56(n: int):
-    G = _sl2(n)
+    G = fe.enumerate_group(n, fe.KIND_SL2)
     q = 1 << n
     ut = fe.named_subgroup(G, SubsetName.UPPER_UNI)
     lt = fe.named_subgroup(G, SubsetName.LOWER_UNI)
@@ -184,7 +180,7 @@ def _check_prop56(n: int):
     delta = fe.named_subgroup(G, SubsetName.DIAG)
     for uni, label in ((ut, "upper"), (lt, "lower")):
         for i in uni.indices()[1:]:
-            _need(fe.centralizer_bf(G, i) == uni, f"centralizer of {G.literal(i)} is not the {label} unitriangulars")
+            _need(fe.centralizer_bf(G, i) == uni, f"centralizer of {G.mat(i)} is not the {label} unitriangulars")
     _need(fe.normalizer_bf(G, ut) == upper, "normalizer of the upper unitriangulars is not the upper triangulars")
     _need(fe.normalizer_bf(G, lt) == lower, "normalizer of the lower unitriangulars is not the lower triangulars")
     for tri, uni, label in ((upper, ut, "upper"), (lower, lt, "lower")):
@@ -201,7 +197,7 @@ def _check_prop56(n: int):
 
 
 def _check_prop7(n: int):
-    G = _sl2(n)
+    G = fe.enumerate_group(n, fe.KIND_SL2)
     _need(fe.ut_lt_disjointness(G), "unitriangular sides intersect or commute nontrivially")
     return None
 
@@ -211,18 +207,18 @@ def _check_prop7(n: int):
 
 
 def _check_dichotomy(n: int):
-    G = _sl2(n)
+    G = fe.enumerate_group(n, fe.KIND_SL2)
     orders = G.element_orders()
     traces = G.masks[:, 0] ^ G.masks[:, 3]
     for i in range(len(G)):
         d = int(orders[i])
         if not (d == 1 or d == 2 or d % 2 == 1):
-            raise CheckFailure(f"element {G.literal(i)} has even order {d} > 2")
+            raise CheckFailure(f"element {G.mat(i)} has even order {d} > 2")
         if (d == 2) != (traces[i] == 0 and i != 0):
-            raise CheckFailure(f"trace criterion fails at {G.literal(i)}")
+            raise CheckFailure(f"trace criterion fails at {G.mat(i)}")
         got = sl.morder(G.mat(i))
         if got != d:
-            raise CheckFailure(f"class-based order {got} disagrees with iterated order {d} at {G.literal(i)}")
+            raise CheckFailure(f"class-based order {got} disagrees with iterated order {d} at {G.mat(i)}")
     return {"elements": len(G)}
 
 
@@ -292,7 +288,7 @@ def _check_eq1_eq2():
 
 
 def _check_generation(n: int, which: str):
-    G = _sl2(n)
+    G = fe.enumerate_group(n, fe.KIND_SL2)
     gens = fe.generator_set(G, which)
     got = fe.subgroup_generated(G, gens).size
     _need(got == len(G), f"generated subgroup has {got} of {len(G)} elements")
@@ -311,13 +307,13 @@ def _check_diag_two_involutions():
 
 
 def _check_unipotent_order3():
-    G = _sl2(2)
+    G = fe.enumerate_group(2, fe.KIND_SL2)
     a, b = fe.unipotent_as_order3_product(G)
     orders = G.element_orders()
     target = int(G.index_of(sl.upper_uni(closure.ONE)))
-    _need(orders[a] == 3 and orders[b] == 3 and G.mul_index(a, b) == target, "factorization invalid")
+    _need(orders[a] == 3 and orders[b] == 3 and int(G.mul_vec(a, b)) == target, "factorization invalid")
     _need(int((orders == 3).sum()) == 20, "count of order-3 elements is not 20")
-    return {"a": G.literal(a), "b": G.literal(b)}
+    return {"a": str(G.mat(a)), "b": str(G.mat(b))}
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +321,7 @@ def _check_unipotent_order3():
 
 
 def _check_projective(n: int):
-    G = _sl2(n)
+    G = fe.enumerate_group(n, fe.KIND_SL2)
     pa = fe.projective_action(G)
     _need(pa.is_faithful(), "projective action has a nontrivial kernel")
     _need(pa.image_order() == len(G), f"image order {pa.image_order()} differs from group order")
@@ -337,7 +333,7 @@ def _check_projective(n: int):
 
 
 def _check_simple(n: int, expect: bool):
-    G = _sl2(n)
+    G = fe.enumerate_group(n, fe.KIND_SL2)
     got = fe.is_simple(G)
     _need(got == expect, f"simplicity scan returned {got}")
     return {"simple": got}

@@ -10,7 +10,7 @@ import pytest
 
 from sl2bar import conway
 from sl2bar.cli import eval_expr, main
-from sl2bar.closure import ZERO, celt
+from sl2bar.closure import ZERO, celt, cmul
 from sl2bar.conway import ConwayTable, format_table
 from sl2bar.errors import ParseError
 from sl2bar.gf2_field import gen, inv
@@ -38,7 +38,7 @@ def test_field_commands(capsys):
     code, out, _ = run(capsys, "field", "eval", "0x2@2 * 0x3@2")
     assert (code, out) == (0, "0x1@1")
     code, out, _ = run(capsys, "field", "eval", "(0x2@2 + 0x1@1)^2 / 0x2@2")
-    assert code == 0 and out == str(celt(2, 3) * celt(2, 3) * celt(2, 3))
+    assert code == 0 and out == str(cmul(cmul(celt(2, 3), celt(2, 3)), celt(2, 3)))
 
 
 def test_max_order_count_at_the_log_table_bound(capsys):
@@ -113,6 +113,16 @@ def test_exit_codes(capsys):
     assert code == 1 and "BoundExceeded" in err
     code, _, err = run(capsys, "field", "order", "0x0@1")
     assert code == 1 and "DivisionByZero" in err
+    digits = "1" * 5000  # past int()'s default limit on decimal digits
+    for argv, token in [
+        (("field", "eval", "0x2@2^²"), "²"),
+        (("field", "eval", "0x2@2^٣"), "٣"),  # an Arabic-Indic 3
+        (("field", "eval", f"0x2@2^{digits}"), digits),
+        (("field", "order", f"0x2@{digits}"), digits),
+        (("mat", "order", f"[[0x1@{digits},0x0@1],[0x0@1,0x1@1]]"), digits),
+    ]:
+        code, _, err = run(capsys, *argv)
+        assert code == 2 and token in err, argv[:2]
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--max-level", "9"])
     assert exc.value.code == 2

@@ -57,6 +57,23 @@ def test_crashing_check_is_recorded_and_the_suite_continues(monkeypatch, capsys)
     assert report["summary"] == {"pass": 7, "fail": 1, "skipped": 0}
 
 
+def test_the_suite_builds_each_group_table_once(monkeypatch):
+    # enumerate_group's cache keys on the arguments as passed, so a check
+    # calling enumerate_group(n) beside one calling enumerate_group(n,
+    # KIND_SL2) would enumerate the same group twice
+    built = []
+    init = fe.GroupTable.__init__
+
+    def counted(G, level, kind, masks):
+        built.append((level, kind))
+        init(G, level, kind, masks)
+
+    monkeypatch.setattr(fe.GroupTable, "__init__", counted)
+    fe.enumerate_group.cache_clear()
+    verify.run_suite(max_level=2)
+    assert len(built) == len(set(built)) == 4, built
+
+
 def _morder_off_by_one_on_split(monkeypatch):
     good = sl.morder
     monkeypatch.setattr(sl, "morder", lambda M: good(M) + (sl.classify_jordan(M).kind == "split"))
@@ -148,6 +165,13 @@ def _product_ignores_the_order(monkeypatch):
     monkeypatch.setattr(fe, "_mul", ordered)
 
 
+def _every_pair_commutes(monkeypatch):
+    # every commutation decision reads commute_vec, so this one fault
+    # reaches both the centralizers of c02 and the unitriangular sides of c06
+    good = fe.GroupTable.commute_vec
+    monkeypatch.setattr(fe.GroupTable, "commute_vec", lambda G, i, j: np.ones_like(good(G, i, j)))
+
+
 def _generators_drops_its_last(monkeypatch):
     good = fe._generators
     monkeypatch.setattr(fe, "_generators", lambda H: good(H)[:-1])
@@ -195,6 +219,8 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     (_level13_pow_vec_merges_two_masks, "c11-field-cohopf/max-order/n13", "frob^0 is not injective"),
     # every pair commutes, so the orbit-stabilizer guard of the class route trips
     (_product_ignores_the_order, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180"),
+    (_every_pair_commutes, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180 and class of 15"),
+    (_every_pair_commutes, "c06-prop7/ut-lt-disjoint/n2", "unitriangular sides intersect or commute nontrivially"),
     (_generators_drops_its_last, "c04-prop4/diag-normalizer/n2", "normalizer of the diagonal is not its union"),
     # the orbit-stabilizer guard of the class route sees half a class
     (_conjugacy_classes_splits_one, "c02-ct/centralizers/sl2/n2", "InvariantViolated: element 1: centralizer of 4 and class of 8"),
@@ -253,5 +279,5 @@ def test_c08_draw_sequence_is_pinned():
         assert gf.random_elt(rng, n, nonzero=True).mask == lam
         assert sl.random_sl2_masks(rng, n) == quad
         s, t, u, v = (FieldElt(n, m) for m in quad)
-        assert (s * v + t * u).is_one
+        assert gf.add(gf.mul(s, v), gf.mul(t, u)).is_one
     assert rng.getrandbits(64) == C08_NEXT_BITS
