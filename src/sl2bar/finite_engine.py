@@ -467,8 +467,8 @@ def maximal_abelian_subgroups(G: GroupTable) -> list[SubgroupRef]:
     for cz in cands:
         if any(other is not cz and np.all(cz <= other) for other in cands):
             continue
-        commutes_with_all = np.all(comm[np.flatnonzero(cz)], axis=0)
-        if not np.array_equal(commutes_with_all, cz):
+        with_all = np.all(comm[np.flatnonzero(cz)], axis=0)
+        if not np.array_equal(with_all, cz):
             raise InvariantViolated("centralizer candidate not maximal")
         out.append(SubgroupRef(G, cz))
     covered = np.zeros(n, dtype=bool)
