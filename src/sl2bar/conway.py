@@ -29,6 +29,7 @@ from .gf2poly import (
     is_primitive,
     peval,
     ppowmod,
+    x_generates,
 )
 
 N_MAX = 30
@@ -75,7 +76,7 @@ def validate_table(table: ConwayTable) -> None:
             raise TableInvalid(f"level {n} entry has degree {degree(f)}")
         if not is_irreducible(f):
             raise TableInvalid(f"level {n} entry {f:#x} is not irreducible")
-        if not is_primitive(f):
+        if not x_generates(f):
             raise TableInvalid(f"level {n} entry {f:#x} is not primitive")
         for q in factorize(n):
             if not norm_compatible(table, n // q, n):

@@ -23,7 +23,8 @@ Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
 LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
 endomorphism scans); the rest multiply schoolbook (``gf2poly.pmulmod``)
 and find subfield preimages with the one cached GF(2) echelon solver,
-which the ``z^2 + z = c`` solver shares.
+which the ``z^2 + z = c`` solver shares.  Minimal polynomials run the
+solver's elimination step on the powers of an element, uncached.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import TYPE_CHECKING
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
-from .gf2poly import Gf2Poly, divisors, factorize, pinvmod, pmulmod, ppowmod
+from .gf2poly import Gf2Poly, divisors, factorize, is_irreducible, pinvmod, pmulmod, ppowmod
 
 if TYPE_CHECKING:
     import numpy as np
@@ -92,10 +93,6 @@ def _elt(n: int, mask: int) -> FieldElt:
     return e
 
 
-def zero(n: int) -> FieldElt:
-    return _elt(check_level(n), 0)
-
-
 def one(n: int) -> FieldElt:
     return _elt(check_level(n), 1)
 
@@ -129,21 +126,28 @@ def parse_elt(text: str) -> FieldElt:
 # the GF(2) solver
 
 
+def _insert(pivots: dict[int, tuple[int, int]], v: int, s: int) -> int:
+    """One elimination step: reduce the vector v, whose selection of input
+    rows is s, by the pivots.  If anything is left it joins them and the
+    result is 0; else the result is the selection, now summing to zero."""
+    while v:
+        lead = v.bit_length() - 1
+        p = pivots.get(lead)
+        if p is None:
+            pivots[lead] = (v, s)
+            return 0
+        v ^= p[0]
+        s ^= p[1]
+    return s
+
+
 @lru_cache(maxsize=None)
 def _echelon(vectors: tuple[int, ...]) -> dict[int, tuple[int, int]]:
     """Row-reduced span of GF(2) mask vectors: leading bit -> (vector,
     selection of the input rows summing to it); shared, so never mutated."""
     pivots: dict[int, tuple[int, int]] = {}
     for i, v in enumerate(vectors):
-        s = 1 << i
-        while v:
-            lead = v.bit_length() - 1
-            p = pivots.get(lead)
-            if p is None:
-                pivots[lead] = (v, s)
-                break
-            v ^= p[0]
-            s ^= p[1]
+        _insert(pivots, v, 1 << i)
     return pivots
 
 
@@ -420,35 +424,23 @@ def elt_order(a: FieldElt) -> int:
     return d
 
 
-def frobenius_orbit(a: FieldElt) -> list[FieldElt]:
-    """Distinct iterates a, a^2, a^4, ...; the conjugates of a."""
-    orbit = [a]
-    t = frobenius(a)
-    while t != a:
-        orbit.append(t)
-        t = frobenius(t)
-    return orbit
-
-
 def minimal_poly(a: FieldElt) -> Gf2Poly:
-    """The monic irreducible polynomial over GF(2) with a as a root,
-    the product of (x + r) over the conjugates r of a."""
+    """The monic irreducible polynomial over GF(2) with a as a root: the
+    first GF(2)-linear relation among 1, a, a^2, ..., found by inserting
+    each power into one echelon form (Lidl & Niederreiter, Finite Fields,
+    section 3.4).  Its selection of powers is the polynomial's mask."""
     if a.mask == 0:
         return Gf2Poly(0b10)  # x
-    n = a.level
-    coeffs = [one(n)]  # ascending, currently the constant polynomial 1
-    for r in frobenius_orbit(a):
-        nxt = [zero(n)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = add(nxt[i + 1], c)
-            nxt[i] = add(nxt[i], mul(c, r))
-        coeffs = nxt
-    mask = 0
-    for i, c in enumerate(coeffs):
-        if c.mask not in (0, 1):
-            raise InvariantViolated("conjugate product left the prime field")
-        mask |= c.mask << i
-    return Gf2Poly(mask)
+    n, x = a.level, a.mask
+    t = _LEVELS.get(n) or _level(n)
+    pivots: dict[int, tuple[int, int]] = {}
+    p, i = 1, 0
+    while not (f := _insert(pivots, p, 1 << i)):
+        i += 1
+        p = pmulmod(p, x, t.mod) if t.log is None else t.exp[t.log[x] * i % t.q1]
+    if n % i or not is_irreducible(f):
+        raise InvariantViolated(f"power relation {f:#x} of {a} is not an irreducible factor of x^(2^{n}) - x")
+    return Gf2Poly(f)
 
 
 def artin_schreier_solve(c: FieldElt) -> FieldElt | None:
@@ -482,7 +474,6 @@ __all__ = [
     "elt_order",
     "ensure_log_table",
     "frobenius",
-    "frobenius_orbit",
     "gen",
     "inv",
     "minimal_poly",
@@ -493,5 +484,4 @@ __all__ = [
     "random_elt",
     "sqrt",
     "trace_abs",
-    "zero",
 ]

@@ -129,16 +129,17 @@ def is_irreducible(f: int) -> bool:
 def is_primitive(f: int) -> bool:
     """True iff f is irreducible of degree n and x generates the
     multiplicative group of the quotient field (order 2^n - 1)."""
+    return is_irreducible(f) and x_generates(f)
+
+
+def x_generates(f: int) -> bool:
+    """For an irreducible f of degree n: true iff x has order 2^n - 1
+    modulo f, that is, iff f is primitive."""
     n = degree(f)
     if n <= 0 or not f & 1:
         return False
-    if not is_irreducible(f):
-        return False
     order = (1 << n) - 1
-    for p in factorize(order):
-        if ppowmod(0b10, order // p, f) == 1:
-            return False
-    return True
+    return all(ppowmod(0b10, order // p, f) != 1 for p in factorize(order))
 
 
 def poly_str(f: int) -> str:

@@ -8,12 +8,12 @@ from pathlib import Path
 
 import pytest
 
-from sl2bar import conway
+from sl2bar import conway, gf2_field, gf2poly
 from sl2bar.cli import eval_expr, main
 from sl2bar.closure import ZERO, celt, cmul
 from sl2bar.conway import ConwayTable, format_table
-from sl2bar.errors import ParseError
-from sl2bar.gf2_field import gen, inv
+from sl2bar.errors import InvariantViolated, ParseError
+from sl2bar.gf2_field import FieldElt, gen, inv
 
 
 @pytest.fixture(autouse=True)
@@ -39,6 +39,17 @@ def test_field_commands(capsys):
     assert (code, out) == (0, "0x1@1")
     code, out, _ = run(capsys, "field", "eval", "(0x2@2 + 0x1@1)^2 / 0x2@2")
     assert code == 0 and out == str(cmul(cmul(celt(2, 3), celt(2, 3)), celt(2, 3)))
+
+
+def test_a_wrong_product_trips_the_minimal_poly_guard(capsys, monkeypatch):
+    # Level 25 has no log tables, so every power of the element goes
+    # through the schoolbook product; one wrong bit in it makes the first
+    # power relation no irreducible factor of x^(2^25) - x.
+    monkeypatch.setattr(gf2_field, "pmulmod", lambda f, g, m: gf2poly.pmulmod(f, g, m) ^ 1)
+    with pytest.raises(InvariantViolated):
+        gf2_field.minimal_poly(FieldElt(25, 0x1234567))
+    code, out, err = run(capsys, "field", "minpoly", "0x1234567@25")
+    assert (code, out) == (1, "") and "InvariantViolated" in err and "Traceback" not in err
 
 
 def test_max_order_count_at_the_log_table_bound(capsys):

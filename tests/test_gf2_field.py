@@ -14,7 +14,6 @@ from sl2bar.gf2_field import (
     elt_order,
     ensure_log_table,
     frobenius,
-    frobenius_orbit,
     gen,
     inv,
     minimal_poly,
@@ -24,7 +23,6 @@ from sl2bar.gf2_field import (
     power,
     sqrt,
     trace_abs,
-    zero,
 )
 from sl2bar.gf2poly import totient
 
@@ -40,6 +38,32 @@ def oracle_mul(x, y, n):
         if prod >> d & 1:
             prod ^= mod << (d - n)
     return prod
+
+
+def orbit(a):
+    """Distinct iterates a, a^2, a^4, ...: the conjugates of a."""
+    out = [a]
+    t = frobenius(a)
+    while t != a:
+        out.append(t)
+        t = frobenius(t)
+    return out
+
+
+def conjugate_product(a):
+    """The mask of the product of (x + r) over the conjugates r of a, the
+    textbook definition of the minimal polynomial, multiplied out over
+    the field; its coefficients must land in GF(2)."""
+    n = a.level
+    coeffs = [one(n)]  # ascending
+    for r in orbit(a):
+        nxt = [FieldElt(n, 0)] * (len(coeffs) + 1)
+        for i, c in enumerate(coeffs):
+            nxt[i + 1] = add(nxt[i + 1], c)
+            nxt[i] = add(nxt[i], mul(c, r))
+        coeffs = nxt
+    assert all(c.mask in (0, 1) for c in coeffs)
+    return sum(c.mask << i for i, c in enumerate(coeffs))
 
 
 def levels_strategy(levels=(1, 2, 3, 4, 6, 8)):
@@ -58,7 +82,7 @@ def field_elts(draw, levels=(1, 2, 3, 4, 6, 8)):
 
 def test_add_examples():
     g = gen(2)
-    assert add(g, g) == zero(2)
+    assert add(g, g) == FieldElt(2, 0)
     assert add(g, one(2)) == FieldElt(2, 0x3)
     assert add(FieldElt(2, 0x3), g) == one(2)
     with pytest.raises(LevelMismatch):
@@ -81,11 +105,11 @@ def test_inv_examples():
     brute = [m for m in range(8) if oracle_mul(2, m, 3) == 1]
     assert brute == [got.mask]
     with pytest.raises(DivisionByZero):
-        inv(zero(4))
+        inv(FieldElt(4, 0))
 
 
 def test_frobenius_and_sqrt_examples():
-    assert frobenius(zero(3)) == zero(3)
+    assert frobenius(FieldElt(3, 0)) == FieldElt(3, 0)
     assert frobenius(one(3)) == one(3)
     assert frobenius(gen(2)) == FieldElt(2, 0x3)
     assert sqrt(one(5)) == one(5)
@@ -98,18 +122,18 @@ def test_power_examples():
     assert power(g, 0) == one(2)
     assert power(g, 3) == one(2)
     assert power(g, 2) == frobenius(g)
-    assert power(zero(2), 5) == zero(2)
-    assert power(zero(2), 0) == one(2)
+    assert power(FieldElt(2, 0), 5) == FieldElt(2, 0)
+    assert power(FieldElt(2, 0), 0) == one(2)
     assert power(g, -1) == inv(g)
     with pytest.raises(DivisionByZero):
-        power(zero(2), -1)
+        power(FieldElt(2, 0), -1)
 
 
 def test_elt_order_examples():
     assert elt_order(one(4)) == 1
     assert elt_order(gen(2)) == 3
     with pytest.raises(DivisionByZero):
-        elt_order(zero(2))
+        elt_order(FieldElt(2, 0))
     # oracle: repeated multiplication
     for mask in range(1, 16):
         a = FieldElt(4, mask)
@@ -121,24 +145,24 @@ def test_elt_order_examples():
 
 
 def test_minimal_poly_examples():
-    assert minimal_poly(zero(5)).mask == 0b10  # x
+    assert minimal_poly(FieldElt(5, 0)).mask == 0b10  # x
     assert minimal_poly(one(5)).mask == 0b11  # x+1
     assert minimal_poly(gen(2)).mask == 0b111
 
 
 def test_frobenius_orbit_examples():
-    assert frobenius_orbit(one(6)) == [one(6)]
-    assert [e.mask for e in frobenius_orbit(gen(2))] == [0x2, 0x3]
+    assert orbit(one(6)) == [one(6)]
+    assert [e.mask for e in orbit(gen(2))] == [0x2, 0x3]
 
 
 def test_artin_schreier_examples():
-    assert artin_schreier_solve(zero(3)) == zero(3)
+    assert artin_schreier_solve(FieldElt(3, 0)) == FieldElt(3, 0)
     assert artin_schreier_solve(one(1)) is None
     assert artin_schreier_solve(FieldElt(2, 1)) == gen(2)  # g^2+g = 1 over the 4 elements
 
 
 def test_trace_examples():
-    assert trace_abs(zero(4)).is_zero
+    assert trace_abs(FieldElt(4, 0)).is_zero
     assert trace_abs(FieldElt(2, 1)).is_zero  # 1 + 1^2 = 0
     assert trace_abs(one(1)).is_one
 
@@ -232,16 +256,23 @@ def test_order_divides_group_order_and_is_odd(a):
 @given(field_elts())
 def test_minimal_poly_properties(a):
     f = minimal_poly(a)
-    orbit = frobenius_orbit(a)
-    assert f.degree == len(orbit)
+    conjugates = orbit(a)
+    assert f.degree == len(conjugates)
     assert f.is_irreducible()
-    for r in orbit:
+    for r in conjugates:
         assert gf2poly.peval(f.mask, r.mask, conway.get_active().poly(r.level)) == 0
-    assert a.level % len(orbit) == 0
+    assert a.level % len(conjugates) == 0
     from sl2bar.closure import reduce_elt
 
     if not a.is_zero:
         assert f.degree == reduce_elt(a).level  # degree equals the minimal level
+
+
+def test_minimal_poly_is_the_conjugate_product_exhaustive():
+    for n in range(1, 9):
+        for mask in range(1 << n):
+            a = FieldElt(n, mask)
+            assert minimal_poly(a).mask == conjugate_product(a), a
 
 
 def test_artin_schreier_iff_trace_exhaustive():

@@ -9,7 +9,7 @@ import pytest
 
 from sl2bar import conway
 from sl2bar.closure import cmul, lift, reduce_elt
-from sl2bar.gf2_field import N_MAX, FieldElt, mul
+from sl2bar.gf2_field import N_MAX, FieldElt, minimal_poly, mul
 from sl2bar.gf2poly import divisors
 
 gt = pytest.importorskip("sympy.polys.galoistools")
@@ -90,3 +90,19 @@ def test_reported_minimal_level_is_minimal():
                     assert fixed, (n, x, d)
                 elif d < level:
                     assert not fixed, (n, x, d)
+
+
+def test_minimal_poly_at_every_level():
+    rng = random.Random(4242)
+    for n in range(1, N_MAX + 1):
+        fn = modulus(n)
+        for x in [0, 1, *(rng.randrange(1 << n) for _ in range(8))]:
+            f = to_poly(minimal_poly(FieldElt(n, x)).mask)
+            assert gt.gf_irreducible_p(f, 2, ZZ), (n, x)
+            assert gt.gf_compose_mod(f, to_poly(x), fn, 2, ZZ) == [], (n, x)
+            a = y = to_poly(x)
+            orbit = 0
+            while orbit == 0 or y != a:
+                y = gt.gf_pow_mod(y, 2, fn, 2, ZZ)
+                orbit += 1
+            assert len(f) - 1 == orbit, (n, x)
