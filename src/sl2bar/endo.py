@@ -3,8 +3,9 @@ matrix groups, and the step-by-step finite-level replay showing that every
 member of the standard endomorphism family is an automorphism.
 
 Field endomorphisms of GF(2^n) are exactly the n squaring powers
-x -> x^(2^j); each is bijective, permutes the conjugate set of every
-element, and permutes the set of maximal-order elements.
+x -> x^(2^j).  This module only names them; the verify checks c11 scan
+each for a bijective ring map that permutes every conjugate set and the
+maximal-order elements, and require the n maps to be distinct.
 
 Group endomorphism specifications are the three base kinds: entrywise
 field endomorphisms, inner conjugations and the inverse-transpose map.
@@ -60,37 +61,11 @@ class FieldEndo:
 
 def field_endos(n: int) -> list[FieldEndo]:
     """The n field endomorphisms x -> x^(2^j), j < n, of GF(2^n), for
-    the levels with log tables: the verify checks c11 scan each over
-    them for a bijective unital ring homomorphism."""
+    the levels with log tables, over which the verify checks c11 scan
+    them."""
     if n > LOG_TABLE_MAX:
         raise BoundExceeded(f"endomorphism family limited to levels <= {LOG_TABLE_MAX}, got {n}")
     return [FieldEndo(n, j) for j in range(n)]
-
-
-def first_unpermuted_root(e: FieldEndo) -> int | None:
-    """The lowest mask whose image under e leaves its conjugate set, or
-    None: as e is bijective (the c11 checks scan it), None means e permutes
-    every conjugate set of its level.  One numpy scan: images come from
-    the log tables (k -> 2^j k); conjugate sets, named by their least mask,
-    from iterating the schoolbook squaring table."""
-    t = ensure_log_table(e.level)
-    orbit = cur = np.arange(1 << e.level)
-    for _ in range(e.level - 1):
-        cur = t.squares[cur]
-        orbit = np.minimum(orbit, cur)
-    moved = np.flatnonzero(orbit[t.pow_vec(np.arange(1 << e.level), 1 << e.frob_power)] != orbit)
-    return int(moved[0]) if len(moved) else None
-
-
-def endo_permutes_max_order(e: FieldEndo) -> bool:
-    """Does e restrict to a permutation of the maximal-order elements of
-    its level?  The set comes from the log tables (BoundExceeded above
-    LOG_TABLE_MAX), e from the schoolbook squaring table."""
-    t = ensure_log_table(e.level)
-    image = top = t.max_order
-    for _ in range(e.frob_power):
-        image = t.squares[image]
-    return bool(np.array_equal(np.sort(image), top))
 
 
 # ---------------------------------------------------------------------------
@@ -373,9 +348,7 @@ __all__ = [
     "ReplayReport",
     "ReplayStep",
     "apply_group_endo",
-    "endo_permutes_max_order",
     "field_endos",
-    "first_unpermuted_root",
     "replay_cohopf_skeleton",
     "replay_family",
     "spec_str",

@@ -180,10 +180,15 @@ class GroupTable:
         return self._orders
 
 
-@lru_cache(maxsize=None)
 def enumerate_group(level: int, kind: str = KIND_SL2) -> GroupTable:
     """All matrices at the given level with determinant one (sl2) or any
-    nonzero determinant (gl2).  Identity first, then ascending by code."""
+    nonzero determinant (gl2).  Identity first, then ascending by code.
+    One cached table per (level, kind), however the kind is passed."""
+    return _enumerate_group(level, kind)
+
+
+@lru_cache(maxsize=None)
+def _enumerate_group(level: int, kind: str) -> GroupTable:
     if kind == KIND_SL2:
         if not 1 <= level <= SL2_MAX_LEVEL:
             raise BoundExceeded(f"sl2 enumeration limited to levels 1..{SL2_MAX_LEVEL}, got {level}")
@@ -210,6 +215,9 @@ def enumerate_group(level: int, kind: str = KIND_SL2) -> GroupTable:
     pos = int(np.flatnonzero((cols[0] == 1) & (cols[1] == 0) & (cols[2] == 0) & (cols[3] == 1))[0])
     cols = np.concatenate([cols[:, pos : pos + 1], cols[:, :pos], cols[:, pos + 1 :]], axis=1)
     return GroupTable(level, kind, cols.T)
+
+
+enumerate_group.cache_info, enumerate_group.cache_clear = _enumerate_group.cache_info, _enumerate_group.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -591,19 +599,15 @@ class ProjectiveAction:
     (1, 0).  perms[k] is the permutation induced by group element k.
     """
 
-    group: GroupTable
     perms: np.ndarray  # (|G|, q+1)
 
     @property
     def n_points(self) -> int:
         return self.perms.shape[1]
 
-    def kernel_indices(self) -> np.ndarray:
-        ident = np.arange(self.n_points)
-        return np.flatnonzero(np.all(self.perms == ident, axis=1))
-
     def is_faithful(self) -> bool:
-        return len(self.kernel_indices()) == 1
+        """Is the identity the only element fixing every point?"""
+        return int(np.all(self.perms == np.arange(self.n_points), axis=1).sum()) == 1
 
     def image_order(self) -> int:
         return len(np.unique(self.perms, axis=0))
@@ -635,7 +639,7 @@ def projective_action(G: GroupTable) -> ProjectiveAction:
         px, py = (p, 1) if p < q else (1, 0)
         xs, _, ys, _ = _mul(G._flat, G.level, G.cols, (px, 0, py, 0))  # each element times the column (px, py)
         perms[:, p] = np.where(ys != 0, MUL[xs, INV[ys]], q)
-    return ProjectiveAction(G, perms)
+    return ProjectiveAction(perms)
 
 
 conway.register_invalidation_hook(enumerate_group.cache_clear)

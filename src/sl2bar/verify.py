@@ -28,7 +28,6 @@ from .gf2_field import (
     artin_schreier_solve,
     ensure_log_table,
     frobenius,
-    mul,
     random_elt,
     trace_abs,
 )
@@ -346,45 +345,68 @@ def _check_simple(n: int, expect: bool):
 _EXHAUSTIVE_HOM_LEVEL = 6
 
 
-def _scanned_field_endos(n: int) -> list[endo.FieldEndo]:
-    """endo.field_endos(n), each scanned over the level's log tables for a
-    bijective unital ring homomorphism: fixing 1, additivity and
-    multiplicativity over all pairs up to _EXHAUSTIVE_HOM_LEVEL and on a
-    deterministic 64-pair sample above; bijectivity at every level by
-    counting the images of all q masks, each of which must be hit."""
-    t = ensure_log_table(n)
-    q = 1 << n
-    if n <= _EXHAUSTIVE_HOM_LEVEL:
+def _need_ring_embedding(name: str, m: int, n: int, img: np.ndarray) -> None:
+    """Raise CheckFailure unless img, the level-n images of the level-m
+    masks, is a unital injective ring homomorphism: it fixes 0 and 1, is
+    additive and multiplicative over all pairs up to _EXHAUSTIVE_HOM_LEVEL
+    and on a deterministic 64-pair sample above, from the log tables of
+    both levels, and hits no mask twice (at m = n: it is bijective)."""
+    q = 1 << m
+    if m <= _EXHAUSTIVE_HOM_LEVEL:
         xs, ys = np.divmod(np.arange(q * q, dtype=np.int64), q)
     else:
         xs = (0x9E3779B1 * np.arange(64, dtype=np.int64)) % q
         ys = xs[::-1]
-    endos = endo.field_endos(n)
-    for e in endos:
-        img = t.pow_vec(np.arange(q), 1 << e.frob_power)
-        _need(img[1] == 1, f"{e} does not fix 1")
-        _need(np.array_equal(img[xs ^ ys], img[xs] ^ img[ys]), f"{e} is not additive")
-        _need(np.array_equal(img[t.mul_vec(xs, ys)], t.mul_vec(img[xs], img[ys])), f"{e} is not multiplicative")
-        _need(np.bincount(img, minlength=q).all(), f"{e} is not injective")
-    return endos
+    _need(img[0] == 0 and img[1] == 1, f"{name} moves 0 or 1")
+    _need(np.array_equal(img[xs ^ ys], img[xs] ^ img[ys]), f"{name} is not additive")
+    prods = ensure_log_table(m).mul_vec(xs, ys)
+    _need(np.array_equal(img[prods], ensure_log_table(n).mul_vec(img[xs], img[ys])), f"{name} is not multiplicative")
+    _need(np.bincount(img).max() <= 1, f"{name} is not injective")
+
+
+def _scanned_field_endos(n: int):
+    """Yield (e, img) for e in endo.field_endos(n), img the images of all
+    masks from the log tables, each row checked by _need_ring_embedding
+    and required to differ from every earlier row on g.  A ring map is
+    fixed by its image of g, so the rows are pairwise distinct.  One row
+    at a time: the n rows of level 16 stacked are 8 MiB."""
+    t = ensure_log_table(n)
+    seen = {}  # image of g -> the endomorphism that sent g there
+    for e in endo.field_endos(n):
+        img = t.pow_vec(np.arange(1 << n), 1 << e.frob_power)
+        _need_ring_embedding(str(e), n, n, img)
+        g = int(img[min(n, 2)])  # g is mask 2, or mask 1 at level 1
+        _need(g not in seen, f"{e} repeats {seen.get(g)}")
+        seen[g] = e
+        yield e, img
 
 
 def _check_field_endos(n: int):
-    endos = _scanned_field_endos(n)  # bijective, so first_unpermuted_root applies
-    _need(len(endos) == n, f"expected {n} endomorphisms")
-    for e in endos:
-        bad = endo.first_unpermuted_root(e)
-        if bad is not None:
-            raise CheckFailure(f"{e} does not permute the conjugates of {FieldElt(n, bad)}")
+    t = ensure_log_table(n)
+    orbit = cur = np.arange(1 << n)  # orbit[x]: the least mask conjugate to x
+    for _ in range(n - 1):
+        cur = t.squares[cur]
+        orbit = np.minimum(orbit, cur)
+    count = 0
+    for e, img in _scanned_field_endos(n):
+        moved = np.flatnonzero(orbit[img] != orbit)
+        if len(moved):
+            raise CheckFailure(f"{e} does not permute the conjugates of {FieldElt(n, int(moved[0]))}")
+        count += 1
+    _need(count == n, f"expected {n} endomorphisms")
     return {"endos": n, "elements": 1 << n}
 
 
 def _check_max_order(n: int):
-    count = len(ensure_log_table(n).max_order)
-    _need(count == totient((1 << n) - 1), f"count {count} differs from the totient")
-    for e in _scanned_field_endos(n):
-        _need(endo.endo_permutes_max_order(e), f"{e} does not permute the maximal-order elements")
-    return {"count": count}
+    t = ensure_log_table(n)
+    top = t.max_order
+    _need(len(top) == totient((1 << n) - 1), f"count {len(top)} differs from the totient")
+    for e, _ in _scanned_field_endos(n):
+        image = top
+        for _ in range(e.frob_power):
+            image = t.squares[image]
+        _need(np.array_equal(np.sort(image), top), f"{e} does not permute the maximal-order elements")
+    return {"count": len(top)}
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +436,9 @@ def _check_conway_table():
 
 def _check_embedding_hom(n: int):
     for m in divisors(n):
-        if m == n:
-            continue
-        lifted = [closure.lift(FieldElt(m, x), n) for x in range(1 << m)]
-        _need(len({e.mask for e in lifted}) == 1 << m, f"embedding {m}->{n} is not injective")
-        _need(lifted[0].is_zero and lifted[1].is_one, f"embedding {m}->{n} moves 0 or 1")
-        for x in range(1 << m):
-            for y in range(1 << m):
-                ex, ey = FieldElt(m, x), FieldElt(m, y)
-                _need(closure.lift(add(ex, ey), n) == add(lifted[x], lifted[y]), f"additivity fails {m}->{n}")
-                _need(closure.lift(mul(ex, ey), n) == mul(lifted[x], lifted[y]), f"multiplicativity fails {m}->{n}")
+        if m < n:
+            img = np.array([closure.lift(FieldElt(m, x), n).mask for x in range(1 << m)], dtype=np.int64)
+            _need_ring_embedding(f"embedding {m}->{n}", m, n, img)
     return {"pairs": len(divisors(n)) - 1}
 
 

@@ -16,7 +16,6 @@ from sl2bar.endo import (
     InvTranspose,
     _base_perm,
     apply_group_endo,
-    endo_permutes_max_order,
     field_endos,
     replay_cohopf_skeleton,
     replay_family,
@@ -49,18 +48,6 @@ def test_field_endos_examples():
     assert power(gen(2), 1 << two[0].frob_power) == gen(2)
     with pytest.raises(BoundExceeded):
         field_endos(21)
-
-
-def test_endo_permutes_max_order():
-    ident, frob = field_endos(2)
-    # squaring swaps the two generators of the 3-element unit group
-    assert power(gen(2), 1 << frob.frob_power) == FieldElt(2, 3)
-    assert endo_permutes_max_order(frob)
-    for e in field_endos(4):
-        assert endo_permutes_max_order(e)
-    assert endo_permutes_max_order(ident)
-    with pytest.raises(BoundExceeded):
-        endo_permutes_max_order(FieldEndo(21, 0))
 
 
 def test_apply_group_endo_examples():
@@ -229,18 +216,3 @@ def test_replay_rejects_bad_levels():
     with pytest.raises(BoundExceeded):
         replay_cohopf_skeleton(6)
 
-
-def test_endo_scans_catch_a_corrupted_log_table(monkeypatch):
-    from sl2bar import gf2_field as gf
-    from sl2bar.endo import first_unpermuted_root
-
-    good = gf.ensure_log_table(4)
-    bad = gf.LevelTables(4, good.mod, logs=True)
-    # swap g (order 15) with g^3 (order 5) in the exp/log tables
-    bad.exp[1], bad.exp[3] = bad.exp[3], bad.exp[1]
-    bad.log[bad.exp[1]], bad.log[bad.exp[3]] = 1, 3
-    assert first_unpermuted_root(FieldEndo(4, 1)) is None
-    assert endo_permutes_max_order(FieldEndo(4, 1))
-    monkeypatch.setitem(gf._LEVELS, 4, bad)
-    assert first_unpermuted_root(FieldEndo(4, 1)) is not None
-    assert not endo_permutes_max_order(FieldEndo(4, 1))

@@ -79,6 +79,16 @@ def test_enumeration_bounds():
         fe.enumerate_group(4, fe.KIND_GL2)
 
 
+def test_one_cached_table_per_level_and_kind():
+    # a caller passing no kind and the replay passing KIND_SL2 share a table
+    from sl2bar.endo import replay_cohopf_skeleton
+
+    fe.enumerate_group.cache_clear()
+    fe.enumerate_group(4)
+    replay_cohopf_skeleton(4)
+    assert fe.enumerate_group.cache_info().misses == 1
+
+
 @pytest.mark.parametrize("n, kind", TABLES)
 def test_enumeration_is_identity_then_ascending_code(n, kind):
     # the lowest-index witnesses rest on this order, and no sort makes it

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sl2bar import finite_engine as fe, gf2_field as gf, sl2_core as sl, verify
+from sl2bar import closure, endo, finite_engine as fe, gf2_field as gf, sl2_core as sl, verify
 from sl2bar.cli import main
 from sl2bar.closure import cadd, cmul, reduce_elt
 from sl2bar.gf2_field import FieldElt
@@ -58,9 +58,8 @@ def test_crashing_check_is_recorded_and_the_suite_continues(monkeypatch, capsys)
 
 
 def test_the_suite_builds_each_group_table_once(monkeypatch):
-    # enumerate_group's cache keys on the arguments as passed, so a check
-    # calling enumerate_group(n) beside one calling enumerate_group(n,
-    # KIND_SL2) would enumerate the same group twice
+    # one table per (level, kind) and check family: a second build would
+    # mean some check enumerates a group apart from the shared cache
     built = []
     init = fe.GroupTable.__init__
 
@@ -206,6 +205,21 @@ def _index_leaves_the_identity_in_code_order(monkeypatch):
     monkeypatch.setattr(fe, "enumerate_group", lambda n, kind=fe.KIND_SL2: Unmoved(n, kind, good(n, kind).masks))
 
 
+def _field_endos_all_the_identity(monkeypatch):
+    # n copies of one ring automorphism: each row passes the scan alone
+    monkeypatch.setattr(endo, "field_endos", lambda n: [endo.FieldEndo(n, 0)] * n)
+
+
+def _lift_keeps_the_mask(monkeypatch):
+    # additive and injective, but 2 * 2 = 4 at level 2 is not 4 at level 4
+    monkeypatch.setattr(closure, "lift", lambda a, n: FieldElt(n, a.mask))
+
+
+def _level4_squares_rolled(monkeypatch):
+    good = gf.LevelTables.__dict__["squares"].func
+    monkeypatch.setattr(gf.LevelTables, "squares", property(lambda t: np.roll(good(t), 1) if t.n == 4 else good(t)))
+
+
 FAULT_CASES = [  # (fault, the check that catches it, the start of its failure message)
     (_morder_off_by_one_on_split, "c07-dichotomy/orders/n2", "class-based order 4 disagrees"),
     (_enumerate_group_drops_a_row, "c01-orders/sl2/n2", "enumerated 59 elements"),
@@ -225,6 +239,10 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     # the orbit-stabilizer guard of the class route sees half a class
     (_conjugacy_classes_splits_one, "c02-ct/centralizers/sl2/n2", "InvariantViolated: element 1: centralizer of 4 and class of 8"),
     (_index_leaves_the_identity_in_code_order, "c04-prop4/diag-normalizer/n2", "normalizer of the diagonal is not its union"),
+    (_field_endos_all_the_identity, "c11-field-cohopf/endos/n2", "frob^0 repeats"),
+    (_lift_keeps_the_mask, "c13-conway/embedding-hom/n4", "embedding 2->4 is not multiplicative"),
+    (_level4_squares_rolled, "c11-field-cohopf/endos/n4", "frob^1 does not permute the conjugates of 0x2@4"),
+    (_level4_squares_rolled, "c11-field-cohopf/max-order/n4", "frob^1 does not permute the maximal-order elements"),
 ]
 
 
