@@ -12,10 +12,12 @@ there, and reduce the result back to minimal level.  Joins past N_MAX
 fail loudly with the offending lcm named; the finite window is explicit,
 never approximated.
 
-Lifting and reduction are O(1) lookups in the field module's per-level
-kernels where the target level has log tables: g_m^k lifts to g_n^(k e),
-e = (2^n - 1)/(2^m - 1), and log k lies in the level-m subfield exactly
-when e divides k.  Other levels use the shared GF(2) echelon solver.
+Lifting and subfield membership are O(1) lookups in the field module's
+per-level kernels where the target level has log tables: g_m^k lifts to
+g_n^(k e), e = (2^n - 1)/(2^m - 1), and log k lies in the level-m
+subfield exactly when e divides k.  Other levels use the shared GF(2)
+echelon solver.  Reduction descends through maximal subfields, one
+membership test per prime factor of the level at each step.
 """
 
 from __future__ import annotations
@@ -32,7 +34,6 @@ from .gf2_field import (
     _level,
     _solve_gf2,
     add,
-    divisors,
     elt_order,
     inv,
     mul,
@@ -40,6 +41,7 @@ from .gf2_field import (
     power,
     sqrt,
 )
+from .gf2poly import factorize
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,15 +119,20 @@ def _unlift(mask: int, m: int, n: int) -> int | None:
 
 def reduce_elt(a: FieldElt) -> ClosureElt:
     """Canonicalize to the minimal level: the smallest divisor m of
-    a.level whose subfield contains a.  With log tables that is the
-    smallest m for which (2^n - 1)/(2^m - 1) divides log a."""
+    a.level whose subfield contains a.  For k | n, a lies in GF(2^k)
+    exactly when m | k, so a descends through maximal subfields: it
+    recurses on its preimage in the first GF(2^(n/p)), p a prime factor
+    of n, that holds it, and a level none of them holds is minimal.  An
+    element already minimal costs omega(n) tests.  The steps' preimages
+    compose to the preimage under the direct embedding because the table
+    is norm compatible, which ``conway.validate_table`` and c13 check."""
     n, x = a.level, a.mask
     if x <= 1:
         return ONE if x else ZERO
-    for m in divisors(n)[1:-1]:
-        pre = _unlift(x, m, n)
+    for p in factorize(n):
+        pre = _unlift(x, n // p, n)
         if pre is not None:
-            return ClosureElt(_elt(m, pre))
+            return reduce_elt(_elt(n // p, pre))
     return ClosureElt(a)
 
 

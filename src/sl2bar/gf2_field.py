@@ -21,10 +21,12 @@ they read the arrays through zero-copy views and widen to int64 only the
 values they gather, so every numpy result is int64.
 Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
 LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
-endomorphism scans); the rest multiply schoolbook (``gf2poly.pmulmod``)
-and find subfield preimages with the one cached GF(2) echelon solver,
-which the ``z^2 + z = c`` solver shares.  Minimal polynomials run the
-solver's elimination step on the powers of an element, uncached.
+endomorphism scans); the rest multiply schoolbook through ``gf2poly``
+(comb products and spread squares folded by the modulus; ``power`` and
+``elt_order`` go through ``ppowmod``, which builds one comb of its base
+per call) and find subfield preimages with the one cached GF(2) echelon
+solver, which the ``z^2 + z = c`` solver shares.  Minimal polynomials
+run the solver's elimination step on the powers of an element, uncached.
 """
 
 from __future__ import annotations

@@ -8,7 +8,12 @@ multiplication is carry-less.
 The schoolbook product, power, inverse and Horner evaluation modulo a
 mask (``pmulmod``, ``ppowmod``, ``pinvmod``, ``peval``) are the package's
 only ones: the table validation and the field levels without log tables
-share them.
+share them.  Products run 4-bit windows of one factor over the comb of
+the other, its 16 carry-less multiples; squares spread each byte through
+a 256-entry table; and both fold back through ``pmod`` (Hankerson,
+Menezes & Vanstone, Guide to Elliptic Curve Cryptography, 2004, sections
+2.3.3 and 2.3.4).  A power or an evaluation builds the comb of its fixed
+base once.
 Besides raw mask arithmetic the module provides irreducibility and
 primitivity tests (primitivity of degree n needs the factorization of
 2^n - 1, obtained by memoized trial division) and small integer helpers
@@ -27,45 +32,73 @@ def degree(f: int) -> int:
 
 
 def pmod(f: int, m: int) -> int:
-    """Remainder of f modulo the nonzero mask m."""
-    if m == 0:
+    """Remainder of f modulo the nonzero mask m: the fold that every
+    product below ends with.  Each step clears the top bit of f with a
+    shifted m, read through ``int.bit_length`` rather than ``degree``."""
+    dm = m.bit_length()
+    if not dm:
         raise ZeroDivisionError("polynomial modulus is zero")
-    dm = degree(m)
-    df = degree(f)
-    while df >= dm:
-        f ^= m << (df - dm)
-        df = degree(f)
+    while (d := f.bit_length()) >= dm:
+        f ^= m << (d - dm)
     return f
 
 
-def pmulmod(f: int, g: int, m: int) -> int:
-    """f*g modulo the nonzero mask m, by shift and reduce: f is reduced
-    first, then doubled modulo m once per bit of g."""
-    top = 1 << degree(m)
-    if f >= top:  # most callers pass f reduced, so skip the call
-        f = pmod(f, m)
-    r = 0
-    while g:
-        if g & 1:
-            r ^= f
-        f <<= 1
-        if f & top:
-            f ^= m
-        g >>= 1
+# _SPREAD[b] is b with a zero after each of its 8 bits: over GF(2) the
+# square of a polynomial only interleaves zeros with its coefficients.
+_SPREAD = tuple(sum((b >> i & 1) << 2 * i for i in range(8)) for b in range(256))
+
+
+def _square(f: int) -> int:
+    """The carry-less square of f, spread one byte at a time."""
+    r = s = 0
+    while f:
+        r |= _SPREAD[f & 255] << s
+        f >>= 8
+        s += 16
     return r
 
 
+def _comb(f: int) -> tuple[int, ...]:
+    """The 16 carry-less multiples w*f, deg w < 4, indexed by w."""
+    f2, f4, f8 = f << 1, f << 2, f << 3
+    f3, f12 = f2 ^ f, f8 ^ f4
+    return (0, f, f2, f3, f4, f4 ^ f, f4 ^ f2, f4 ^ f3,
+            f8, f8 ^ f, f8 ^ f2, f8 ^ f3, f12, f12 ^ f, f12 ^ f2, f12 ^ f3)
+
+
+def _times(comb: tuple[int, ...], g: int) -> int:
+    """The carry-less product of g and the f whose ``_comb`` is given,
+    one 4-bit window of g at a time."""
+    r = s = 0
+    while g:
+        r ^= comb[g & 15] << s
+        g >>= 4
+        s += 4
+    return r
+
+
+def pmulmod(f: int, g: int, m: int) -> int:
+    """f*g modulo the nonzero mask m: a square (f == g) spreads the bits of
+    f, any other product runs g's 4-bit windows over the comb of f, and
+    ``pmod`` folds the result (Hankerson et al., sections 2.3.3-2.3.4)."""
+    if f == g:
+        return pmod(_square(f), m)
+    return pmod(_times(_comb(f), g), m)
+
+
 def ppowmod(f: int, e: int, m: int) -> int:
-    """f**e modulo m by square and multiply, e >= 0."""
+    """f**e modulo m, e >= 0, left to right from the leading bit of e:
+    each further bit squares the result (spread, then folded by ``pmod``),
+    and a set bit then multiplies it by f through the one comb of f built
+    for the call."""
     if e < 0:
         raise ValueError("negative polynomial exponent")
-    r = 1
     f = pmod(f, m)
-    while e:
-        if e & 1:
-            r = pmulmod(r, f, m)
-        f = pmulmod(f, f, m)
-        e >>= 1
+    comb, r = _comb(f), f if e else 1
+    for bit in bin(e)[3:]:  # the bits after the leading one
+        r = pmod(_square(r), m)
+        if bit == "1":
+            r = pmod(_times(comb, r), m)
     return r
 
 
@@ -89,12 +122,11 @@ def pinvmod(f: int, m: int) -> int:
 
 def peval(f: int, x: int, m: int) -> int:
     """The polynomial f evaluated at the residue x modulo m, by Horner's
-    rule."""
+    rule, with the comb of x built once."""
+    comb = _comb(pmod(x, m))
     acc = 0
     for i in range(degree(f), -1, -1):
-        acc = pmulmod(acc, x, m)
-        if f >> i & 1:
-            acc ^= 1
+        acc = pmod(_times(comb, acc), m) ^ (f >> i & 1)
     return acc
 
 
@@ -120,7 +152,7 @@ def is_irreducible(f: int) -> bool:
     checkpoints = {n // q for q in factorize(n)}
     t = 0b10
     for i in range(1, n + 1):
-        t = pmulmod(t, t, f)
+        t = pmod(_square(t), f)
         if i in checkpoints and pgcd(t ^ 0b10, f) != 1:
             return False
     return t == 0b10

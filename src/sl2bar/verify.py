@@ -401,10 +401,12 @@ def _check_max_order(n: int):
     t = ensure_log_table(n)
     top = t.max_order
     _need(len(top) == totient((1 << n) - 1), f"count {len(top)} differs from the totient")
+    image, j = top, 0  # top squared j times, carried forward while frob_power grows
     for e, _ in _scanned_field_endos(n):
-        image = top
-        for _ in range(e.frob_power):
-            image = t.squares[image]
+        if e.frob_power < j:
+            image, j = top, 0
+        while j < e.frob_power:
+            image, j = t.squares[image], j + 1
         _need(np.array_equal(np.sort(image), top), f"{e} does not permute the maximal-order elements")
     return {"count": len(top)}
 

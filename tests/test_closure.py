@@ -5,10 +5,11 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from sl2bar import conway, gf2poly
+from sl2bar import closure, conway, gf2poly
 from sl2bar.closure import (
     ONE,
     ZERO,
+    ClosureElt,
     cadd,
     celt,
     cinv,
@@ -72,6 +73,57 @@ def test_reduce_round_trip_exhaustive():
         for mask in range(1 << m):
             e = reduce_elt(FieldElt(m, mask))
             assert reduce_elt(lift(e.elt, n)) == e
+
+
+def _direct_reduce(a):
+    """The minimal level as the smallest divisor m of the level whose
+    subfield, under the direct embedding, holds a: no descent."""
+    for m in gf2poly.divisors(a.level):
+        pre = closure._unlift(a.mask, m, a.level)
+        if pre is not None:
+            return ClosureElt(FieldElt(m, pre))
+
+
+def _one_step_reduce(a):
+    """A faulty descent: it stops in the first maximal subfield that holds a."""
+    n = a.level
+    for p in gf2poly.factorize(n):
+        pre = closure._unlift(a.mask, n // p, n)
+        if pre is not None:
+            return ClosureElt(FieldElt(n // p, pre))
+    return ClosureElt(a)
+
+
+def _descent_mismatches(reduce):
+    """(n, m, mask) for the seeded level-m elements x, m | n, whose lift to
+    level n does not reduce to what x reduces to.  The chains 2 | 6 | 12 | 24
+    and 5 | 10 | 30 take more than one descent step."""
+    rng = random.Random(29)
+    bad = []
+    for n in (12, 24, 30):
+        for m in gf2poly.divisors(n):
+            for _ in range(8):
+                x = FieldElt(m, rng.randrange(2, 1 << m) if m > 1 else 1)
+                if reduce(lift(x, n)) != reduce(x):
+                    bad.append((n, m, x.mask))
+    return bad
+
+
+def test_reduce_descends_through_maximal_subfields():
+    assert _descent_mismatches(reduce_elt) == []
+    rng = random.Random(30)
+    for n in (12, 24, 30):
+        for _ in range(20):
+            a = FieldElt(n, rng.randrange(2, 1 << n))
+            assert reduce_elt(a) == _direct_reduce(a)
+            m = rng.choice(gf2poly.divisors(n))
+            b = lift(FieldElt(m, rng.randrange(1 << m)), n)
+            assert reduce_elt(b) == _direct_reduce(b)
+
+
+def test_a_descent_that_stops_after_one_step_fails_the_descent_test():
+    bad = _descent_mismatches(_one_step_reduce)
+    assert {(24, 2), (24, 3), (30, 5)} <= {(n, m) for n, m, _ in bad}
 
 
 def test_join():

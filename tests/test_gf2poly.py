@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from sl2bar import conway
+from sl2bar import conway, gf2poly
+from sl2bar.errors import TableInvalid
 
 from sl2bar.gf2poly import (
     Gf2Poly,
@@ -23,6 +24,9 @@ from sl2bar.gf2poly import (
 )
 
 masks = st.integers(min_value=0, max_value=(1 << 12) - 1)
+# past the comb's second 4-bit window and the spread table's second byte
+wide = st.integers(min_value=0, max_value=(1 << 40) - 1)
+moduli = st.integers(min_value=1, max_value=(1 << 32) - 1)  # degree up to 31
 
 
 def naive_mul(f, g):
@@ -61,16 +65,36 @@ def naive_irreducible(f):
     return True
 
 
-@given(masks, masks, st.integers(min_value=1, max_value=(1 << 8) - 1))
+@given(wide, wide, moduli)
 def test_pmulmod_matches_naive(f, g, m):
     # f and g range past deg m, so unreduced operands are covered
     assert pmulmod(f, g, m) == naive_mod(naive_mul(f, g), m)
+    assert pmulmod(f, f, m) == naive_mod(naive_mul(f, f), m)  # the spread square
 
 
-@given(masks, masks, st.integers(min_value=2, max_value=(1 << 8) - 1))
+@given(wide, wide, moduli.filter(lambda m: m >= 2))
 def test_peval_matches_naive(f, x, m):
     # deg m >= 1, so the constant 1 is reduced; x may be unreduced
     assert peval(f, x, m) == naive_eval(f, x, m)
+
+
+@given(wide, st.integers(min_value=0, max_value=(1 << 12) - 1), moduli)
+def test_ppowmod_matches_repeated_naive_products(f, e, m):
+    want = naive_mod(1, m)
+    for _ in range(e):
+        want = naive_mod(naive_mul(want, f), m)
+    assert ppowmod(f, e, m) == (want if e else 1)  # f^0 is 1 even modulo 1
+    assert ppowmod(f, 1, m) == naive_mod(f, m)
+    assert ppowmod(f, 0, m) == 1
+
+
+@pytest.mark.parametrize("byte", [1, 2, 0x80, 0xFF])
+def test_one_wrong_spread_entry_fails_the_table_validation(monkeypatch, byte):
+    # an odd power x^(2i+1) in the square of one byte value
+    good = gf2poly._SPREAD
+    monkeypatch.setattr(gf2poly, "_SPREAD", good[:byte] + (good[byte] ^ 2,) + good[byte + 1 :])
+    with pytest.raises(TableInvalid):
+        conway.validate_table(conway.get_active())
 
 
 @given(st.integers(min_value=1, max_value=30), st.integers(min_value=1, max_value=(1 << 30) - 1))
