@@ -202,9 +202,10 @@ def morder(M: Mat2) -> int:
 
     Identity has order 1, unipotent matrices order 2, split matrices the
     multiplicative order of the eigenvalue.  The verify check c07 compares
-    it, on every element of SL2(2^n), n <= 4, with the table's orders:
-    iterated products of one member per conjugacy class, spread over the
-    class.
+    it with the table's orders (iterated products of one member per
+    conjugacy class, spread over the class): on every element of SL2(2^n)
+    for n <= 3, and from n = 4 on the identity and one member per trace
+    fibre, whose value it spreads over the fibre.
     """
     k = classify_jordan(M)
     if k.kind == "identity":

@@ -170,6 +170,16 @@ def _check_prop4(n: int):
 
 
 def _check_prop56(n: int):
+    """Propositions 5 and 6 on each unitriangular side U: C(u) = U for
+    every u in U other than 1, and the normalizer of U is the triangular
+    group, metabelian and split by U and the diagonal.  The centralizer is
+    scanned for one u only, and the diagonal's conjugates of u must be
+    exactly U without 1.  That settles every other u, each a d u d^(-1):
+    C(d u d^(-1)) = d C(u) d^(-1) = d U d^(-1) = U.  The last step needs
+    the diagonal to normalize U, which the line "normalizer of the ...
+    unitriangulars is not the ... triangulars" settles, with the diagonal
+    inside the triangular group by the line "... unitriangulars and
+    diagonal do not generate the ... triangulars"."""
     G = fe.enumerate_group(n, fe.KIND_SL2)
     q = 1 << n
     ut = fe.named_subgroup(G, SubsetName.UPPER_UNI)
@@ -178,8 +188,10 @@ def _check_prop56(n: int):
     lower = fe.named_subgroup(G, SubsetName.LOWER_TRI)
     delta = fe.named_subgroup(G, SubsetName.DIAG)
     for uni, label in ((ut, "upper"), (lt, "lower")):
-        for i in uni.indices()[1:]:
-            _need(fe.centralizer_bf(G, i) == uni, f"centralizer of {G.mat(i)} is not the {label} unitriangulars")
+        u = int(uni.indices()[1])
+        _need(fe.centralizer_bf(G, u) == uni, f"centralizer of {G.mat(u)} is not the {label} unitriangulars")
+        orbit = np.unique(G.conj_vec(delta.indices(), u))
+        _need(np.array_equal(orbit, uni.indices()[1:]), f"the diagonal's conjugates of {G.mat(u)} are not the nontrivial {label} unitriangulars")
     _need(fe.normalizer_bf(G, ut) == upper, "normalizer of the upper unitriangulars is not the upper triangulars")
     _need(fe.normalizer_bf(G, lt) == lower, "normalizer of the lower unitriangulars is not the lower triangulars")
     for tri, uni, label in ((upper, ut, "upper"), (lower, lt, "lower")):
@@ -206,18 +218,43 @@ def _check_prop7(n: int):
 
 
 def _check_dichotomy(n: int):
+    """Criterion 7 on SL2(2^n): each order is 1, 2 or odd; order 2 is
+    trace 0 off the identity; and sl2_core.morder agrees with the table's
+    orders.  At n <= 3 every element goes through morder, the only check
+    of it on elements that do not represent their fibre.  From n = 4 the
+    conditions run over the whole table at once, and morder reads the
+    identity and the first other member of each trace fibre: off the
+    identity the trace fixes the conjugacy class and so the order
+    (Huppert, Endliche Gruppen I, II.8).  A failure names the lowest
+    failing element and its first failing condition, in the order above."""
     G = fe.enumerate_group(n, fe.KIND_SL2)
     orders = G.element_orders()
     traces = G.masks[:, 0] ^ G.masks[:, 3]
-    for i in range(len(G)):
+    if n <= 3:
+        for i in range(len(G)):
+            d = int(orders[i])
+            if not (d == 1 or d == 2 or d % 2 == 1):
+                raise CheckFailure(f"element {G.mat(i)} has even order {d} > 2")
+            if (d == 2) != (traces[i] == 0 and i != 0):
+                raise CheckFailure(f"trace criterion fails at {G.mat(i)}")
+            got = sl.morder(G.mat(i))
+            if got != d:
+                raise CheckFailure(f"class-based order {got} disagrees with iterated order {d} at {G.mat(i)}")
+        return {"elements": len(G)}
+    even = (orders % 2 == 0) & (orders != 2)
+    criterion = (orders == 2) != ((traces == 0) & (np.arange(len(G)) != 0))
+    fibre, first = np.unique(traces[1:], return_index=True)
+    val = np.zeros(G.q, dtype=np.int64)
+    val[fibre] = [sl.morder(G.mat(i + 1)) for i in first.tolist()]
+    got = val[traces]
+    got[0] = sl.morder(G.mat(0))
+    bad = np.flatnonzero(even | criterion | (got != orders))
+    if len(bad):
+        i = int(bad[0])
         d = int(orders[i])
-        if not (d == 1 or d == 2 or d % 2 == 1):
-            raise CheckFailure(f"element {G.mat(i)} has even order {d} > 2")
-        if (d == 2) != (traces[i] == 0 and i != 0):
-            raise CheckFailure(f"trace criterion fails at {G.mat(i)}")
-        got = sl.morder(G.mat(i))
-        if got != d:
-            raise CheckFailure(f"class-based order {got} disagrees with iterated order {d} at {G.mat(i)}")
+        _need(not even[i], f"element {G.mat(i)} has even order {d} > 2")
+        _need(not criterion[i], f"trace criterion fails at {G.mat(i)}")
+        raise CheckFailure(f"class-based order {int(got[i])} disagrees with iterated order {d} at {G.mat(i)}")
     return {"elements": len(G)}
 
 

@@ -480,7 +480,8 @@ def test_order_histogram_matches_dicksons_closed_form(n):
 
 
 def test_element_orders_against_matrix_layer():
-    for n in (1, 2, 3):
+    # every element: from n = 4 verify's c07 reads morder per trace fibre only
+    for n in (1, 2, 3, 4):
         G = sl2(n)
         orders = G.element_orders()
         from sl2bar.sl2_core import morder

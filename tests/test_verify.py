@@ -78,6 +78,30 @@ def _morder_off_by_one_on_split(monkeypatch):
     monkeypatch.setattr(sl, "morder", lambda M: good(M) + (sl.classify_jordan(M).kind == "split"))
 
 
+def _element_orders_wrong_at_the_last(monkeypatch):
+    # the last element of SL2(16) is no fibre's first member, and an odd
+    # wrong order passes the even-order and trace conditions
+    good = fe.GroupTable.element_orders
+
+    def wrong(G):
+        orders = good(G).copy()  # the table caches its orders: leave them whole
+        orders[-1] += 2
+        return orders
+
+    monkeypatch.setattr(fe.GroupTable, "element_orders", wrong)
+
+
+def _conj_vec_ignores_the_conjugator(monkeypatch):
+    good = fe.GroupTable.conj_vec
+    monkeypatch.setattr(fe.GroupTable, "conj_vec", lambda G, i, j: np.broadcast_to(j, np.shape(good(G, i, j))))
+
+
+def _unitriangular_sides_swapped(monkeypatch):
+    good = fe.subset_member
+    swap = {sl.SubsetName.UPPER_UNI: sl.SubsetName.LOWER_UNI, sl.SubsetName.LOWER_UNI: sl.SubsetName.UPPER_UNI}
+    monkeypatch.setattr(fe, "subset_member", lambda G, name: good(G, swap.get(name, name)))
+
+
 def _enumerate_group_drops_a_row(monkeypatch):
     good = fe.enumerate_group
     monkeypatch.setattr(fe, "enumerate_group", lambda n, kind=fe.KIND_SL2: fe.GroupTable(n, kind, good(n, kind).masks[:-1]))
@@ -222,6 +246,12 @@ def _level4_squares_rolled(monkeypatch):
 
 FAULT_CASES = [  # (fault, the check that catches it, the start of its failure message)
     (_morder_off_by_one_on_split, "c07-dichotomy/orders/n2", "class-based order 4 disagrees"),
+    # n4 reads morder on one member per trace fibre
+    (_morder_off_by_one_on_split, "c07-dichotomy/orders/n4", "class-based order 4 disagrees with iterated order 3 at [[0x0@1,0x1@1],[0x1@1,0x1@1]]"),
+    (_element_orders_wrong_at_the_last, "c07-dichotomy/orders/n4", "class-based order 17 disagrees with iterated order 19 at [[0xf@4,0xf@4],[0xf@4,0x3@2]]"),
+    (_conj_vec_ignores_the_conjugator, "c05-prop5-6/triangular/n2", "the diagonal's conjugates of [[0x1@1,0x1@1],[0x0@1,0x1@1]] are not the nontrivial upper"),
+    # the centralizer and the orbit hold on either side; the normalizer does not
+    (_unitriangular_sides_swapped, "c05-prop5-6/triangular/n2", "normalizer of the upper unitriangulars is not the upper triangulars"),
     (_enumerate_group_drops_a_row, "c01-orders/sl2/n2", "enumerated 59 elements"),
     (_involution_factors_reversed, "c09-generation/diag-two-involutions", "factor product fails"),
     (_max_order_misses_a_mask, "c11-field-cohopf/max-order/n4", "count 7 differs from the totient"),
@@ -252,10 +282,22 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
 def test_the_registry_check_catches_a_wrong_library_answer(monkeypatch, fault, check, message):
     # the message pins the reason: a check that crashes on the fault is also a "fail"
     fault(monkeypatch)
-    gate = next(c.gate for c in verify.build_checks() if c.name == check)  # 2 for all but n13's 5
+    gate = next(c.gate for c in verify.build_checks() if c.name == check)  # 2 for all but n4's 4 and n13's 5
     report = verify.run_suite(max_level=gate, name_filter=check)
     assert [(c.name, c.status) for c in report.checks] == [(check, "fail")]
     assert report.checks[0].witness["error"].startswith(message)
+
+
+def test_c07_reads_morder_once_per_trace_fibre_from_level_4(monkeypatch):
+    # the identity and one member of each of the q trace fibres: more calls
+    # mean a return to the per-element loop, fewer a skipped fibre
+    calls = []
+    good = sl.morder
+    monkeypatch.setattr(sl, "morder", lambda M: calls.append(M) or good(M))
+    assert verify._check_dichotomy(4) == {"elements": 4080}
+    assert len(calls) == 1 + 16
+    others = [sl.mat_entry_masks(M, 4) for M in calls if M != sl.IDENTITY]
+    assert len(others) == 16 and {a ^ d for a, _, _, d in others} == set(range(16))
 
 
 def test_c08_table_sides_agree_with_the_scalar_closed_forms():
