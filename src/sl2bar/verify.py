@@ -176,10 +176,10 @@ def _check_prop56(n: int):
     scanned for one u only, and the diagonal's conjugates of u must be
     exactly U without 1.  That settles every other u, each a d u d^(-1):
     C(d u d^(-1)) = d C(u) d^(-1) = d U d^(-1) = U.  The last step needs
-    the diagonal to normalize U, which the line "normalizer of the ...
-    unitriangulars is not the ... triangulars" settles, with the diagonal
-    inside the triangular group by the line "... unitriangulars and
-    diagonal do not generate the ... triangulars"."""
+    the diagonal to normalize U, and the orbit line "the diagonal's
+    conjugates of ... are not the nontrivial ... unitriangulars" settles
+    that by itself: U without 1 is the diagonal's orbit of u, and the
+    diagonal is a group, so each d maps that orbit onto itself."""
     G = fe.enumerate_group(n, fe.KIND_SL2)
     q = 1 << n
     ut = fe.named_subgroup(G, SubsetName.UPPER_UNI)
@@ -220,34 +220,26 @@ def _check_prop7(n: int):
 def _check_dichotomy(n: int):
     """Criterion 7 on SL2(2^n): each order is 1, 2 or odd; order 2 is
     trace 0 off the identity; and sl2_core.morder agrees with the table's
-    orders.  At n <= 3 every element goes through morder, the only check
-    of it on elements that do not represent their fibre.  From n = 4 the
-    conditions run over the whole table at once, and morder reads the
-    identity and the first other member of each trace fibre: off the
-    identity the trace fixes the conjugacy class and so the order
-    (Huppert, Endliche Gruppen I, II.8).  A failure names the lowest
-    failing element and its first failing condition, in the order above."""
+    orders.  The conditions run over the whole table at once.  At n <= 3
+    morder reads every element; from n = 4 it reads the identity and the
+    first other member of each trace fibre, and that value is spread over
+    the fibre: off the identity the trace fixes the conjugacy class and so
+    the order (Huppert, Endliche Gruppen I, II.8).  A failure names the
+    lowest failing element and its first failing condition, in the order
+    above."""
     G = fe.enumerate_group(n, fe.KIND_SL2)
     orders = G.element_orders()
     traces = G.masks[:, 0] ^ G.masks[:, 3]
-    if n <= 3:
-        for i in range(len(G)):
-            d = int(orders[i])
-            if not (d == 1 or d == 2 or d % 2 == 1):
-                raise CheckFailure(f"element {G.mat(i)} has even order {d} > 2")
-            if (d == 2) != (traces[i] == 0 and i != 0):
-                raise CheckFailure(f"trace criterion fails at {G.mat(i)}")
-            got = sl.morder(G.mat(i))
-            if got != d:
-                raise CheckFailure(f"class-based order {got} disagrees with iterated order {d} at {G.mat(i)}")
-        return {"elements": len(G)}
     even = (orders % 2 == 0) & (orders != 2)
     criterion = (orders == 2) != ((traces == 0) & (np.arange(len(G)) != 0))
-    fibre, first = np.unique(traces[1:], return_index=True)
-    val = np.zeros(G.q, dtype=np.int64)
-    val[fibre] = [sl.morder(G.mat(i + 1)) for i in first.tolist()]
-    got = val[traces]
-    got[0] = sl.morder(G.mat(0))
+    if n <= 3:
+        got = np.array([sl.morder(G.mat(i)) for i in range(len(G))], dtype=np.int64)
+    else:
+        fibre, first = np.unique(traces[1:], return_index=True)
+        val = np.zeros(G.q, dtype=np.int64)
+        val[fibre] = [sl.morder(G.mat(i + 1)) for i in first.tolist()]
+        got = val[traces]
+        got[0] = sl.morder(G.mat(0))
     bad = np.flatnonzero(even | criterion | (got != orders))
     if len(bad):
         i = int(bad[0])

@@ -290,7 +290,7 @@ def test_the_registry_check_catches_a_wrong_library_answer(monkeypatch, fault, c
 
 def test_c07_reads_morder_once_per_trace_fibre_from_level_4(monkeypatch):
     # the identity and one member of each of the q trace fibres: more calls
-    # mean a return to the per-element loop, fewer a skipped fibre
+    # mean a return to per-element calls, fewer a skipped fibre
     calls = []
     good = sl.morder
     monkeypatch.setattr(sl, "morder", lambda M: calls.append(M) or good(M))
