@@ -26,9 +26,10 @@ from sl2bar.errors import (
     LevelMismatch,
     NoPrimitiveCubeRoot,
     PreconditionError,
+    StepFailed,
 )
 from sl2bar.gf2_field import FieldElt, gen, power
-from sl2bar.sl2_core import SWAP, Mat2, diag_mat, mat_from_masks, mmul, random_sl2_masks, upper_uni
+from sl2bar.sl2_core import SWAP, Mat2, SubsetName, diag_mat, mat_from_masks, mmul, random_sl2_masks, upper_uni
 
 G2 = celt(2, 2)
 
@@ -216,3 +217,131 @@ def test_replay_rejects_bad_levels():
     with pytest.raises(BoundExceeded):
         replay_cohopf_skeleton(6)
 
+
+
+# The replay's failure paths.  Each fault case corrupts the data that one
+# step reads and pins the StepFailed of the lowest failing word: its step,
+# message and witness.  Step 3 cannot fail while GroupTable.conj_vec is
+# correct: the straightening conjugator of an image h is read off the
+# conjugates of g, so it sends h back to g by construction.
+
+
+def _at(G, a, b, c, d) -> int:
+    # the index of the element with entry masks a, b, c, d
+    return int(G.index_of_rows(np.array([[a, b, c, d]]))[0])
+
+
+def _flip(monkeypatch, name, *entries):
+    # subset_member(G, name) with the membership of each given element flipped
+    real = fe.subset_member
+
+    def flipped(G, s):
+        member = real(G, s)
+        if s is name:
+            member = member.copy()
+            for masks in entries:
+                member[_at(G, *masks)] ^= True
+        return member
+
+    monkeypatch.setattr(fe, "subset_member", flipped)
+
+
+def _set_orders(monkeypatch, changes):
+    # element_orders() with the order of each element (entry masks) replaced
+    real = fe.GroupTable.element_orders
+
+    def changed(G):
+        orders = real(G).copy()  # the cached array stays intact
+        for masks, order in changes.items():
+            orders[_at(G, *masks)] = order
+        return orders
+
+    monkeypatch.setattr(fe.GroupTable, "element_orders", changed)
+
+
+def _lowest_failure(monkeypatch, n, k):
+    # The StepFailed of the level-n replay, after checking that word k is
+    # the lowest failing word: the words before it pass, and the words up
+    # to it fail exactly as the whole family does.
+    base, words = replay_family(n)
+
+    def run(sub):
+        monkeypatch.setattr(endo, "replay_family", lambda _: (base, sub))
+        return replay_cohopf_skeleton(n)
+
+    with pytest.raises(StepFailed) as whole:
+        run(words)
+    assert len(run(words[:k]).entries) == k
+    with pytest.raises(StepFailed) as first:
+        run(words[: k + 1])
+    err = whole.value
+    assert (first.value.step_id, str(first.value), first.value.witness) == (err.step_id, str(err), err.witness)
+    return err.step_id, str(err), err.witness
+
+
+G_N2 = ["0x2@2", "0x0@1", "0x0@1", "0x3@2"]  # the anchor g = diag(theta, theta^-1) at n2
+
+
+def test_replay_step2_fails_on_a_wrong_order_of_g(monkeypatch):
+    _set_orders(monkeypatch, {(2, 0, 0, 3): 6})
+    assert _lowest_failure(monkeypatch, 2, 0) == (2, "step 2: image of g has order 6", {"image": G_N2})
+
+
+def test_replay_step2_fails_on_an_image_outside_the_class_of_g(monkeypatch):
+    # g's conjugates, from which the straightening conjugators are read, lose
+    # g^-1 = diag(theta^-1, theta); frob^1, word 1, sends g there
+    real = fe.GroupTable.conj_vec
+
+    def without_g_inverse(G, i, j):
+        out = real(G, i, j)
+        if np.ndim(j) == 0:
+            out = np.where(out == _at(G, 3, 0, 0, 2), int(j), out)
+        return out
+
+    monkeypatch.setattr(fe.GroupTable, "conj_vec", without_g_inverse)
+    got = _lowest_failure(monkeypatch, 2, 1)
+    assert got == (2, "step 2: image of g left the conjugacy class", {"image": ["0x3@2", "0x0@1", "0x0@1", "0x2@2"]})
+
+
+def test_replay_step4_fails_when_the_diagonal_gains_the_swap_matrix(monkeypatch):
+    # inner(diag(theta, theta^-1)), word 4, is the first to move the swap matrix
+    _flip(monkeypatch, SubsetName.DIAG, (0, 1, 1, 0))
+    swap = ["0x0@1", "0x1@1", "0x1@1", "0x0@1"]
+    assert _lowest_failure(monkeypatch, 2, 4) == (4, "step 4: diagonal image left the diagonal", {"element": swap})
+
+
+def test_replay_step5_fails_when_an_off_diagonal_image_leaves_the_set(monkeypatch):
+    off = ["0x0@1", "0x3@2", "0x2@2", "0x0@1"]
+    _flip(monkeypatch, SubsetName.OFF_DIAG, (0, 3, 2, 0))
+    assert _lowest_failure(monkeypatch, 2, 4) == (5, "step 5: image of the swap matrix is not off-diagonal", {"image": off})
+
+
+def test_replay_step6_fails_when_a_lower_unitriangular_image_is_not_unitriangular(monkeypatch):
+    _flip(monkeypatch, SubsetName.LOWER_UNI, (1, 0, 3, 1))
+    got = _lowest_failure(monkeypatch, 2, 4)
+    assert got == (6, "step 6: a lower-unitriangular image is not unitriangular", {"element": ["0x1@1", "0x0@1", "0x2@2", "0x1@1"]})
+
+
+def test_replay_step6_fails_when_the_images_meet_both_sides(monkeypatch):
+    _flip(monkeypatch, SubsetName.UPPER_UNI, (1, 0, 1, 1))
+    assert _lowest_failure(monkeypatch, 2, 0) == (6, "step 6: images meet both unitriangular sides", None)
+
+
+def test_replay_step7_fails_when_the_lower_triangulars_lose_one(monkeypatch):
+    _flip(monkeypatch, SubsetName.LOWER_TRI, (1, 0, 1, 1))
+    assert _lowest_failure(monkeypatch, 2, 4) == (7, "step 7: twisted map is not onto the lower-triangular set", None)
+
+
+def test_replay_step6_fails_at_level_4(monkeypatch):
+    _flip(monkeypatch, SubsetName.LOWER_UNI, (1, 0, 1, 1))
+    got = _lowest_failure(monkeypatch, 4, 6)
+    assert got == (6, "step 6: a lower-unitriangular image is not unitriangular", {"element": ["0x1@1", "0x0@1", "0x4@4", "0x1@1"]})
+
+
+def test_replay_reports_the_lowest_word_at_its_first_failing_step(monkeypatch):
+    # word 4 fails step 4 and step 6, word 5 fails step 2: word 4's step 4 wins
+    _flip(monkeypatch, SubsetName.DIAG, (0, 1, 1, 0))
+    _flip(monkeypatch, SubsetName.LOWER_UNI, (1, 0, 3, 1))
+    _set_orders(monkeypatch, {(2, 1, 0, 3): 6})  # the image of g under word 5
+    got = _lowest_failure(monkeypatch, 2, 4)
+    assert got == (4, "step 4: diagonal image left the diagonal", {"element": ["0x0@1", "0x1@1", "0x1@1", "0x0@1"]})
