@@ -19,18 +19,21 @@ The replay builds the stack once and checks each row once: bijective, in
 agreement with the scalar path, and a homomorphism on the greedy
 generating set of the whole group that the one subgroup closure keeps
 (three elements at every replay level).  Words over checked bijective
-homomorphisms need no check.  It then walks the eight-step argument for
-each word on the images of the elements the argument reads, U = [g,
-swap, diagonal, lower triangulars] (257 at level 4): fix an order-3
-diagonal g, keep its image in g's class and straighten the images by the
-lowest inner map sending it back to g (one conjugator table per level),
-track the diagonal subgroup, the swap matrix and the lower-triangular
-set, choose the final twist, and conclude bijectivity from the checked
-base maps.
+homomorphisms need no check.  The eight-step argument reads only the
+images of U = [g, swap, diagonal, lower triangulars] (257 elements at
+level 4): fix an order-3 diagonal g, keep its image in g's class and
+straighten the images by the lowest inner map sending it back to g (one
+conjugator table per level), track the diagonal subgroup, the swap matrix
+and the lower-triangular set, choose the final twist, and conclude
+bijectivity from the checked base maps.  Steps 2-7 exist once, in
+``ReplayFrame.steps``, which checks a whole block of maps at once, one
+boolean array per step over the block's rows; the replay feeds it its
+words in fixed-size chunks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Union
@@ -216,124 +219,140 @@ def _check_base_map(spec: GroupEndoSpec, G: fe.GroupTable, p: np.ndarray, gens: 
         raise InvariantViolated(f"{spec_str(spec)} is not a homomorphism")
 
 
+class ReplayFrame:
+    """Steps 1-7 of the argument at level n, run on a block of maps at once.
+
+    Construction fixes what the steps read: the order-3 diagonal anchor g
+    (step 1), U = [g, swap, diagonal, lower triangulars], the elements
+    steps 2-7 read (17 at level 2, 257 at level 4), the element orders,
+    the lowest conjugator sending each member of g's class back to g, the
+    shape subsets and the inverse-transpose permutation.  ``steps`` takes
+    the images of U under B maps as a (B, |U|) index array, one row a map;
+    the maps are assumed to be bijective homomorphisms, which step 8 rests
+    on and which the caller checks."""
+
+    def __init__(self, n: int):
+        self.G = G = fe.enumerate_group(n, fe.KIND_SL2)
+        self.theta = theta = reduce_elt(power(gen(n), ((1 << n) - 1) // 3))
+        if corder(theta) != 3:
+            raise InvariantViolated(f"anchor {theta} does not have order 3")
+        self.g_mat = sl.diag_mat(theta, cinv(theta))
+        self.g_idx = g_idx = G.index_of(self.g_mat)
+        self.orders = G.element_orders()
+        names = (SubsetName.DIAG, SubsetName.OFF_DIAG, SubsetName.UPPER_UNI, SubsetName.LOWER_UNI, SubsetName.LOWER_TRI)
+        self.delta_member, self.dprime_member, self.ut_member, self.lt_member, lower_member = (fe.subset_member(G, s) for s in names)
+        self.delta, self.lower = np.flatnonzero(self.delta_member), np.flatnonzero(lower_member)
+        self.lt_nontriv = self.lt_member[self.lower] & (self.lower != 0)  # lower-unitriangulars but I, as a mask on lower
+        self.U = np.concatenate([[g_idx, G.index_of(SWAP)], self.delta, self.lower])
+        self.lower_at = 2 + len(self.delta)  # U[2:lower_at] is the diagonal, U[lower_at:] the lower triangulars
+        # alpha_of[h]: the lowest x with x h x^(-1) = g, or -1 off g's class
+        conjugates, first_x = np.unique(G.conj_vec(G.inv_index, np.int64(g_idx)), return_index=True)
+        self.alpha_of = np.full(len(G), -1)
+        self.alpha_of[conjugates] = first_x
+        self.invtrans = _base_perm(InvTranspose(), G)
+
+    def steps(self, img: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Steps 2-7 on every row of img at once, each step one boolean
+        array over the rows.  Raises StepFailed for the lowest failing row
+        at its first failing step, with that row's message and witness.
+        Otherwise returns the per-row witnesses as index arrays: the image
+        of g (step 2), the straightening conjugator alpha (step 3), the
+        straightened image of the swap matrix (step 5) and whether the
+        twist beta is the inverse transpose (step 6)."""
+        G, orders, lower_at = self.G, self.orders, self.lower_at
+        ig = img[:, 0]
+        alpha = self.alpha_of[ig]
+        # 3: straighten by the lowest inner map sending the image of g back
+        # to g; a row off g's class (alpha -1) fails step 2, so its values
+        # here are never read
+        aimg = G.conj_vec(alpha[:, None], img)
+        dimg, sw, lower_img = aimg[:, 2:lower_at], aimg[:, 1], aimg[:, lower_at:]
+        in_delta = self.delta_member[dimg]
+        # 5: sw = [[0, lam], [c, 0]] has lam c = 1, so diag(lam^-1, lam) sw = SWAP iff lam^-1 lam = 1
+        lam = G.masks[sw, 1]
+        # 6: lower-unitriangular images pick exactly one unitriangular side
+        limg = lower_img[:, self.lt_nontriv]
+        unitri = self.ut_member[limg] | self.lt_member[limg]
+        meets_lt = np.any(self.lt_member[limg] & (limg != 0), axis=1)
+        meets_ut = np.any(self.ut_member[limg] & (limg != 0), axis=1)
+        # 7: after the twist, the lower-triangular set maps onto itself
+        final = np.where(meets_ut[:, None], self.invtrans[lower_img], lower_img)
+        checks = (  # (step, pass per row, message, witness key and its element per row)
+            (2, orders[ig] == 3, "image of g has order {}", ("image", ig)),
+            (2, alpha >= 0, "image of g left the conjugacy class", ("image", ig)),
+            (3, aimg[:, 0] == self.g_idx, "straightened map does not fix g", None),
+            (4, in_delta.all(axis=1), "diagonal image left the diagonal", ("element", self.delta[np.argmin(in_delta, axis=1)])),
+            (4, (np.sort(dimg, axis=1) == self.delta).all(axis=1), "diagonal image is not the full diagonal", None),
+            (5, self.dprime_member[sw], "image of the swap matrix is not off-diagonal", ("image", sw)),
+            (5, G.MUL[G.INV[lam], lam] == 1, "off-diagonal image does not rebuild the swap matrix", None),
+            (6, unitri.all(axis=1), "a lower-unitriangular image is not unitriangular",
+             ("element", self.lower[self.lt_nontriv][np.argmin(unitri, axis=1)])),
+            (6, ~(meets_lt & meets_ut), "images meet both unitriangular sides", None),
+            (6, meets_lt | meets_ut, "images vanished entirely", None),
+            (7, (np.sort(final, axis=1) == self.lower).all(axis=1), "twisted map is not onto the lower-triangular set", None),
+        )
+        ok = np.stack([c[1] for c in checks])
+        if not ok.all():
+            r = int(np.argmin(ok.all(axis=0)))
+            step, _, msg, witness = checks[int(np.argmin(ok[:, r]))]
+            raise StepFailed(step, msg.format(orders[ig[r]]), witness and {witness[0]: G.mat_json(int(witness[1][r]))})
+        return ig, alpha, sw, meets_ut
+
+
 def replay_cohopf_skeleton(n: int) -> ReplayReport:
     """Run the eight-step argument for every family member over the
     level-n determinant-one group.  The base maps are the rows of one
     permutation stack P, built and checked (bijective, scalar path,
-    homomorphism) once; each member is a word over them and only its
-    images of U = [g, swap, diagonal, lower triangulars], the elements
-    steps 2-7 read, gathered through the rows of P its word names and
-    straightened by one inner map, so no per-member work scans the whole
-    table.  Step 8 needs no scan: a word of checked bijections,
+    homomorphism) once, with the identity appended as a last row that
+    pads every word to length 3.  The words go through
+    ``ReplayFrame.steps`` in chunks of CLOSURE_CHUNK // (8 |U|) rows (31
+    at level 4, every word at level 2): a chunk's images of U are gathered
+    through P once per word position, and no per-member work scans the
+    whole table.  Step 8 needs no scan: a word of checked bijections,
     straightened by an inner map, is a bijection, and its witness is the
     group order.  Raises InvariantViolated on a base map that is not a
-    bijective homomorphism and StepFailed on any step violation; a
-    returned report therefore records only passes (with witnesses)."""
+    bijective homomorphism and StepFailed, for the lowest failing word,
+    on any step violation; a returned report therefore records only passes
+    (with witnesses)."""
     if n > REPLAY_MAX_LEVEL:
         raise BoundExceeded(f"replay limited to levels <= {REPLAY_MAX_LEVEL}, got {n}")
     if n % 2:
         raise NoPrimitiveCubeRoot(f"level {n} is odd, so 3 does not divide 2^{n}-1")
-    G = fe.enumerate_group(n, fe.KIND_SL2)
-
-    theta = reduce_elt(power(gen(n), ((1 << n) - 1) // 3))
-    if corder(theta) != 3:
-        raise InvariantViolated(f"anchor {theta} does not have order 3")
-    g_mat = sl.diag_mat(theta, cinv(theta))
-    g_idx = G.index_of(g_mat)
-    orders = G.element_orders()
-
-    names = (SubsetName.DIAG, SubsetName.OFF_DIAG, SubsetName.UPPER_UNI, SubsetName.LOWER_UNI, SubsetName.LOWER_TRI)
-    delta_member, dprime_member, ut_member, lt_member, lower_member = (fe.subset_member(G, s) for s in names)
-    delta, lower = np.flatnonzero(delta_member), np.flatnonzero(lower_member)
-    lt_nontriv = lt_member[lower] & (lower != 0)  # lower-unitriangulars but I, as a mask on lower
-    U = np.concatenate([[g_idx, G.index_of(SWAP)], delta, lower])
-    lower_at = 2 + len(delta)  # U[2:lower_at] is the diagonal, U[lower_at:] the lower triangulars
-    # alpha_of[h]: the lowest x with x h x^(-1) = g, or -1 off g's class
-    conjugates, first_x = np.unique(G.conj_vec(G.inv_index, np.int64(g_idx)), return_index=True)
-    alpha_of = np.full(len(G), -1)
-    alpha_of[conjugates] = first_x
+    frame = ReplayFrame(n)
+    G, U = frame.G, frame.U
 
     base, words = replay_family(n)
     gens = fe._generators(fe.SubgroupRef(G, np.ones(len(G), dtype=bool)))
     prods = G.mul_vec(np.arange(len(G))[:, None], gens[None, :])
-    P = np.stack([_base_perm(spec, G) for spec in base])  # P[b]: the permutation of base map b
+    P = np.stack([_base_perm(spec, G) for spec in base] + [np.arange(len(G))])  # P[b]: base map b's permutation
     for spec, p in zip(base, P):
         _check_base_map(spec, G, p, gens, prods)
-    invtrans = P[base.index(InvTranspose())]
+    W = np.array([w + (len(base),) * (_COMPOSE_DEPTH - len(w)) for w in words])  # words padded by the identity row
     names = [spec_str(spec) for spec in base]
 
-    anchor = {"theta": str(theta), "g": mat_to_json(g_mat)}
+    anchor = {"theta": str(frame.theta), "g": mat_to_json(frame.g_mat)}
+    mat_json = functools.cache(G.mat_json)  # each index's witness, formatted once a call
+    rows = max(1, fe.CLOSURE_CHUNK // (8 * len(U)))  # 64 rows at level 4 raised verify's peak RSS
     entries = []
-    for word in words:
-        steps = []
+    for k in range(0, len(words), rows):
         img = U
-        for b in word:
-            img = P[b, img]
-
-        # 1: the order-3 diagonal anchor exists at this level
-        steps.append(ReplayStep(1, "pass", anchor))
-
-        # 2: the image of g keeps order 3 and stays in its conjugacy class
-        ig = int(img[0])
-        if orders[ig] != 3:
-            _fail(2, f"image of g has order {orders[ig]}", {"image": G.mat_json(ig)})
-        if alpha_of[ig] < 0:
-            _fail(2, "image of g left the conjugacy class", {"image": G.mat_json(ig)})
-        steps.append(ReplayStep(2, "pass", {"image_of_g": G.mat_json(ig)}))
-
-        # 3: straighten with the first inner map sending the image back to g
-        alpha = int(alpha_of[ig])
-        aimg = G.conj_vec(alpha, img)  # per member: a batch over the words raised verify's peak RSS
-        if int(aimg[0]) != g_idx:
-            _fail(3, "straightened map does not fix g")
-        steps.append(ReplayStep(3, "pass", {"alpha": G.mat_json(alpha)}))
-
-        # 4: the straightened map restricts to a bijection of the diagonal
-        dimg = aimg[2:lower_at]
-        if not np.all(delta_member[dimg]):
-            bad = int(delta[~delta_member[dimg]][0])
-            _fail(4, "diagonal image left the diagonal", {"element": G.mat_json(bad)})
-        if not np.array_equal(np.sort(dimg), delta):
-            _fail(4, "diagonal image is not the full diagonal")
-        steps.append(ReplayStep(4, "pass", {"diagonal_size": int(len(delta))}))
-
-        # 5: the swap matrix lands off-diagonal
-        sw = int(aimg[1])
-        if not dprime_member[sw]:
-            _fail(5, "image of the swap matrix is not off-diagonal", {"image": G.mat_json(sw)})
-        # sw = [[0, lam], [c, 0]] has lam c = 1, so diag(lam^-1, lam) sw = SWAP iff lam^-1 lam = 1
-        lam = int(G.masks[sw, 1])
-        if G.MUL[G.INV[lam], lam] != 1:
-            _fail(5, "off-diagonal image does not rebuild the swap matrix")
-        sw_json = G.mat_json(sw)
-        steps.append(ReplayStep(5, "pass", {"image_of_swap": sw_json, "lambda": sw_json[1]}))
-
-        # 6: lower-unitriangular images pick exactly one unitriangular side
-        lower_img = aimg[lower_at:]
-        limg = lower_img[lt_nontriv]
-        if not np.all(ut_member[limg] | lt_member[limg]):
-            bad = int(lower[lt_nontriv][~(ut_member[limg] | lt_member[limg])][0])
-            _fail(6, "a lower-unitriangular image is not unitriangular", {"element": G.mat_json(bad)})
-        meets_lt = bool(np.any(lt_member[limg] & (limg != 0)))
-        meets_ut = bool(np.any(ut_member[limg] & (limg != 0)))
-        if meets_lt and meets_ut:
-            _fail(6, "images meet both unitriangular sides")
-        if not (meets_lt or meets_ut):
-            _fail(6, "images vanished entirely")
-        beta_is_invtrans = meets_ut
-        steps.append(ReplayStep(6, "pass", {"beta": "invtrans" if beta_is_invtrans else "identity"}))
-
-        # 7: after the twist, the lower-triangular set maps onto itself
-        final = invtrans[lower_img] if beta_is_invtrans else lower_img
-        if not np.array_equal(np.sort(final), lower):
-            _fail(7, "twisted map is not onto the lower-triangular set")
-        steps.append(ReplayStep(7, "pass", {"lower_triangular_size": int(len(lower))}))
-
-        # 8: the twisted map, hence the original, permutes the whole group
-        # (a composite of checked bijections: see the docstring)
-        steps.append(ReplayStep(8, "pass", {"group_order": int(len(G))}))
-
-        entries.append(ReplayEntry("*".join(names[b] for b in word), steps))
+        for b in W[k : k + rows].T:
+            img = P[b[:, None], img]
+        for word, ig, alpha, sw, beta in zip(words[k : k + rows], *(a.tolist() for a in frame.steps(img))):
+            ig, alpha, sw = map(mat_json, (ig, alpha, sw))
+            steps = [
+                ReplayStep(1, "pass", anchor),
+                ReplayStep(2, "pass", {"image_of_g": ig}),
+                ReplayStep(3, "pass", {"alpha": alpha}),
+                ReplayStep(4, "pass", {"diagonal_size": len(frame.delta)}),
+                ReplayStep(5, "pass", {"image_of_swap": sw, "lambda": sw[1]}),
+                ReplayStep(6, "pass", {"beta": "invtrans" if beta else "identity"}),
+                ReplayStep(7, "pass", {"lower_triangular_size": len(frame.lower)}),
+                # 8: the twisted map, hence the original, permutes the whole group
+                # (a composite of checked bijections: see the docstring)
+                ReplayStep(8, "pass", {"group_order": len(G)}),
+            ]
+            entries.append(ReplayEntry("*".join(names[b] for b in word), steps))
     return ReplayReport(n, entries)
 
 
@@ -344,6 +363,7 @@ __all__ = [
     "InnerConj",
     "InvTranspose",
     "REPLAY_MAX_LEVEL",
+    "ReplayFrame",
     "ReplayEntry",
     "ReplayReport",
     "ReplayStep",

@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
-from .gf2poly import Gf2Poly, divisors, factorize, is_irreducible, pinvmod, pmulmod, ppowmod
+from .gf2poly import Gf2Poly, _comb, _times, divisors, factorize, is_irreducible, pinvmod, pmod, pmulmod, ppowmod
 
 if TYPE_CHECKING:
     import numpy as np
@@ -437,9 +437,10 @@ def minimal_poly(a: FieldElt) -> Gf2Poly:
     t = _LEVELS.get(n) or _level(n)
     pivots: dict[int, tuple[int, int]] = {}
     p, i = 1, 0
+    comb = _comb(x) if t.log is None else ()  # above the log tables each power is p x, by one comb of x
     while not (f := _insert(pivots, p, 1 << i)):
         i += 1
-        p = pmulmod(p, x, t.mod) if t.log is None else t.exp[t.log[x] * i % t.q1]
+        p = pmod(_times(comb, p), t.mod) if t.log is None else t.exp[t.log[x] * i % t.q1]
     if n % i or not is_irreducible(f):
         raise InvariantViolated(f"power relation {f:#x} of {a} is not an irreducible factor of x^(2^{n}) - x")
     return Gf2Poly(f)

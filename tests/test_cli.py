@@ -43,9 +43,9 @@ def test_field_commands(capsys):
 
 def test_a_wrong_product_trips_the_minimal_poly_guard(capsys, monkeypatch):
     # Level 25 has no log tables, so every power of the element goes
-    # through the schoolbook product; one wrong bit in it makes the first
-    # power relation no irreducible factor of x^(2^25) - x.
-    monkeypatch.setattr(gf2_field, "pmulmod", lambda f, g, m: gf2poly.pmulmod(f, g, m) ^ 1)
+    # through the schoolbook product and its fold; one wrong bit in the fold
+    # makes the first power relation no irreducible factor of x^(2^25) - x.
+    monkeypatch.setattr(gf2_field, "pmod", lambda f, m: gf2poly.pmod(f, m) ^ 1)
     with pytest.raises(InvariantViolated):
         gf2_field.minimal_poly(FieldElt(25, 0x1234567))
     code, out, err = run(capsys, "field", "minpoly", "0x1234567@25")

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -147,15 +150,26 @@ def test_replay_level2():
     json.dumps(payload)  # serializable
 
 
+# sha256 of the compact JSON report, which carries every per-step witness
+REPLAY_DIGESTS = {
+    2: "45f5ef96858f29acf161b131044e7679b53fe13c6ab1b74e0e891363d5e3d714",
+    4: "4ef7fa2b828cf1c762fdab11a68e02fcf0748e3198bfca4ea9344c46e9416a32",
+}
+
+
+def _replay_digest(n: int) -> str:
+    return hashlib.sha256(json.dumps(replay_cohopf_skeleton(n).to_json(), separators=(",", ":")).encode()).hexdigest()
+
+
 def test_replay_reports_are_byte_stable():
-    # sha256 of the compact JSON report, which carries every per-step witness
-    expected = {
-        2: "45f5ef96858f29acf161b131044e7679b53fe13c6ab1b74e0e891363d5e3d714",
-        4: "4ef7fa2b828cf1c762fdab11a68e02fcf0748e3198bfca4ea9344c46e9416a32",
-    }
-    for n, digest in expected.items():
-        payload = json.dumps(replay_cohopf_skeleton(n).to_json(), separators=(",", ":")).encode()
-        assert hashlib.sha256(payload).hexdigest() == digest
+    for n, digest in REPLAY_DIGESTS.items():
+        assert _replay_digest(n) == digest
+
+
+def test_dump_replay_report_script_prints_the_level_2_report():
+    script = Path(__file__).resolve().parent.parent / "scripts" / "dump_replay_report.py"
+    out = subprocess.run([sys.executable, str(script), "2"], capture_output=True, check=True, timeout=120).stdout
+    assert out.endswith(b"\n") and hashlib.sha256(out[:-1]).hexdigest() == REPLAY_DIGESTS[2]
 
 
 def test_replay_fails_on_the_transpose_mutant(monkeypatch):
@@ -345,3 +359,32 @@ def test_replay_reports_the_lowest_word_at_its_first_failing_step(monkeypatch):
     _set_orders(monkeypatch, {(2, 1, 0, 3): 6})  # the image of g under word 5
     got = _lowest_failure(monkeypatch, 2, 4)
     assert got == (4, "step 4: diagonal image left the diagonal", {"element": ["0x0@1", "0x1@1", "0x1@1", "0x0@1"]})
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3, 7])
+def test_replay_chunks_do_not_change_results(monkeypatch, rows):
+    # ReplayFrame.steps sees CLOSURE_CHUNK // (8 |U|) words at a time: all
+    # 258 at n2 and 31 at n4 by default, here also 1, 3 and 7
+    seen = []
+    real = endo.ReplayFrame.steps
+    monkeypatch.setattr(endo.ReplayFrame, "steps", lambda frame, img: seen.append(len(img)) or real(frame, img))
+    sizes = {2: (17, 258), 4: (257, 31)}  # |U| and the default chunk
+
+    def chunked(n):
+        seen.clear()
+        if rows is not None:
+            monkeypatch.setattr(fe, "CLOSURE_CHUNK", 8 * sizes[n][0] * rows)
+        return rows or sizes[n][1]
+
+    for n in (2, 4):
+        step = chunked(n)
+        assert _replay_digest(n) == REPLAY_DIGESTS[n]
+        words = len(replay_family(n)[1])
+        assert seen == [min(step, words - k) for k in range(0, words, step)]
+    # step-6 faults at word 4 (n2) and word 6 (n4): not first in a chunk of 7
+    _flip(monkeypatch, SubsetName.LOWER_UNI, (1, 0, 1, 1))
+    message = "step 6: a lower-unitriangular image is not unitriangular"
+    chunked(2)
+    assert _lowest_failure(monkeypatch, 2, 4) == (6, message, {"element": ["0x1@1", "0x0@1", "0x3@2", "0x1@1"]})
+    chunked(4)
+    assert _lowest_failure(monkeypatch, 4, 6) == (6, message, {"element": ["0x1@1", "0x0@1", "0x4@4", "0x1@1"]})

@@ -36,7 +36,7 @@ KEPT_SELF_CHECKS = {
     ("finite_engine", "ct_check_centralizers"),
     ("finite_engine", "maximal_abelian_subgroups"),
     ("endo", "_check_base_map"),
-    ("endo", "replay_cohopf_skeleton"),
+    ("endo", "ReplayFrame.__init__"),
 }
 
 
