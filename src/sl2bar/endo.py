@@ -150,7 +150,7 @@ REPLAY_MAX_LEVEL = 4
 _COMPOSE_DEPTH = 3
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReplayStep:
     id: int
     status: str
@@ -330,7 +330,13 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     W = np.array([w + (len(base),) * (_COMPOSE_DEPTH - len(w)) for w in words])  # words padded by the identity row
     names = [spec_str(spec) for spec in base]
 
-    anchor = {"theta": str(frame.theta), "g": mat_to_json(frame.g_mat)}
+    # the steps whose witness is the same for every word, one object each
+    step1 = ReplayStep(1, "pass", {"theta": str(frame.theta), "g": mat_to_json(frame.g_mat)})
+    step4 = ReplayStep(4, "pass", {"diagonal_size": len(frame.delta)})
+    step7 = ReplayStep(7, "pass", {"lower_triangular_size": len(frame.lower)})
+    # 8: the twisted map, hence the original, permutes the whole group
+    # (a composite of checked bijections: see the docstring)
+    step8 = ReplayStep(8, "pass", {"group_order": len(G)})
     mat_json = functools.cache(G.mat_json)  # each index's witness, formatted once a call
     rows = max(1, fe.CLOSURE_CHUNK // (8 * len(U)))  # 64 rows at level 4 raised verify's peak RSS
     entries = []
@@ -340,18 +346,9 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
             img = P[b[:, None], img]
         for word, ig, alpha, sw, beta in zip(words[k : k + rows], *(a.tolist() for a in frame.steps(img))):
             ig, alpha, sw = map(mat_json, (ig, alpha, sw))
-            steps = [
-                ReplayStep(1, "pass", anchor),
-                ReplayStep(2, "pass", {"image_of_g": ig}),
-                ReplayStep(3, "pass", {"alpha": alpha}),
-                ReplayStep(4, "pass", {"diagonal_size": len(frame.delta)}),
-                ReplayStep(5, "pass", {"image_of_swap": sw, "lambda": sw[1]}),
-                ReplayStep(6, "pass", {"beta": "invtrans" if beta else "identity"}),
-                ReplayStep(7, "pass", {"lower_triangular_size": len(frame.lower)}),
-                # 8: the twisted map, hence the original, permutes the whole group
-                # (a composite of checked bijections: see the docstring)
-                ReplayStep(8, "pass", {"group_order": len(G)}),
-            ]
+            steps = [step1, ReplayStep(2, "pass", {"image_of_g": ig}), ReplayStep(3, "pass", {"alpha": alpha}), step4,
+                     ReplayStep(5, "pass", {"image_of_swap": sw, "lambda": sw[1]}),
+                     ReplayStep(6, "pass", {"beta": "invtrans" if beta else "identity"}), step7, step8]
             entries.append(ReplayEntry("*".join(names[b] for b in word), steps))
     return ReplayReport(n, entries)
 

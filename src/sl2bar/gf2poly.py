@@ -12,8 +12,8 @@ share them.  Products run 4-bit windows of one factor over the comb of
 the other, its 16 carry-less multiples; squares spread each byte through
 a 256-entry table; and both fold back through ``pmod`` (Hankerson,
 Menezes & Vanstone, Guide to Elliptic Curve Cryptography, 2004, sections
-2.3.3 and 2.3.4).  A power or an evaluation builds the comb of its fixed
-base once.
+2.3.3 and 2.3.4).  A power, an evaluation and ``gf2_field.minimal_poly``'s
+chain of powers build the comb of their fixed base once.
 Besides raw mask arithmetic the module provides irreducibility and
 primitivity tests (primitivity of degree n needs the factorization of
 2^n - 1, obtained by memoized trial division) and small integer helpers
