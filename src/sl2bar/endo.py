@@ -338,7 +338,7 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     # (a composite of checked bijections: see the docstring)
     step8 = ReplayStep(8, "pass", {"group_order": len(G)})
     mat_json = functools.cache(G.mat_json)  # each index's witness, formatted once a call
-    rows = max(1, fe.CLOSURE_CHUNK // (8 * len(U)))  # 64 rows at level 4 raised verify's peak RSS
+    rows = max(1, fe.CLOSURE_CHUNK // (8 * len(U)))  # 31 at level 4; 64 ran slower and raised the replay's peak
     entries = []
     for k in range(0, len(words), rows):
         img = U
