@@ -17,7 +17,6 @@ SL2BAR_CONWAY_PATH environment variable; the flag wins.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import closure, conway, sl2_core as sl
@@ -28,6 +27,8 @@ from .gf2_field import check_level, ensure_log_table, minimal_poly
 
 def _emit(args, obj: dict, text: str) -> None:
     if getattr(args, "json", False):
+        import json  # only --json needs it
+
         print(json.dumps(obj, separators=(",", ":")))
     else:
         print(text)
@@ -236,6 +237,8 @@ def _cmd_verify(args) -> int:
     conway.get_active()  # a bad table file is one usage error, not a failure of every check
     report = verify.run_suite(max_level=args.max_level, name_filter=args.filter)
     if args.json:
+        import json
+
         print(json.dumps(report.to_json(), separators=(",", ":")))
     else:
         for c in report.checks:

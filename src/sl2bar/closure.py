@@ -23,7 +23,6 @@ membership test per prime factor of the level at each step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import LevelOverflow, NotADivisor
 from .gf2_field import (
@@ -42,17 +41,28 @@ from .gf2_field import (
     sqrt,
 )
 from .gf2poly import factorize
+from .record import Record, _set
 
 
-@dataclass(frozen=True, slots=True)
-class ClosureElt:
+class ClosureElt(Record):
     """A closure element held by its minimal-level representative.
 
     Construct through ``reduce_elt`` (or ``celt``/``parse``); the raw
     constructor trusts that ``elt`` is already minimal.
     """
 
-    elt: FieldElt
+    __slots__ = ("elt",)
+
+    def __init__(self, elt: FieldElt):
+        _set(self, "elt", elt)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.elt == other.elt
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.elt,))
 
     @property
     def level(self) -> int:

@@ -18,7 +18,6 @@ different file can be supplied via ``set_active_path`` (the CLI exposes
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import BoundExceeded, ParseError, SearchFailed, TableInvalid
@@ -31,6 +30,7 @@ from .gf2poly import (
     ppowmod,
     x_generates,
 )
+from .record import Record, _set
 
 N_MAX = 30
 
@@ -38,11 +38,13 @@ ENV_TABLE_PATH = "SL2BAR_CONWAY_PATH"
 _DATA_RESOURCE = "conway_gf2.txt"
 
 
-@dataclass(frozen=True)
-class ConwayTable:
+class ConwayTable(Record):
     """Modulus masks for levels 1..max_level, entry n at index n-1."""
 
-    polys: tuple[int, ...]
+    __slots__ = ("polys",)
+
+    def __init__(self, polys: tuple[int, ...]):
+        _set(self, "polys", polys)
 
     @property
     def max_level(self) -> int:

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -44,19 +43,20 @@ from . import closure, finite_engine as fe, sl2_core as sl
 from .closure import ClosureElt, cinv, corder, reduce_elt
 from .errors import BoundExceeded, InvariantViolated, LevelMismatch, NoPrimitiveCubeRoot, PreconditionError, StepFailed
 from .gf2_field import LOG_TABLE_MAX, ensure_log_table, gen, power
+from .record import Record, _set
 from .sl2_core import SWAP, Mat2, SubsetName, mat_to_json
 
 
-@dataclass(frozen=True)
-class FieldEndo:
+class FieldEndo(Record):
     """The field endomorphism x -> x^(2^frob_power) of GF(2^level)."""
 
-    level: int
-    frob_power: int
+    __slots__ = ("level", "frob_power")
 
-    def __post_init__(self):
-        if not 0 <= self.frob_power < self.level:
-            raise ValueError(f"frobenius power {self.frob_power} outside 0..{self.level - 1}")
+    def __init__(self, level: int, frob_power: int):
+        if not 0 <= frob_power < level:
+            raise ValueError(f"frobenius power {frob_power} outside 0..{level - 1}")
+        _set(self, "level", level)
+        _set(self, "frob_power", frob_power)
 
     def __str__(self) -> str:
         return f"frob^{self.frob_power}"
@@ -75,23 +75,24 @@ def field_endos(n: int) -> list[FieldEndo]:
 # group endomorphism specifications
 
 
-@dataclass(frozen=True)
-class Entrywise:
-    endo: FieldEndo
+class Entrywise(Record):
+    __slots__ = ("endo",)
+
+    def __init__(self, endo: FieldEndo):
+        _set(self, "endo", endo)
 
 
-@dataclass(frozen=True)
-class InnerConj:
-    mat: Mat2
+class InnerConj(Record):
+    __slots__ = ("mat",)
 
-    def __post_init__(self):
-        if not sl.mdet(self.mat).is_one:
-            raise PreconditionError(f"inner conjugator {self.mat} must have determinant one")
+    def __init__(self, mat: Mat2):
+        if not sl.mdet(mat).is_one:
+            raise PreconditionError(f"inner conjugator {mat} must have determinant one")
+        _set(self, "mat", mat)
 
 
-@dataclass(frozen=True)
-class InvTranspose:
-    pass
+class InvTranspose(Record):
+    __slots__ = ()
 
 
 GroupEndoSpec = Union[Entrywise, InnerConj, InvTranspose]
@@ -150,11 +151,13 @@ REPLAY_MAX_LEVEL = 4
 _COMPOSE_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class ReplayStep:
-    id: int
-    status: str
-    witness: dict | None = None
+class ReplayStep(Record):
+    __slots__ = ("id", "status", "witness")
+
+    def __init__(self, id: int, status: str, witness: dict | None = None):
+        _set(self, "id", id)
+        _set(self, "status", status)
+        _set(self, "witness", witness)
 
     def to_json(self) -> dict:
         out = {"id": self.id, "status": self.status}
@@ -163,19 +166,21 @@ class ReplayStep:
         return out
 
 
-@dataclass
 class ReplayEntry:
-    phi: str
-    steps: list[ReplayStep]
+    __slots__ = ("phi", "steps")
+
+    def __init__(self, phi: str, steps: list[ReplayStep]):
+        self.phi, self.steps = phi, steps
 
     def to_json(self) -> dict:
         return {"phi": self.phi, "steps": [s.to_json() for s in self.steps]}
 
 
-@dataclass
 class ReplayReport:
-    level: int
-    entries: list[ReplayEntry]
+    __slots__ = ("level", "entries")
+
+    def __init__(self, level: int, entries: list[ReplayEntry]):
+        self.level, self.entries = level, entries
 
     def to_json(self) -> list[dict]:
         return [e.to_json() for e in self.entries]

@@ -34,7 +34,6 @@ query functions are pure, so concurrent readers are safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -224,12 +223,13 @@ enumerate_group.cache_info, enumerate_group.cache_clear = _enumerate_group.cache
 # subgroups
 
 
-@dataclass
 class SubgroupRef:
     """A subgroup of a parent table, held as a boolean membership vector."""
 
-    parent: GroupTable
-    member: np.ndarray
+    __slots__ = ("parent", "member")
+
+    def __init__(self, parent: GroupTable, member: np.ndarray):
+        self.parent, self.member = parent, member
 
     @property
     def size(self) -> int:
@@ -377,7 +377,6 @@ def subgroup_generated(G: GroupTable, gens) -> SubgroupRef:
 # commutation transitivity
 
 
-@dataclass
 class CtReport:
     """Result of a commutation-transitivity check.
 
@@ -385,11 +384,10 @@ class CtReport:
     (x, y, z) with y != 1, xy = yx, yz = zy but xz != zx.
     """
 
-    group: GroupTable
-    holds: bool
-    witness: tuple[int, int, int] | None = None
+    __slots__ = ("group", "holds", "witness")
 
-    def __post_init__(self):
+    def __init__(self, group: GroupTable, holds: bool, witness: tuple[int, int, int] | None = None):
+        self.group, self.holds, self.witness = group, holds, witness
         if self.holds != (self.witness is None):
             raise InvariantViolated("a report fails exactly when it carries a witness")
         if self.witness is not None:
@@ -591,7 +589,6 @@ def ut_lt_disjointness(G: GroupTable) -> bool:
 # the projective-line action
 
 
-@dataclass
 class ProjectiveAction:
     """Permutation action on the q+1 points of the projective line.
 
@@ -599,7 +596,10 @@ class ProjectiveAction:
     (1, 0).  perms[k] is the permutation induced by group element k.
     """
 
-    perms: np.ndarray  # (|G|, q+1)
+    __slots__ = ("perms",)
+
+    def __init__(self, perms: np.ndarray):
+        self.perms = perms  # (|G|, q+1)
 
     @property
     def n_points(self) -> int:

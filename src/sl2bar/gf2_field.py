@@ -13,10 +13,11 @@ and every function is pure, so the module is safe to use concurrently.
 All per-level data lives in one kernel per level, ``LevelTables``, in one
 cache that one invalidation hook drops when the modulus table changes.
 Its compact exp/log arrays (built by one pure-Python walk g^k -> g^(k+1))
-make products, powers and orders lookups and yield the numpy tables of
-the endomorphism scans and the cached product and inverse tables of the
+make products, powers and orders lookups, give the maximal-order masks
+by a sieve over the exponents, and yield the numpy tables of the
+endomorphism scans and the cached product and inverse tables of the
 group engine.  Only those numpy members import numpy, on first use, so
-the scalar layers and the ``field`` and ``mat`` commands run without it;
+the scalar layers and every ``field`` and ``mat`` command run without it;
 they read the arrays through zero-copy views and widen to int64 only the
 values they gather, so every numpy result is int64.
 Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
@@ -34,13 +35,14 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import compress
 from typing import TYPE_CHECKING
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
 from .gf2poly import Gf2Poly, _comb, _times, divisors, factorize, is_irreducible, pinvmod, pmod, pmulmod, ppowmod
+from .record import Record, _set
 
 if TYPE_CHECKING:
     import numpy as np
@@ -58,17 +60,28 @@ def check_level(n: int) -> int:
     return n
 
 
-@dataclass(frozen=True, slots=True)
-class FieldElt:
+class FieldElt(Record):
     """An element of GF(2^level) as a coefficient mask."""
 
-    level: int
-    mask: int
+    __slots__ = ("level", "mask")
 
-    def __post_init__(self):
+    def __init__(self, level: int, mask: int):
+        _set(self, "level", level)
+        _set(self, "mask", mask)
+        self.__post_init__()
+
+    def __post_init__(self):  # a method of its own: perfbench's tracer counts checked constructions through it
         check_level(self.level)
         if not 0 <= self.mask < (1 << self.level):
             raise ValueError(f"mask {self.mask:#x} out of range for level {self.level}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.level, self.mask) == (other.level, other.mask)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.level, self.mask))
 
     @property
     def is_zero(self) -> bool:
@@ -261,13 +274,14 @@ class LevelTables:
         return out
 
     @cached_property
-    def max_order(self) -> np.ndarray:
-        """The masks of multiplicative order 2^n - 1, ascending: exp[k]
-        for the k coprime to 2^n - 1."""
-        import numpy as np
-
-        exp, _ = self._np()
-        return np.unique(exp[np.gcd(np.arange(self.q1), self.q1) == 1]).astype(np.int64)
+    def max_order(self) -> array:
+        """The masks of multiplicative order 2^n - 1 in exponent order:
+        exp[k] for the k coprime to 2^n - 1, kept by a sieve over k that
+        clears the multiples of each prime factor of 2^n - 1."""
+        keep = bytearray(b"\1") * self.q1
+        for p in factorize(self.q1):
+            keep[::p] = bytes(len(range(0, self.q1, p)))
+        return array(self.exp.typecode, compress(self.exp, keep))
 
     def embed_basis(self, m: int) -> tuple[int, ...]:
         """Masks at this level of g_m^i, i < m, under the embedding

@@ -22,8 +22,9 @@ primitivity tests (primitivity of degree n needs the factorization of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+
+from .record import Record, _set
 
 
 def degree(f: int) -> int:
@@ -185,15 +186,15 @@ def poly_str(f: int) -> str:
     return "+".join(terms)
 
 
-@dataclass(frozen=True)
-class Gf2Poly:
+class Gf2Poly(Record):
     """A nonzero (hence monic) polynomial over the 2-element field."""
 
-    mask: int
+    __slots__ = ("mask",)
 
-    def __post_init__(self):
-        if self.mask <= 0:
+    def __init__(self, mask: int):
+        if mask <= 0:
             raise ValueError("Gf2Poly mask must be a positive integer")
+        _set(self, "mask", mask)
 
     @property
     def degree(self) -> int:

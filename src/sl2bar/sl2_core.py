@@ -15,7 +15,6 @@ Conjugation is fixed as conj(M, g) = M * g * M^(-1) everywhere.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 from . import closure
 from .closure import ZERO, ONE, ClosureElt, cadd, cinv, cmul, corder, csqrt
@@ -30,6 +29,7 @@ from .errors import (
 from .gf2_field import artin_schreier_solve, random_elt
 from .gf2_field import add as fadd, inv as finv, mul as fmul, one as fone
 from .closure import lift, reduce_elt
+from .record import Record, _set
 
 # The group kinds and the names of finite_engine.generator_set's sets live
 # below the group engine, so the CLI parser offers them without importing it.
@@ -38,14 +38,24 @@ KIND_GL2 = "gl2"
 GENERATOR_SETS = ("involutions", "swap-lower", "ndelta-lower")
 
 
-@dataclass(frozen=True)
-class Mat2:
+class Mat2(Record):
     """Row-major 2x2 matrix [[a, b], [c, d]] over the closure."""
 
-    a: ClosureElt
-    b: ClosureElt
-    c: ClosureElt
-    d: ClosureElt
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: ClosureElt, b: ClosureElt, c: ClosureElt, d: ClosureElt):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.c, self.d) == (other.a, other.b, other.c, other.d)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.a, self.b, self.c, self.d))
 
     def __str__(self) -> str:
         return f"[[{self.a},{self.b}],[{self.c},{self.d}]]"
@@ -137,13 +147,15 @@ def normalize_to_sl2(X: Mat2) -> Mat2:
 # conjugacy classification
 
 
-@dataclass(frozen=True)
-class JordanClass:
+class JordanClass(Record):
     """Conjugacy class descriptor: identity, unipotent, or split with a
     canonical eigenvalue (the smaller of {lam, lam^(-1)} by (level, mask))."""
 
-    kind: str  # "identity" | "unipotent" | "split"
-    lam: ClosureElt | None = None
+    __slots__ = ("kind", "lam")
+
+    def __init__(self, kind: str, lam: ClosureElt | None = None):
+        _set(self, "kind", kind)  # "identity" | "unipotent" | "split"
+        _set(self, "lam", lam)
 
     def __str__(self) -> str:
         if self.kind == "split":

@@ -15,7 +15,6 @@ from __future__ import annotations
 import random
 import time
 import zlib
-from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -41,13 +40,11 @@ class CheckFailure(Exception):
         self.witness = witness
 
 
-@dataclass
 class CheckResult:
-    name: str
-    level: int
-    status: str  # "pass" | "fail" | "skipped"
-    witness: dict | None
-    millis: int
+    __slots__ = ("name", "level", "status", "witness", "millis")  # status: "pass" | "fail" | "skipped"
+
+    def __init__(self, name: str, level: int, status: str, witness: dict | None, millis: int):
+        self.name, self.level, self.status, self.witness, self.millis = name, level, status, witness, millis
 
     def to_json(self) -> dict:
         return {
@@ -59,9 +56,11 @@ class CheckResult:
         }
 
 
-@dataclass
 class VerifyReport:
-    checks: list[CheckResult] = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list[CheckResult] | None = None):
+        self.checks = [] if checks is None else checks
 
     @property
     def summary(self) -> dict:
@@ -78,12 +77,11 @@ class VerifyReport:
         return {"checks": [c.to_json() for c in self.checks], "summary": self.summary}
 
 
-@dataclass
 class Check:
-    name: str
-    level: int
-    gate: int  # minimum --max-level at which this check runs
-    fn: Callable[[], dict | None]
+    __slots__ = ("name", "level", "gate", "fn")  # gate: the minimum --max-level at which the check runs
+
+    def __init__(self, name: str, level: int, gate: int, fn: Callable[[], dict | None]):
+        self.name, self.level, self.gate, self.fn = name, level, gate, fn
 
 
 def _seed(name: str) -> int:
@@ -428,7 +426,7 @@ def _check_field_endos(n: int):
 
 def _check_max_order(n: int):
     t = ensure_log_table(n)
-    top = t.max_order
+    top = np.sort(t.max_order)
     _need(len(top) == totient((1 << n) - 1), f"count {len(top)} differs from the totient")
     image, j = top, 0  # top squared j times, carried forward while frob_power grows
     for e, _ in _scanned_field_endos(n):

@@ -308,13 +308,43 @@ def test_field_and_mat_commands_never_import_numpy():
             ["mat", "centralizer-descriptor", split],
         ]
         expected += [0] * 10
+    argvs += [["field", "max-order-count", str(n)] for n in (3, 8, 16)]
+    expected += [0] * 3
     argvs.append(["field", "order", "0xZZ@3"])
     expected.append(2)
     got = _in_fresh_process(argvs)
     assert [code for code, _ in got["results"]] == expected
     orders = [out for argv, (_, out) in zip(argvs, got["results"]) if argv[:2] == ["mat", "order"]]
     assert orders == [f"{(1 << n) - 1}\n" for n in (3, 16, 25)]
+    counts = [out for argv, (_, out) in zip(argvs, got["results"]) if argv[1] == "max-order-count"]
+    assert counts == [f"{gf2poly.totient((1 << n) - 1)}\n" for n in (3, 8, 16)] == ["6\n", "128\n", "32768\n"]
     assert not got["numpy"]
+
+
+# Imports one module in an interpreter that has imported nothing of its
+# own before, and prints which of the watched modules got loaded.
+_IMPORT_FOOTPRINT = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+print(",".join(m for m in sys.argv[2:] if m in sys.modules))
+"""
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [("sl2bar.cli", ["dataclasses", "inspect", "json", "numpy"]), ("sl2bar.verify", ["dataclasses"])],
+)
+def test_import_footprint(module, absent):
+    # Every command pays for what `sl2bar.cli` imports before it runs:
+    # `dataclasses` drags in `inspect`, `ast` and `dis`, `json` serves
+    # only --json, and numpy only the group engine.  numpy itself loads
+    # `inspect`, so below the group layers only `dataclasses` is watched.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_FOOTPRINT, module, *absent], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == ""
 
 
 def test_group_commands_still_load_the_group_engine():

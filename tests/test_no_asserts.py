@@ -29,7 +29,7 @@ KEPT_SELF_CHECKS = {
     ("gf2_field", "minimal_poly"),
     ("sl2_core", "classify_jordan"),
     # a constructor invariant: the witness leaves through `group ct`
-    ("finite_engine", "CtReport.__post_init__"),
+    ("finite_engine", "CtReport.__init__"),
     # a guard against scanning past the group order
     ("finite_engine", "GroupTable.element_orders"),
     # check procedures that the registry calls
