@@ -108,10 +108,6 @@ def _elt(n: int, mask: int) -> FieldElt:
     return e
 
 
-def one(n: int) -> FieldElt:
-    return _elt(check_level(n), 1)
-
-
 def gen(n: int) -> FieldElt:
     """The level-n generator: the modulus root x, which is 1 at level 1."""
     return _elt(check_level(n), 2 if n > 1 else 1)
@@ -474,12 +470,6 @@ def artin_schreier_solve(c: FieldElt) -> FieldElt | None:
     return _elt(n, sel & ~1)  # pick the solution with even constant coefficient
 
 
-def random_elt(rng, n: int, *, nonzero: bool = False) -> FieldElt:
-    """Uniform element of GF(2^n) drawn from an externally seeded rng."""
-    lo = 1 if nonzero else 0
-    return _elt(check_level(n), rng.randrange(lo, 1 << n))
-
-
 __all__ = [
     "N_MAX",
     "FieldElt",
@@ -495,10 +485,8 @@ __all__ = [
     "inv",
     "minimal_poly",
     "mul",
-    "one",
     "parse_elt",
     "power",
-    "random_elt",
     "sqrt",
     "trace_abs",
 ]

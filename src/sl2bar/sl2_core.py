@@ -6,8 +6,10 @@ the inverse of a determinant-one matrix [[s,t],[u,v]] is the entry swap
 Provides conjugacy classification (identity / unipotent / split with a
 canonical eigenvalue), the named shape subsets (diagonal, off-diagonal,
 upper/lower triangular and unitriangular), the two closed-form
-conjugation identities for diagonal and unitriangular targets, and the
-factorization of a diagonal matrix into two involutions.
+conjugation identities for diagonal and unitriangular targets, the
+factorization of a diagonal matrix into two involutions, and the
+literal and entry-mask forms of a matrix.  Nothing here is random: the
+verify suite draws its matrices as level masks.
 
 Conjugation is fixed as conj(M, g) = M * g * M^(-1) everywhere.
 """
@@ -26,8 +28,7 @@ from .errors import (
     PreconditionError,
     SingularMatrix,
 )
-from .gf2_field import artin_schreier_solve, random_elt
-from .gf2_field import add as fadd, inv as finv, mul as fmul, one as fone
+from .gf2_field import artin_schreier_solve
 from .closure import lift, reduce_elt
 from .record import Record, _set
 
@@ -291,7 +292,7 @@ def diag_as_two_involutions(lam: ClosureElt) -> tuple[Mat2, Mat2]:
 
 
 # ---------------------------------------------------------------------------
-# literals and randomness
+# literals and entry masks
 
 
 def mat_to_json(M: Mat2) -> list[str]:
@@ -315,23 +316,6 @@ def parse_mat(text: str) -> Mat2:
             raise ParseError(f"bad matrix literal {text!r}: need two entries per row")
         cells.extend(closure.parse(p) for p in parts)
     return Mat2(*cells)
-
-
-def random_sl2_masks(rng, level: int) -> tuple[int, int, int, int]:
-    """Entry masks (s, t, u, v) at `level` of a uniformly random
-    determinant-one matrix [[s, t], [u, v]]."""
-    while True:
-        s = random_elt(rng, level)
-        t = random_elt(rng, level)
-        u = random_elt(rng, level)
-        if not s.is_zero:
-            v = fmul(finv(s), fadd(fone(level), fmul(t, u)))
-        elif not t.is_zero:
-            u = finv(t)  # s = 0 forces tu = 1
-            v = random_elt(rng, level)
-        else:
-            continue
-        return s.mask, t.mask, u.mask, v.mask
 
 
 def mat_entry_masks(M: Mat2, level: int) -> tuple[int, int, int, int]:
@@ -374,7 +358,6 @@ __all__ = [
     "normalize_to_sl2",
     "off_diag_mat",
     "parse_mat",
-    "random_sl2_masks",
     "require_sl2",
     "split_class",
     "upper_uni",

@@ -20,14 +20,13 @@ from typing import Callable
 import numpy as np
 
 from . import closure, conway, endo, finite_engine as fe, sl2_core as sl
-from .closure import cinv, reduce_elt
+from .closure import cinv
 from .gf2_field import (
     FieldElt,
     add,
     artin_schreier_solve,
     ensure_log_table,
     frobenius,
-    random_elt,
     trace_abs,
 )
 from .gf2poly import divisors, totient
@@ -272,40 +271,61 @@ def _eq1_eq2_sides(n: int, lam: np.ndarray, M: np.ndarray):
     return closed1, conj1, closed2, conj2
 
 
+def _eq1_eq2_draws(rng, count: int) -> dict[int, np.ndarray]:
+    """c08's first `count` seeded draws at levels cycling 1..6: per level n
+    an (N, 6) array of mask rows (draw index, lam, s, t, u, v), lam
+    nonzero and [[s, t], [u, v]] uniform in SL2(2^n).  Each draw takes
+    lam, then s, t, u until s or t is nonzero, then v only where s = 0;
+    the level's tables fill the rest: v = s^(-1)(1 + tu) where s != 0,
+    and u = t^(-1) where s = 0."""
+    rows = {n: [] for n in range(1, 7)}
+    for k in range(count):
+        n = 1 + k % 6
+        top = 1 << n
+        lam = rng.randrange(1, top)
+        s = t = 0
+        while not (s or t):
+            s, t, u = rng.randrange(top), rng.randrange(top), rng.randrange(top)
+        rows[n].append((k, lam, s, t, u, 0 if s else rng.randrange(top)))
+    for n, drawn in rows.items():
+        tab = ensure_log_table(n)
+        MUL, INV = tab.mul_table, tab.inv_table
+        d = rows[n] = np.array(drawn, dtype=np.int64)
+        s, t, u, v = d[:, 2:].T
+        d[:, 4], d[:, 5] = np.where(s != 0, u, INV[t]), np.where(s != 0, MUL[INV[s], 1 ^ MUL[t, u]], v)
+    return rows
+
+
 def _check_eq1_eq2():
     """Identities (1) and (2) on 5000 seeded (lam, M) pairs at levels
     cycling 1..6: every pair over the level tables, and the first 300
     level-6 pairs, whose entries reduce to levels 1, 2, 3 and 6, through
-    the closure closed forms against sl.conj.  A failure names the lowest
-    failing draw."""
-    rng = random.Random(_seed("c08-eq1-eq2/random"))
-    levels = [1, 2, 3, 4, 5, 6]
-    rows = {n: [] for n in levels}  # (draw index, lam, s, t, u, v) masks at the draw's level
-    sample = []
-    for k in range(5000):
-        n = levels[k % len(levels)]
-        lam = random_elt(rng, n, nonzero=True)
-        quad = sl.random_sl2_masks(rng, n)
-        rows[n].append((k, lam.mask, *quad))
-        if n == 6 and len(sample) < 300:
-            sample.append((k, reduce_elt(lam), sl.mat_from_masks(n, quad)))
-    failures = []  # (draw index, identity)
-    for n, drawn in rows.items():
-        d = np.array(drawn, dtype=np.int64)
-        closed1, conj1, closed2, conj2 = _eq1_eq2_sides(n, d[:, 1], d[:, 2:])
-        for which, (a, b) in ((1, (closed1, conj1)), (2, (closed2, conj2))):
-            failures += [(int(k), which) for k in d[np.any(a != b, axis=1), 0]]
-    for k, lam, M in sample:
-        s, t, u, v = M.entries()
-        if sl.conjugate_eq1(lam, s, t, u, v) != sl.conj(M, sl.diag_mat(lam, cinv(lam))):
-            failures.append((k, 1))
-        elif sl.conjugate_eq2(lam, s, t, u, v) != sl.conj(M, sl.upper_uni(lam)):
-            failures.append((k, 2))
+    the closure closed forms against sl.conj.  Each M must have
+    determinant one: a failure names the lowest draw that has not, or
+    else the lowest draw that fails an identity."""
+    draws = _eq1_eq2_draws(random.Random(_seed("c08-eq1-eq2/random")), 5000)
+    failures = []  # (an identity?, draw index, 0 for the determinant or the identity): determinants sort first
+    for n, d in draws.items():
+        MUL = ensure_log_table(n).mul_table
+        k, lam, s, t, u, v = d.T
+        closed1, conj1, closed2, conj2 = _eq1_eq2_sides(n, lam, d[:, 2:])
+        for which, bad in enumerate((MUL[s, v] ^ MUL[t, u] != 1, np.any(closed1 != conj1, axis=1), np.any(closed2 != conj2, axis=1))):
+            failures += [(which > 0, i, which) for i in k[bad].tolist()]
+    if not failures:  # the closure closed forms refuse a determinant other than one
+        for k, lam, *quad in draws[6][:300].tolist():
+            lam, M = closure.celt(6, lam), sl.mat_from_masks(6, quad)
+            s, t, u, v = M.entries()
+            if sl.conjugate_eq1(lam, s, t, u, v) != sl.conj(M, sl.diag_mat(lam, cinv(lam))):
+                failures.append((True, k, 1))
+            elif sl.conjugate_eq2(lam, s, t, u, v) != sl.conj(M, sl.upper_uni(lam)):
+                failures.append((True, k, 2))
     if failures:
-        k, which = min(failures)
-        n = levels[k % len(levels)]
-        _, lam, *quad = rows[n][k // len(levels)]
-        raise CheckFailure(f"identity ({which}) fails for lam={reduce_elt(FieldElt(n, lam))}, M={sl.mat_from_masks(n, quad)}")
+        _, k, which = min(failures)
+        n = 1 + k % 6
+        _, lam, *quad = draws[n][k // 6].tolist()
+        lam, M = closure.celt(n, lam), sl.mat_from_masks(n, quad)
+        _need(which > 0, f"draw {k} has determinant {sl.mdet(M)}, not 1: M={M}")
+        raise CheckFailure(f"identity ({which}) fails for lam={lam}, M={M}")
     return {"tuples": 10_000}
 
 
@@ -325,7 +345,7 @@ def _check_diag_two_involutions():
     rng = random.Random(_seed("c09-generation/diag-two-involutions"))
     for k in range(100):
         n = 1 + k % 4
-        lam = reduce_elt(random_elt(rng, n, nonzero=True))
+        lam = closure.celt(n, rng.randrange(1, 1 << n))
         left, right = sl.diag_as_two_involutions(lam)
         _need(sl.mmul(left, right) == sl.diag_mat(lam, cinv(lam)), f"factor product fails for {lam}")
         _need(sl.morder(left) == 2 and sl.morder(right) == 2, f"factors of {lam} are not involutions")

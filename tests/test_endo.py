@@ -32,7 +32,7 @@ from sl2bar.errors import (
     StepFailed,
 )
 from sl2bar.gf2_field import FieldElt, gen, power
-from sl2bar.sl2_core import SWAP, Mat2, SubsetName, diag_mat, mat_from_masks, mmul, random_sl2_masks, upper_uni
+from sl2bar.sl2_core import SWAP, Mat2, SubsetName, diag_mat, mmul, upper_uni
 
 G2 = celt(2, 2)
 
@@ -73,6 +73,7 @@ def test_apply_group_endo_examples():
 
 def test_apply_group_endo_is_homomorphism():
     rng = random.Random(14)
+    G = fe.enumerate_group(4)
     words = [
         (Entrywise(FieldEndo(4, 1)),),
         (Entrywise(FieldEndo(4, 3)),),
@@ -82,8 +83,7 @@ def test_apply_group_endo_is_homomorphism():
     ]
     for word in words:
         for _ in range(50):
-            M = mat_from_masks(4, random_sl2_masks(rng, 4))
-            N = mat_from_masks(4, random_sl2_masks(rng, 4))
+            M, N = G.mat(rng.randrange(len(G))), G.mat(rng.randrange(len(G)))
             assert _apply_word(word, mmul(M, N)) == mmul(_apply_word(word, M), _apply_word(word, N))
 
 

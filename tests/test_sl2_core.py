@@ -4,15 +4,14 @@ import random
 
 import pytest
 
-from sl2bar import closure
-from sl2bar.closure import ONE, ZERO, celt, cinv, reduce_elt
+from sl2bar import closure, finite_engine as fe
+from sl2bar.closure import ONE, ZERO, celt, cinv
 from sl2bar.errors import (
     NonUnitDeterminant,
     ParseError,
     PreconditionError,
     SingularMatrix,
 )
-from sl2bar.gf2_field import random_elt
 from sl2bar.sl2_core import (
     IDENTITY,
     SWAP,
@@ -36,7 +35,6 @@ from sl2bar.sl2_core import (
     mtrace,
     normalize_to_sl2,
     parse_mat,
-    random_sl2_masks,
     split_class,
     upper_uni,
 )
@@ -45,11 +43,12 @@ G2 = celt(2, 2)  # the level-2 generator
 
 
 def rand_mat(rng, level):
-    return Mat2(*(reduce_elt(random_elt(rng, level)) for _ in range(4)))
+    return Mat2(*(celt(level, rng.randrange(1 << level)) for _ in range(4)))
 
 
 def rand_sl2(rng, level):
-    return mat_from_masks(level, random_sl2_masks(rng, level))
+    G = fe.enumerate_group(level)
+    return G.mat(rng.randrange(len(G)))
 
 
 def test_det_trace_conventions():
@@ -84,7 +83,7 @@ def test_det_multiplicative_and_trace_conjugation_invariant():
         level = rng.choice([2, 3, 4, 6])
         M, N = rand_mat(rng, level), rand_mat(rng, level)
         assert mdet(mmul(M, N)) == closure.cmul(mdet(M), mdet(N))
-        X = rand_sl2(rng, level)
+        X = rand_sl2(rng, rng.choice([1, 2, 3, 4, 5]))  # SL2 enumerates up to level 5
         assert mtrace(conj(X, M)) == mtrace(M)
 
 
@@ -183,7 +182,7 @@ def test_eq1_eq2_match_triple_products():
     rng = random.Random(6)
     for _ in range(500):
         level = rng.choice([1, 2, 3, 4])
-        lam = reduce_elt(random_elt(rng, level, nonzero=True))
+        lam = celt(level, rng.randrange(1, 1 << level))
         M = rand_sl2(rng, level)
         s, t, u, v = M.entries()
         assert conjugate_eq1(lam, s, t, u, v) == conj(M, diag_mat(lam, cinv(lam)))
@@ -198,7 +197,8 @@ def test_diag_as_two_involutions():
     assert mmul(left, right) == diag_mat(G2, cinv(G2))
     rng = random.Random(8)
     for _ in range(100):
-        lam = reduce_elt(random_elt(rng, rng.choice([1, 2, 3, 4]), nonzero=True))
+        level = rng.choice([1, 2, 3, 4])
+        lam = celt(level, rng.randrange(1, 1 << level))
         left, right = diag_as_two_involutions(lam)
         assert morder(left) == 2 and morder(right) == 2
         assert mmul(left, right) == diag_mat(lam, cinv(lam))

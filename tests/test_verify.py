@@ -33,12 +33,13 @@ def test_report_matches_golden(max_level, golden):
     assert got == golden.read_text(encoding="ascii")
 
 
-def test_level2_report_under_optimize_matches_golden():
+@pytest.mark.parametrize("max_level, golden", [(2, GOLDEN), (5, GOLDEN_MAX5)], ids=["max2", "max5"])
+def test_report_under_optimize_matches_golden(max_level, golden):
     src = str(ROOT / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    argv = [sys.executable, "-O", "-m", "sl2bar", "verify", "--max-level", "2", "--json"]
+    argv = [sys.executable, "-O", "-m", "sl2bar", "verify", "--max-level", str(max_level), "--json"]
     done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
-    assert _zero_millis(json.loads(done.stdout)) == GOLDEN.read_text(encoding="ascii")
+    assert _zero_millis(json.loads(done.stdout)) == golden.read_text(encoding="ascii")
 
 
 def test_crashing_check_is_recorded_and_the_suite_continues(monkeypatch, capsys):
@@ -244,6 +245,35 @@ def _level4_squares_rolled(monkeypatch):
     monkeypatch.setattr(gf.LevelTables, "squares", property(lambda t: np.roll(good(t), 1) if t.n == 4 else good(t)))
 
 
+def _c08_gap_fill_without_one(monkeypatch):
+    # v = s^(-1) tu where s != 0 leaves those draws with determinant 0
+    good = verify._eq1_eq2_draws
+
+    def wrong(rng, count):
+        draws = good(rng, count)
+        for n, d in draws.items():
+            tab = gf.ensure_log_table(n)
+            s, t, u = d[:, 2], d[:, 3], d[:, 4]
+            d[:, 5] = np.where(s != 0, tab.mul_table[tab.inv_table[s], tab.mul_table[t, u]], d[:, 5])
+        return draws
+
+    monkeypatch.setattr(verify, "_eq1_eq2_draws", wrong)
+
+
+def _c08_gap_fill_u_without_inverse(monkeypatch):
+    # u = t instead of t^(-1) where s = 0: only draws with t = 1 keep
+    # determinant one, so the lowest failing draw is the first other one
+    good = verify._eq1_eq2_draws
+
+    def wrong(rng, count):
+        draws = good(rng, count)
+        for d in draws.values():
+            d[:, 4] = np.where(d[:, 2] == 0, d[:, 3], d[:, 4])
+        return draws
+
+    monkeypatch.setattr(verify, "_eq1_eq2_draws", wrong)
+
+
 FAULT_CASES = [  # (fault, the check that catches it, the start of its failure message)
     (_morder_off_by_one_on_split, "c07-dichotomy/orders/n2", "class-based order 4 disagrees"),
     # n4 reads morder on one member per trace fibre
@@ -260,6 +290,9 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     (_eq1_lam_for_lam_inverse, "c08-eq1-eq2/random", "identity (1) fails"),
     (_eq2_corner_without_one, "c08-eq1-eq2/random", "identity (2) fails"),
     (_level3_log_table_two_exps_swapped, "c08-eq1-eq2/random", "identity (1) fails"),
+    (_c08_gap_fill_without_one, "c08-eq1-eq2/random", "draw 0 has determinant 0x0@1, not 1: M=[[0x1@1,0x1@1],[0x1@1,0x1@1]]"),
+    # draws 32, 36, 42 and 48 are the lower ones with s = 0, all with t = 1
+    (_c08_gap_fill_u_without_inverse, "c08-eq1-eq2/random", "draw 50 has determinant 0x5@3, not 1: M=[[0x0@1,0x3@3],[0x3@3,0x2@3]]"),
     (_level13_pow_vec_merges_two_masks, "c11-field-cohopf/max-order/n13", "frob^0 is not injective"),
     # every pair commutes, so the orbit-stabilizer guard of the class route trips
     (_product_ignores_the_order, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180"),
@@ -302,17 +335,12 @@ def test_c07_reads_morder_once_per_trace_fibre_from_level_4(monkeypatch):
 
 def test_c08_table_sides_agree_with_the_scalar_closed_forms():
     # c08's own draws: the first 100 pairs of every level 1..6
-    rng = random.Random(verify._seed("c08-eq1-eq2/random"))
-    drawn = {n: [] for n in range(1, 7)}
-    for k in range(600):
-        n = 1 + k % 6
-        drawn[n].append((gf.random_elt(rng, n, nonzero=True), sl.random_sl2_masks(rng, n)))
-    for n, pairs in drawn.items():
-        lam = np.array([x.mask for x, _ in pairs], dtype=np.int64)
-        M = np.array([quad for _, quad in pairs], dtype=np.int64)
-        closed1, conj1, closed2, conj2 = verify._eq1_eq2_sides(n, lam, M)
-        for i, (x, quad) in enumerate(pairs):
-            lam_c = reduce_elt(x)
+    draws = verify._eq1_eq2_draws(random.Random(verify._seed("c08-eq1-eq2/random")), 600)
+    for n, d in draws.items():
+        assert len(d) == 100
+        closed1, conj1, closed2, conj2 = verify._eq1_eq2_sides(n, d[:, 1], d[:, 2:])
+        for i, (_, lam, *quad) in enumerate(d.tolist()):
+            lam_c = closure.celt(n, lam)
             s, t, u, v = sl.mat_from_masks(n, quad).entries()
             eq1 = sl.mat_entry_masks(sl.conjugate_eq1(lam_c, s, t, u, v), n)
             eq2 = sl.mat_entry_masks(sl.conjugate_eq2(lam_c, s, t, u, v), n)
@@ -331,13 +359,31 @@ C08_FIRST_DRAWS = [
     (6, 42, (61, 33, 63, 0)),
 ]
 C08_NEXT_BITS = 347047151281987917
+C08_END_BITS = 17508998052773350106  # after all 5000 draws
 
 
 def test_c08_draw_sequence_is_pinned():
     rng = random.Random(verify._seed("c08-eq1-eq2/random"))
-    for n, lam, quad in C08_FIRST_DRAWS:
-        assert gf.random_elt(rng, n, nonzero=True).mask == lam
-        assert sl.random_sl2_masks(rng, n) == quad
+    draws = verify._eq1_eq2_draws(rng, 6)
+    for k, (n, lam, quad) in enumerate(C08_FIRST_DRAWS):
+        assert draws[n].tolist() == [[k, lam, *quad]]
         s, t, u, v = (FieldElt(n, m) for m in quad)
         assert gf.add(gf.mul(s, v), gf.mul(t, u)).is_one
     assert rng.getrandbits(64) == C08_NEXT_BITS
+    rng = random.Random(verify._seed("c08-eq1-eq2/random"))
+    assert [len(d) for d in verify._eq1_eq2_draws(rng, 5000).values()] == [834, 834, 833, 833, 833, 833]
+    assert rng.getrandbits(64) == C08_END_BITS
+
+
+def test_c09_draw_sequence_is_pinned(monkeypatch):
+    # c09's lam at levels cycling 1..4, read back at the draw's level, and
+    # the rng's next 64 bits after its 100 draws; the golden's witness
+    # {"samples": 100} does not see the draws
+    rngs, lams = [], []
+    Random, good = random.Random, sl.diag_as_two_involutions
+    monkeypatch.setattr(verify.random, "Random", lambda seed: rngs.append(Random(seed)) or rngs[-1])
+    monkeypatch.setattr(sl, "diag_as_two_involutions", lambda lam: lams.append(lam) or good(lam))
+    assert verify._check_diag_two_involutions() == {"samples": 100}
+    assert len(lams) == 100
+    assert [closure.lift(lam.elt, 1 + k % 4).mask for k, lam in enumerate(lams[:4])] == [1, 1, 6, 2]
+    assert rngs[0].getrandbits(64) == 8847494114185703176
