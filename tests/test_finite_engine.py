@@ -285,7 +285,7 @@ def test_ct_reports():
     rep = fe.ct_check_centralizers(gl)
     assert not rep.holds and rep.witness is not None  # CtReport validates its own witness
     trip = fe.ct_check_triples(gl)
-    assert not trip.holds and trip.witness is not None
+    assert not trip.holds and trip.witness == (1, 85, 2)
     assert fe.ct_check_triples(sl2(1)).holds
     assert fe.ct_check_triples(sl2(2)).holds
     with pytest.raises(BoundExceeded):
@@ -313,6 +313,30 @@ def test_ct_class_route_matches_the_element_scan(kind, n):
     G = fe.enumerate_group(n, kind)
     rep = fe.ct_check_centralizers(G)
     assert (rep.holds, rep.witness) == _ct_by_scanning_every_element(G)
+
+
+def _ct_by_the_triple_sentence(G):
+    """The literal reference for the transitivity sentence: for every x and
+    every nontrivial y with xy = yx, each z with yz = zy has xz = zx.
+    Commutation is read from index products alone; x and y run in index
+    order and the z of a pair are tested at once, so the witness is the
+    lowest triple."""
+    every = np.arange(len(G))
+    comm = G.mul_vec(every[:, None], every[None, :]) == G.mul_vec(every[None, :], every[:, None])
+    for x in range(len(G)):
+        for y in range(1, len(G)):
+            if comm[x, y]:
+                bad = comm[y] & ~comm[x]
+                if bad.any():
+                    return False, (x, y, int(np.argmax(bad)))
+    return True, None
+
+
+@pytest.mark.parametrize("kind, n", [(fe.KIND_SL2, n) for n in (1, 2, 3)] + [(fe.KIND_GL2, 2)])
+def test_ct_triples_match_the_literal_sentence(kind, n):
+    G = fe.enumerate_group(n, kind)
+    rep = fe.ct_check_triples(G)
+    assert (rep.holds, rep.witness) == _ct_by_the_triple_sentence(G)
 
 
 @pytest.mark.parametrize(
@@ -358,21 +382,36 @@ def test_ct_report_rejects_a_bogus_witness(flags):
     assert done.returncode == 0, done.stdout + done.stderr
 
 
+# Sizes of the maximal abelian subgroups, as {order: count}: by Huppert,
+# Endliche Gruppen I, II.8, SL2(q) for even q > 2 has q + 1 of order q (the
+# Sylow 2-subgroups), q(q + 1)/2 of order q - 1 (split tori) and q(q - 1)/2
+# of order q + 1 (nonsplit tori); at q = 2 the split tori are trivial.  GL2(4)
+# is SL2(4) times the 3 scalars.
+MAXIMAL_ABELIAN_SIZES = {
+    (fe.KIND_SL2, 1): {2: 3, 3: 1},
+    (fe.KIND_SL2, 2): {3: 10, 4: 5, 5: 6},
+    (fe.KIND_SL2, 3): {7: 36, 8: 9, 9: 28},
+    (fe.KIND_GL2, 2): {9: 10, 12: 5, 15: 6},
+}
+
+
 def test_maximal_abelian():
-    assert fe.maximal_abelian_intersections(sl2(1))
-    assert fe.maximal_abelian_intersections(sl2(2))
-    assert fe.maximal_abelian_intersections(sl2(3))
-    assert not fe.maximal_abelian_intersections(fe.enumerate_group(2, fe.KIND_GL2))
+    for (kind, n), sizes in MAXIMAL_ABELIAN_SIZES.items():
+        G = fe.enumerate_group(n, kind)
+        subs = fe.maximal_abelian_subgroups(G)
+        assert dict(Counter(H.size for H in subs)) == sizes
+        for H in subs:
+            assert fe.is_abelian(H)
+            require_subgroup(H)
+        holding = np.sum([H.member for H in subs], axis=0)  # how many listed subgroups hold each element
+        if kind == fe.KIND_SL2:
+            assert (holding[1:] == 1).all()  # so they meet trivially
+            assert fe.maximal_abelian_intersections(G)
+        else:
+            assert (holding >= 1).all()
+            assert not fe.maximal_abelian_intersections(G)  # the scalars lie in every one
     with pytest.raises(BoundExceeded):
         fe.maximal_abelian_subgroups(sl2(4))  # 4080 elements, past the pair table's bound
-    subs = fe.maximal_abelian_subgroups(sl2(2))
-    for H in subs:
-        assert fe.is_abelian(H)
-        require_subgroup(H)
-    covered = np.zeros(60, dtype=bool)
-    for H in subs:
-        covered |= H.member
-    assert covered.all()
 
 
 def test_subgroup_generated_examples():

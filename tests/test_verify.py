@@ -196,6 +196,20 @@ def _every_pair_commutes(monkeypatch):
     monkeypatch.setattr(fe.GroupTable, "commute_vec", lambda G, i, j: np.ones_like(good(G, i, j)))
 
 
+def _commute_matrix_joins_element_1_to_a_partner(monkeypatch):
+    # element 1 and its lowest non-commuting partner read as commuting, in
+    # both triangles; only the pair-table routes read _commute_matrix
+    good = fe._commute_matrix
+
+    def wrong(G):
+        comm = good(G)
+        z = int(np.argmin(comm[1]))
+        comm[1, z] = comm[z, 1] = True
+        return comm
+
+    monkeypatch.setattr(fe, "_commute_matrix", wrong)
+
+
 def _generators_drops_its_last(monkeypatch):
     good = fe._generators
     monkeypatch.setattr(fe, "_generators", lambda H: good(H)[:-1])
@@ -298,6 +312,10 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     (_product_ignores_the_order, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180"),
     (_every_pair_commutes, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180 and class of 15"),
     (_every_pair_commutes, "c06-prop7/ut-lt-disjoint/n2", "unitriangular sides intersect or commute nontrivially"),
+    # the triple scan's witness rests on the false pair, and the report's
+    # own check of it trips; maxab-agree at sl2/n2 and gl2/n2 lets it pass
+    (_commute_matrix_joins_element_1_to_a_partner, "c02-ct/triples-agree/sl2/n2", "InvariantViolated: witness (1, 2, 17) is not a commutation-transitivity counterexample"),
+    (_commute_matrix_joins_element_1_to_a_partner, "c02-ct/maxab-agree/sl2/n1", "maximal-abelian route disagrees with the centralizer route"),
     (_generators_drops_its_last, "c04-prop4/diag-normalizer/n2", "normalizer of the diagonal is not its union"),
     # the orbit-stabilizer guard of the class route sees half a class
     (_conjugacy_classes_splits_one, "c02-ct/centralizers/sl2/n2", "InvariantViolated: element 1: centralizer of 4 and class of 8"),
