@@ -203,10 +203,6 @@ def replay_family(n: int) -> tuple[list[GroupEndoSpec], list[tuple[int, ...]]]:
     return base, words
 
 
-def _fail(step: int, msg: str, witness=None):
-    raise StepFailed(step, msg, witness)
-
-
 def _check_base_map(spec: GroupEndoSpec, G: fe.GroupTable, p: np.ndarray, gens: np.ndarray, prods: np.ndarray) -> None:
     """Raise InvariantViolated unless the permutation p of a base map is a
     bijection of G, agrees with the scalar path and is a homomorphism:

@@ -440,60 +440,46 @@ def _commute_matrix(G: GroupTable) -> np.ndarray:
 
 
 def ct_check_triples(G: GroupTable) -> CtReport:
-    """Direct cubic evaluation of the transitivity sentence over all
-    triples, on the commutation table of _commute_matrix."""
-    n = len(G)
+    """Direct evaluation of the transitivity sentence over all triples, on
+    the commutation table of _commute_matrix, one x at a time in index
+    order: the rows of the nontrivial y that commute with x, less the row
+    of x, mark the z that break it, so the first mark in row-major order
+    is the lowest triple."""
     comm = _commute_matrix(G)
-    for x in range(n):
-        ys = np.flatnonzero(comm[x])
-        for y in ys:
-            if y == 0:
-                continue
-            bad = comm[y] & ~comm[x]
-            if bad.any():
-                z = int(np.flatnonzero(bad)[0])
-                return CtReport(G, False, (x, int(y), z))
+    for x in range(len(G)):
+        ys = np.flatnonzero(comm[x, 1:]) + 1
+        bad = comm[ys] & ~comm[x]
+        if bad.any():
+            i, z = np.unravel_index(np.argmax(bad), bad.shape)
+            return CtReport(G, False, (x, int(ys[i]), int(z)))
     return CtReport(G, True)
 
 
 def maximal_abelian_subgroups(G: GroupTable) -> list[SubgroupRef]:
-    """Maximal abelian subgroups, computed as the maximal members among
-    the abelian centralizers of nontrivial elements.  Maximality is
-    verified directly: no outside element may commute with everything."""
-    n = len(G)
+    """Maximal abelian subgroups: the abelian ones among the distinct
+    centralizers of nontrivial elements, in the order their rows first
+    appear, that lie inside no other.  Maximality is verified directly:
+    no outside element may commute with everything."""
     comm = _commute_matrix(G)
-    seen: dict[bytes, np.ndarray] = {}
-    for g in range(1, n):
-        cz = comm[g]
-        idx = np.flatnonzero(cz)
-        if np.all(comm[np.ix_(idx, idx)]):
-            seen.setdefault(cz.tobytes(), cz)
-    cands = list(seen.values())
+    rows = {cz.tobytes(): cz for cz in comm[1:]}.values()  # a key keeps its first place
+    cands = np.array([cz for cz in rows if comm[np.ix_(cz, cz)].all()])
     out = []
     for cz in cands:
-        if any(other is not cz and np.all(cz <= other) for other in cands):
+        if (cz <= cands).all(axis=1).sum() > 1:  # the candidates are distinct: one holds cz, itself
             continue
-        with_all = np.all(comm[np.flatnonzero(cz)], axis=0)
-        if not np.array_equal(with_all, cz):
+        if not np.array_equal(comm[cz].all(axis=0), cz):
             raise InvariantViolated("centralizer candidate not maximal")
         out.append(SubgroupRef(G, cz))
-    covered = np.zeros(n, dtype=bool)
-    for H in out:
-        covered |= H.member
-    if not covered.all():
+    if not np.any([H.member for H in out], axis=0).all():
         raise InvariantViolated("some element lies in no listed maximal abelian subgroup")
     return out
 
 
 def maximal_abelian_intersections(G: GroupTable) -> bool:
-    """Do distinct maximal abelian subgroups intersect trivially?"""
-    subs = maximal_abelian_subgroups(G)
-    for i, H in enumerate(subs):
-        for K in subs[i + 1 :]:
-            both = H.member & K.member
-            if both.sum() != 1:  # the identity is always shared
-                return False
-    return True
+    """Do distinct maximal abelian subgroups intersect trivially?  They do
+    exactly when each nontrivial element lies in at most one of them."""
+    holding = np.sum([H.member[1:] for H in maximal_abelian_subgroups(G)], axis=0)
+    return bool((holding <= 1).all())
 
 
 # ---------------------------------------------------------------------------

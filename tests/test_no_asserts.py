@@ -2,7 +2,8 @@
 functions compute and the verify registry checks, so every library
 self-check that remains is listed here with the reason it stays.  Reports
 carry integers only, so the package never divides with `/`.  Every public
-library name has a caller in the package, the benchmark or the scripts."""
+library name has a caller in the package, the benchmark or the scripts,
+and every private helper one in the package."""
 
 import ast
 from collections import Counter
@@ -87,30 +88,43 @@ def _references(tree: ast.AST):
             yield node.name.rsplit(".", 1)[-1]
 
 
-def _public_defs(tree: ast.Module):
-    """Public top-level functions and classes, and the public methods of
-    top-level classes, as (qualified name, node)."""
+def _defs(tree: ast.Module):
+    """Top-level functions and classes, and the methods of top-level
+    classes, as (qualified name, node)."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             yield node.name, node
         if isinstance(node, ast.ClassDef):
             for sub in node.body:
-                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                if isinstance(sub, ast.FunctionDef):
                     yield f"{node.name}.{sub.name}", sub
 
 
-def test_every_public_library_name_has_a_caller():
+def _unreferenced(folders, wanted):
+    """The package's definitions for which wanted(node) holds and that no
+    code in the folders names outside their own bodies."""
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for folder in ("src", "perfbench", "scripts")
+        for folder in folders
         for path in sorted((ROOT / folder).rglob("*.py"))
     }
     total = Counter(name for tree in trees.values() for name in _references(tree))
-    uncalled = [
+    return [
         f"{path.stem}.{qualname}"
         for path, tree in trees.items()
         if path.parent == PKG
-        for qualname, node in _public_defs(tree)
-        if total[node.name] == Counter(_references(node))[node.name]
+        for qualname, node in _defs(tree)
+        if wanted(node) and total[node.name] == Counter(_references(node))[node.name]
     ]
-    assert uncalled == []
+
+
+def test_every_public_library_name_has_a_caller():
+    assert _unreferenced(("src", "perfbench", "scripts"), lambda node: not node.name.startswith("_")) == []
+
+
+def test_every_private_helper_has_a_caller_in_the_package():
+    # private functions and methods, dunders excepted: tests alone do not keep one
+    def private(node):
+        return isinstance(node, ast.FunctionDef) and node.name.startswith("_") and not node.name.endswith("__")
+
+    assert _unreferenced(("src",), private) == []
