@@ -313,7 +313,8 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     (_every_pair_commutes, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180 and class of 15"),
     (_every_pair_commutes, "c06-prop7/ut-lt-disjoint/n2", "unitriangular sides intersect or commute nontrivially"),
     # the triple scan's witness rests on the false pair, and the report's
-    # own check of it trips; maxab-agree at sl2/n2 and gl2/n2 lets it pass
+    # own check of it trips; maxab-agree lets it pass at sl2/n2, sl2/n3 and
+    # gl2/n2, where the wrong rows are not abelian and the right ones remain
     (_commute_matrix_joins_element_1_to_a_partner, "c02-ct/triples-agree/sl2/n2", "InvariantViolated: witness (1, 2, 17) is not a commutation-transitivity counterexample"),
     (_commute_matrix_joins_element_1_to_a_partner, "c02-ct/maxab-agree/sl2/n1", "maximal-abelian route disagrees with the centralizer route"),
     (_generators_drops_its_last, "c04-prop4/diag-normalizer/n2", "normalizer of the diagonal is not its union"),
