@@ -450,13 +450,19 @@ def _closure_sorting_every_product(G, gens):
     return member
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-@pytest.mark.parametrize("which", fe.GENERATOR_SETS)
-def test_subgroup_generated_matches_the_reference_closure(n, which):
+@pytest.mark.parametrize("which, n", [(w, n) for w in fe.GENERATOR_SETS for n in (2, 3, 4)] + [("swap-lower", 5)])
+def test_subgroup_generated_matches_the_reference_closure(which, n):
     G = sl2(n)
     gens = fe.generator_set(G, which)
     for part in (gens, gens[:2]):  # the whole group, and a proper subgroup
         assert np.array_equal(fe.subgroup_generated(G, part).member, _closure_sorting_every_product(G, part))
+
+
+def test_greedy_generating_sets_are_pinned():
+    # values read from the closure that sorted each chunk's products
+    G = sl2(5)
+    assert fe._generators(fe.SubgroupRef(G, np.ones(len(G), dtype=bool))).tolist() == [1, 2, 3]
+    assert fe._generators(fe.named_subgroup(G, SubsetName.UPPER_UNI)).tolist() == [1024, 1056, 1120, 1248, 1504]
 
 
 @pytest.mark.parametrize("n, kind", [t for t in TABLES if t[0] <= 4])
@@ -575,6 +581,14 @@ def test_projective_action():
         fe.projective_action(fe.enumerate_group(2, fe.KIND_GL2))
 
 
+def test_image_order_counts_distinct_rows():
+    repeated = np.array([[1, 0, 2], [0, 1, 2], [1, 0, 2], [0, 1, 2], [1, 0, 2]])
+    assert fe.ProjectiveAction(repeated).image_order() == 2
+    last_column = np.array([[2, 0, 1], [2, 0, 3], [2, 0, 1], [2, 0, 0], [2, 0, 3]])  # rows that differ only at the end
+    assert fe.ProjectiveAction(last_column).image_order() == 3
+    assert fe.ProjectiveAction(np.array([[0, 1]])).image_order() == 1
+
+
 def test_unipotent_as_order3_product():
     G = sl2(2)
     a, b = fe.unipotent_as_order3_product(G)
@@ -614,6 +628,29 @@ def test_semidirect_check_rejects_a_factor_that_is_not_normal(n):
     assert fe.subgroup_generated(G, np.concatenate([delta.indices(), lt.indices()])) == lower
     assert len(np.unique(G.mul_vec(delta.indices()[:, None], lt.indices()[None, :]))) == lower.size
     assert not fe.semidirect_check(G, delta, lt)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_semidirect_check_fails_when_the_products_miss_the_join(monkeypatch, n):
+    # a join read as the whole group: N is normal in it and meets H
+    # trivially, so only the product set N H can fail
+    G = sl2(n)
+    delta, ut = fe.named_subgroup(G, SubsetName.DIAG), fe.named_subgroup(G, SubsetName.UPPER_UNI)
+    swap_grp = fe.subgroup_generated(G, [G.index_of(SWAP)])
+    monkeypatch.setattr(fe, "subgroup_generated", lambda G, gens: fe.SubgroupRef(G, np.ones(len(G), dtype=bool)))
+    assert not fe.semidirect_check(G, delta, swap_grp)
+    assert not fe.semidirect_check(G, ut, delta)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ut_lt_disjointness_fails_when_the_sides_coincide(monkeypatch, n):
+    real = fe.subset_member
+
+    def lower_is_upper(G, name):
+        return real(G, SubsetName.UPPER_UNI if name is SubsetName.LOWER_UNI else name)
+
+    monkeypatch.setattr(fe, "subset_member", lower_is_upper)
+    assert not fe.ut_lt_disjointness(sl2(n))
 
 
 def test_ut_lt_disjointness():
