@@ -247,6 +247,7 @@ class ReplayFrame:
         self.U = np.concatenate([[g_idx, G.index_of(SWAP)], self.delta, self.lower])
         self.lower_at = 2 + len(self.delta)  # U[2:lower_at] is the diagonal, U[lower_at:] the lower triangulars
         # alpha_of[h]: the lowest x with x h x^(-1) = g, or -1 off g's class
+        # return_index takes numpy's sort path; a plain np.unique would import numpy.ma
         conjugates, first_x = np.unique(G.conj_vec(G.inv_index, np.int64(g_idx)), return_index=True)
         self.alpha_of = np.full(len(G), -1)
         self.alpha_of[conjugates] = first_x

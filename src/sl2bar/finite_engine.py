@@ -4,7 +4,12 @@ centralizers, normalizers, commutation-transitivity reports, subgroup
 generation, simplicity, the projective-line action, and semidirect
 product checks.  One closure, `_closure`, grows a subgroup from a wanted
 set and keeps a greedy generating set of it in the same pass; subgroup
-generation, greedy generating sets and derived subgroups all read it.
+generation, greedy generating sets and derived subgroups all read it.  It
+dedupes through its membership vector: a step sets its products' bits,
+and the bits it turned on are the next frontier, so nothing is sorted.
+No set operation here sorts or hashes: numpy's plain `np.unique` (and
+`np.intersect1d` through it) imports numpy.ma on its first call, and a
+boolean vector over the table answers the same questions.
 Normalizers, semidirect checks and derived subgroups work from a greedy
 generating set of each subgroup, not from every member; conjugacy classes
 are the orbits of a greedy generating set of the group, and element
@@ -285,7 +290,7 @@ def normalizer_bf(G: GroupTable, H: SubgroupRef) -> SubgroupRef:
     once x conjugates each generator of H into H."""
     keep = np.ones(len(G), dtype=bool)
     for h in _generators(H):  # one |G| conjugation per generator keeps the peak low
-        keep &= H.member[G.conj_vec(np.arange(len(G)), h)]
+        keep &= H.member[G.conj_vec(slice(None), h)]
     return SubgroupRef(G, keep)
 
 
@@ -339,8 +344,9 @@ def _closure(G: GroupTable, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order are kept.  A step
     multiplies in chunks of at most about CLOSURE_CHUNK products, so a
     large generating set never materializes the whole frontier-by-
-    generators product array, and sorts only the products not yet in the
-    subgroup."""
+    generators product array, and sets each chunk's products straight
+    into member: the next frontier is the bits the step turned on,
+    ascending and unique, and nothing is sorted."""
     member = np.zeros(len(G), dtype=bool)
     member[0] = True
     kept = []
@@ -349,14 +355,10 @@ def _closure(G: GroupTable, want: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         s, frontier = np.array(kept), np.flatnonzero(member)
         while len(frontier):
             step = max(1, CLOSURE_CHUNK // len(frontier))
-            found = []
+            before = member.copy()
             for k in range(0, len(s), step):
-                # one name, so a chunk's products are freed before the next is made
-                new = G.mul_vec(frontier[:, None], s[None, k : k + step]).ravel()
-                new = np.unique(new[~member[new]])
-                member[new] = True
-                found.append(new)
-            frontier = np.concatenate(found)
+                member[G.mul_vec(frontier[:, None], s[None, k : k + step]).ravel()] = True
+            frontier = np.flatnonzero(member & ~before)
     return member, np.array(kept, dtype=np.int64)
 
 
@@ -490,7 +492,7 @@ def conjugacy_classes(G: GroupTable) -> list[np.ndarray]:
     """Conjugacy classes as sorted index arrays, ordered by least member:
     the orbits of G under conjugation by a generating set S of G."""
     s = _generators(SubgroupRef(G, np.ones(len(G), dtype=bool)))
-    conj = np.array([G.conj_vec(h, np.arange(len(G))) for h in s])  # one |G| conjugation at a time keeps the peak low
+    conj = np.array([G.conj_vec(h, slice(None)) for h in s])  # one |G| conjugation at a time keeps the peak low
     label = np.arange(len(G))
     while not np.array_equal(low := np.minimum(label, label[conj].min(0)), label):
         label = low[low]
@@ -554,20 +556,19 @@ def semidirect_check(G: GroupTable, N: SubgroupRef, H: SubgroupRef) -> bool:
         return False
     if (N.member & H.member).sum() != 1:
         return False
-    join = subgroup_generated(G, xs)
-    prods = np.unique(G.mul_vec(N.indices()[:, None], H.indices()[None, :]))
-    return len(prods) == join.size and bool(np.all(join.member[prods]))
+    prods = np.zeros(len(G), dtype=bool)
+    prods[G.mul_vec(N.indices()[:, None], H.indices()[None, :])] = True
+    return bool(np.array_equal(prods, subgroup_generated(G, xs).member))
 
 
 def ut_lt_disjointness(G: GroupTable) -> bool:
     """Upper and lower unitriangular subgroups meet only in the identity,
     and no nontrivial pair drawn from the two sides commutes."""
-    ut = subset_indices(G, SubsetName.UPPER_UNI)
-    lt = subset_indices(G, SubsetName.LOWER_UNI)
-    if len(np.intersect1d(ut, lt)) != 1:
+    ut = subset_member(G, SubsetName.UPPER_UNI)
+    lt = subset_member(G, SubsetName.LOWER_UNI)
+    if (ut & lt).sum() != 1:
         return False
-    ut = ut[ut != 0]
-    lt = lt[lt != 0]
+    ut, lt = np.flatnonzero(ut[1:]) + 1, np.flatnonzero(lt[1:]) + 1  # the identity is index 0
     return not G.commute_vec(ut[:, None], lt[None, :]).any()
 
 
@@ -596,7 +597,10 @@ class ProjectiveAction:
         return int(np.all(self.perms == np.arange(self.n_points), axis=1).sum()) == 1
 
     def image_order(self) -> int:
-        return len(np.unique(self.perms, axis=0))
+        """Number of distinct permutations: in sorted order, one plus the
+        rows that differ from the row before."""
+        p = self.perms[np.lexsort(self.perms.T)]
+        return int((p[1:] != p[:-1]).any(axis=1).sum()) + 1
 
     def all_even(self) -> bool:
         """Is every permutation even?  Parity is that of the inversion count."""

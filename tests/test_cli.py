@@ -347,6 +347,38 @@ def test_import_footprint(module, absent):
     assert done.stdout.strip() == ""
 
 
+# numpy's hash-based unique (a plain np.unique, and np.intersect1d through
+# it) calls np.ma.is_masked, so its first call in a process imports
+# numpy.ma: 5.8 ms of a fresh interpreter that no group analysis needs.
+# The sort path (return_index, return_counts) imports nothing.  Runs the
+# group analyses, two group commands and the level-5 suite in one fresh
+# interpreter and prints the exit codes, the suite's failures and whether
+# numpy.ma got loaded.
+_MASKED_ARRAYS_FOOTPRINT = """
+import contextlib, io, sys
+from sl2bar import finite_engine as fe, verify
+from sl2bar.cli import main
+from sl2bar.sl2_core import SubsetName
+G = fe.enumerate_group(5)
+G.element_orders()
+fe.normalizer_bf(G, fe.named_subgroup(G, SubsetName.UPPER_UNI))
+fe.subgroup_generated(G, fe.generator_set(G, "swap-lower"))
+fe.projective_action(fe.enumerate_group(4)).image_order()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["group", "ct", "--level", "3"]), main(["group", "a5"])]
+failed = [r.name for r in verify.run_suite(5).checks if r.status != "pass"]
+print(codes, failed, "numpy.ma" in sys.modules)
+"""
+
+
+def test_group_analyses_never_import_numpy_ma():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop(conway.ENV_TABLE_PATH, None)
+    done = subprocess.run([sys.executable, "-c", _MASKED_ARRAYS_FOOTPRINT], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[0, 0] [] False"
+
+
 def test_group_commands_still_load_the_group_engine():
     got = _in_fresh_process([["group", "enum", "--level", "2"]])
     assert got["results"] == [[0, "order 60\n"]]

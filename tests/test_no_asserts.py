@@ -3,7 +3,8 @@ functions compute and the verify registry checks, so every library
 self-check that remains is listed here with the reason it stays.  Reports
 carry integers only, so the package never divides with `/`.  Every public
 library name has a caller in the package, the benchmark or the scripts,
-and every private helper one in the package."""
+and every private helper one in the package.  The package makes no plain
+numpy set operation: membership vectors answer the same questions."""
 
 import ast
 from collections import Counter
@@ -75,6 +76,28 @@ def test_package_has_no_true_division():
             for node in ast.walk(tree)
             if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div)
         ]
+    assert found == []
+
+
+# numpy set routines with no index to return: a plain np.unique takes the
+# hash path, which imports numpy.ma, and the others are built on it or on
+# sorting.  np.unique asked for first indices, inverses or counts sorts.
+SET_OPERATIONS = {"intersect1d", "setdiff1d", "union1d", "isin", "in1d"}
+INDEX_KEYWORDS = {"return_index", "return_inverse", "return_counts"}
+
+
+def test_package_makes_no_plain_set_operation():
+    found = []
+    for path in sorted(PKG.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+                continue
+            if not (isinstance(node.func.value, ast.Name) and node.func.value.id == "np"):
+                continue
+            name = node.func.attr
+            if name in SET_OPERATIONS or (name == "unique" and not INDEX_KEYWORDS & {kw.arg for kw in node.keywords}):
+                found.append(f"{path.name}:{node.lineno}: np.{name}")
     assert found == []
 
 
