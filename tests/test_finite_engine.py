@@ -180,6 +180,36 @@ def test_centralizer_examples():
         require_subgroup(H)
 
 
+@pytest.mark.parametrize("kind, n", [(fe.KIND_SL2, n) for n in (1, 2, 3, 4)] + [(fe.KIND_GL2, n) for n in (1, 2)])
+def test_centralizer_matches_the_whole_table_scan(kind, n):
+    # the scan is the reference: every element, or one per class at SL2(16)
+    G = fe.enumerate_group(n, kind)
+    gs = [int(cls[0]) for cls in fe.conjugacy_classes(G)] if n == 4 else range(len(G))
+    for g in gs:
+        assert np.array_equal(fe.centralizer_bf(G, g).member, G.commute_vec(slice(None), g)), g
+
+
+def _conj_by_inverse_index(G, i, j):
+    """The reference conjugation i j i^(-1), the inverse read through inv_index."""
+    return G.mul_vec(G.mul_vec(i, j), G.inv_index[i])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conjugation_matches_the_inverse_index_route(n):
+    G = sl2(n)
+    i, j = np.arange(len(G))[:, None], np.arange(len(G))[None, :]
+    assert np.array_equal(G.conj_vec(i, j), _conj_by_inverse_index(G, i, j))
+
+
+def test_conjugation_matches_the_inverse_index_route_in_the_replay_shape():
+    # ReplayFrame.steps straightens a (B, 1) column of conjugators against
+    # a (B, |U|) block of images
+    G = sl2(4)
+    rng = np.random.default_rng(36)
+    alpha, img = rng.integers(0, len(G), size=(31, 1)), rng.integers(0, len(G), size=(31, 257))
+    assert np.array_equal(G.conj_vec(alpha, img), _conj_by_inverse_index(G, alpha, img))
+
+
 def test_commutation_agrees_with_scalar_matrix_products():
     for G in (sl2(2), fe.enumerate_group(2, fe.KIND_GL2)):
         mats = [G.mat(i) for i in range(len(G))]
@@ -242,6 +272,14 @@ def _normalizer_by_every_member(G, H):
     return keep
 
 
+def _normalizer_by_whole_table(G, H):
+    """The reference normalizer: each generator conjugates the whole table."""
+    keep = np.ones(len(G), dtype=bool)
+    for h in fe._generators(H):
+        keep &= H.member[G.conj_vec(slice(None), h)]
+    return keep
+
+
 def _derived_by_every_pair(H):
     """The reference derived subgroup: generated by the commutators of every pair of members."""
     G, idx = H.parent, H.indices()
@@ -267,6 +305,7 @@ def test_generator_routes_match_the_every_member_references(kind, n):
             assert before[: g][H.member[: g]].all()  # and the least member of H that is
         assert np.array_equal(fe.subgroup_generated(G, gens).member, H.member)
         assert np.array_equal(fe.normalizer_bf(G, H).member, _normalizer_by_every_member(G, H))
+        assert np.array_equal(fe.normalizer_bf(G, H).member, _normalizer_by_whole_table(G, H))
         if H.size <= fe.PAIRS_MAX:
             assert np.array_equal(fe.derived_subgroup(H).member, _derived_by_every_pair(H))
 
