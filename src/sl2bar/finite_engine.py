@@ -11,9 +11,13 @@ No set operation here sorts or hashes: numpy's plain `np.unique` (and
 `np.intersect1d` through it) imports numpy.ma on its first call, and a
 boolean vector over the table answers the same questions.
 Normalizers, semidirect checks and derived subgroups work from a greedy
-generating set of each subgroup, not from every member; conjugacy classes
-are the orbits of a greedy generating set of the group, and element
-orders are computed once per class.  Commutation tables are
+generating set of each subgroup, not from every member, and a normalizer
+conjugates by each later generator only the elements the earlier ones
+kept; conjugacy classes are the orbits of a greedy generating set of the
+group, and element orders are computed once per class.  A centralizer is
+never a scan of the table: it is read off the kernel of y -> xy + yx,
+span{I, x} for a non-scalar x, as the members among its q^2 GF(q)
+combinations.  Commutation tables are
 built above the diagonal in row blocks, and a query that needs one
 non-commuting pair stops at the first block that holds one.
 
@@ -21,12 +25,15 @@ A table stores its elements once, as four entry columns of masks; element
 0 is always the identity and the remaining elements ascend by packed
 code, so "lowest index" witnesses are deterministic.  One product, `_mul`,
 multiplies entry columns through the level kernel's product table, read
-flat, and every product, determinant, inverse and conjugate here goes
-through it.  One index, `GroupTable._index`, maps entry columns back to
-an index: in closed form for the determinant-one group, whose members are
-fixed by three of their entries, and through a table of the at most 4096
-packed codes for the invertible group.  Membership is a round trip: a row
-is a member when the element at its index has its entries.  One
+flat, and every matrix product, inverse index and conjugate here goes
+through it.  One index, `GroupTable._index`, maps entry columns back
+to an index: in closed form for the determinant-one group, whose members
+are fixed by three of their entries, and through a table of the at most
+4096 packed codes for the invertible group.  Membership is a round trip: a row
+is a member when the element at its index has its entries.  A conjugate
+x j x^(-1) on the determinant-one table reads x^(-1) as the adjugate
+(d, b, c, a) of x's own columns; the invertible table reads it through
+`inv_index`.  One
 commutation test, `GroupTable.commute_vec`, says two elements commute
 when their two products have the same code, so a wrong commutation test
 can only come from a wrong product.  Each table holds
@@ -46,8 +53,8 @@ import numpy as np
 from . import conway
 from .closure import celt
 from .errors import BoundExceeded, InvariantViolated, PreconditionError, SearchFailed
-from .gf2_field import ensure_log_table
-from .sl2_core import GENERATOR_SETS, KIND_GL2, KIND_SL2, SWAP, Mat2, SubsetName, mat_entry_masks, mat_to_json
+from .gf2_field import FieldElt, ensure_log_table
+from .sl2_core import GENERATOR_SETS, KIND_GL2, KIND_SL2, SWAP, Mat2, SubsetName, commutant_kernel, mat_entry_masks, mat_to_json
 
 SL2_MAX_LEVEL = 5
 GL2_MAX_LEVEL = 3
@@ -152,9 +159,14 @@ class GroupTable:
         return self._index(_mul(self._flat, n, c[:, i], c[:, j]))
 
     def conj_vec(self, i, j) -> np.ndarray:
-        """Index of element i * j * i^(-1), broadcasting."""
+        """Index of element i * j * i^(-1), broadcasting.  On a
+        determinant-one table i^(-1) is the adjugate (d, b, c, a) of the
+        columns of i already read; the invertible table reads the inverse's
+        columns through inv_index."""
         n, F, c = self.level, self._flat, self.cols
-        return self._index(_mul(F, n, _mul(F, n, c[:, i], c[:, j]), c[:, self.inv_index[i]]))
+        x = c[:, i]
+        xi = c[:, self.inv_index[i]] if self.kind == KIND_GL2 else (x[3], x[1], x[2], x[0])
+        return self._index(_mul(F, n, _mul(F, n, x, c[:, j]), xi))
 
     def commute_vec(self, i, j) -> np.ndarray:
         """Indexwise: do elements i and j commute?  i and j broadcast
@@ -281,17 +293,40 @@ def named_subgroup(G: GroupTable, name: SubsetName) -> SubgroupRef:
 
 
 def centralizer_bf(G: GroupTable, g: int) -> SubgroupRef:
-    """Brute-force centralizer of the element with index g."""
-    return SubgroupRef(G, G.commute_vec(slice(None), g))  # a view of every column: an index array would gather a copy
+    """Centralizer of the element with index g, from the kernel K of
+    y -> xy + yx (sl2_core.commutant_kernel): the members of the group
+    among the GF(q) combinations of K's basis, that is the q^2 elements of
+    span{I, x} with determinant one (or nonzero, for the invertible group)
+    in place of |G| products.  A scalar x has all of M2 as its kernel and
+    the whole table as its centralizer, so its q^4 combinations are never
+    formed.  The name is the one the benchmark's group-scan reads."""
+    n, M = G.level, G.MUL
+    basis = commutant_kernel(tuple(FieldElt(n, e) for e in G.cols[:, g].tolist()))
+    if len(basis) == 4:
+        return SubgroupRef(G, np.ones(len(G), dtype=bool))
+    span = np.zeros((1, 4), dtype=np.int64)
+    for v in basis:  # every combination, one basis vector at a time: M[:, v] holds its GF(q) multiples
+        span = (span[:, None] ^ M[:, [e.mask for e in v]]).reshape(-1, 4)
+    a, b, c, d = y = span.T
+    det = M[a, d] ^ M[b, c]
+    member = np.zeros(len(G), dtype=bool)
+    member[G._index(y[:, det == 1 if G.kind == KIND_SL2 else det != 0])] = True
+    return SubgroupRef(G, member)
 
 
 def normalizer_bf(G: GroupTable, H: SubgroupRef) -> SubgroupRef:
     """Normalizer: all x with x H x^(-1) = H.  As H is finite, that holds
-    once x conjugates each generator of H into H."""
-    keep = np.ones(len(G), dtype=bool)
-    for h in _generators(H):  # one |G| conjugation per generator keeps the peak low
-        keep &= H.member[G.conj_vec(slice(None), h)]
-    return SubgroupRef(G, keep)
+    once x conjugates each generator of H into H, so N(H) is the
+    intersection of one condition per generator.  The first generator
+    conjugates the whole table (through a view: an index array would
+    gather a copy), and each later one only the x that survived those
+    before it."""
+    x = np.arange(len(G))
+    for k, h in enumerate(_generators(H)):
+        x = x[H.member[G.conj_vec(x if k else slice(None), h)]]
+    member = np.zeros(len(G), dtype=bool)
+    member[x] = True
+    return SubgroupRef(G, member)
 
 
 def _commute_blocks(G: GroupTable, idx):

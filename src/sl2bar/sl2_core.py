@@ -7,8 +7,10 @@ Provides conjugacy classification (identity / unipotent / split with a
 canonical eigenvalue), the named shape subsets (diagonal, off-diagonal,
 upper/lower triangular and unitriangular), the two closed-form
 conjugation identities for diagonal and unitriangular targets, the
-factorization of a diagonal matrix into two involutions, and the
-literal and entry-mask forms of a matrix.  Nothing here is random: the
+factorization of a diagonal matrix into two involutions, the kernel of
+y -> xy + yx (the matrices that commute with x, solved with same-level
+scalar arithmetic at any level), and the literal and entry-mask forms of
+a matrix.  Nothing here is random: the
 verify suite draws its matrices as level masks.
 
 Conjugation is fixed as conj(M, g) = M * g * M^(-1) everywhere.
@@ -28,7 +30,7 @@ from .errors import (
     PreconditionError,
     SingularMatrix,
 )
-from .gf2_field import artin_schreier_solve
+from .gf2_field import FieldElt, add, artin_schreier_solve, inv, mul
 from .closure import lift, reduce_elt
 from .record import Record, _set
 
@@ -128,6 +130,43 @@ def inv_transpose(M: Mat2) -> Mat2:
     matrix and is an involutive automorphism of the determinant-one group."""
     require_sl2(M)
     return Mat2(M.d, M.c, M.b, M.a)
+
+
+def commutant_kernel(x: tuple[FieldElt, FieldElt, FieldElt, FieldElt]) -> list[tuple[FieldElt, ...]]:
+    """A basis of the matrices y = [[p, r], [s, t]] that commute with
+    x = [[a, b], [c, d]], all entries at one level: the kernel of the
+    GF(2^n)-linear map y -> xy + yx, whose rows in (p, r, s, t) are
+    (0, c, b, 0), (b, a + d, 0, b), (c, 0, a + d, c) and (0, c, b, 0); the
+    last repeats the first, so three rows give the kernel.  Row reduction
+    with the scalar add, mul and inv leaves one basis vector per free
+    column.  The kernel is the algebra x generates (Huppert,
+    Endliche Gruppen I, II.8): span{I, x} for a non-scalar x, everything
+    for a scalar one."""
+    a, b, c, d = x
+    zero, one, t = FieldElt(a.level, 0), FieldElt(a.level, 1), add(a, d)
+    rows = [[zero, c, b, zero], [b, t, zero, b], [c, zero, t, c]]
+    pivots: list[int] = []
+    for col in range(4):
+        r = len(pivots)
+        p = next((i for i in range(r, 3) if not rows[i][col].is_zero), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        s = inv(rows[r][col])
+        rows[r] = [mul(s, e) for e in rows[r]]
+        for i in range(3):
+            if i != r and not rows[i][col].is_zero:
+                f = rows[i][col]
+                rows[i] = [add(e, mul(f, g)) for e, g in zip(rows[i], rows[r])]
+        pivots.append(col)
+    basis = []
+    for free in (col for col in range(4) if col not in pivots):
+        v = [zero] * 4
+        v[free] = one
+        for row, col in zip(rows, pivots):
+            v[col] = row[free]  # -row[free] in characteristic 2
+        basis.append(tuple(v))
+    return basis
 
 
 def normalize_to_sl2(X: Mat2) -> Mat2:
@@ -341,6 +380,7 @@ __all__ = [
     "SubsetName",
     "are_conjugate",
     "classify_jordan",
+    "commutant_kernel",
     "conj",
     "conjugate_eq1",
     "conjugate_eq2",

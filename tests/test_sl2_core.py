@@ -1,11 +1,13 @@
 """Matrix layer: arithmetic conventions, classification, closed forms."""
 
 import random
+from itertools import permutations
 
 import pytest
 
 from sl2bar import closure, finite_engine as fe
 from sl2bar.closure import ONE, ZERO, celt, cinv
+from sl2bar.gf2_field import FieldElt, add, mul
 from sl2bar.errors import (
     NonUnitDeterminant,
     ParseError,
@@ -20,6 +22,7 @@ from sl2bar.sl2_core import (
     Mat2,
     are_conjugate,
     classify_jordan,
+    commutant_kernel,
     conj,
     conjugate_eq1,
     conjugate_eq2,
@@ -224,3 +227,35 @@ def test_mat_masks_round_trip():
         M = rand_sl2(rng, 2)
         quad = mat_entry_masks(M, 4)
         assert mat_from_masks(4, quad) == M
+
+
+@pytest.mark.parametrize("n", range(1, 31))
+def test_commutant_kernel_is_the_algebra_x_generates(n):
+    # at every level, with tables or without: each basis vector commutes
+    # with x in the closure's arithmetic, and I and x are combinations of
+    # the basis.  Columns ks where basis vector i reads 1 at ks[i] and 0 at
+    # the others give the coefficients: v is in the span exactly when
+    # v = sum of v[ks[i]] times vector i
+    rng = random.Random(n)
+    q = 1 << n
+    lam = rng.randrange(1, q)
+    samples = [(lam, 0, 0, lam), (1, rng.randrange(1, q), 0, 1), (lam, 0, 0, 1), (1, 0, 1, 1)]
+    samples += [tuple(rng.randrange(q) for _ in range(4)) for _ in range(6)]
+    zero, one = FieldElt(n, 0), FieldElt(n, 1)
+    for quad in samples:
+        x = tuple(FieldElt(n, m) for m in quad)
+        basis = commutant_kernel(x)
+        scalar = quad[1] == quad[2] == 0 and quad[0] == quad[3]
+        assert len(basis) == (4 if scalar else 2), quad
+        X = mat_from_masks(n, quad)
+        assert all(mmul(X, Y) == mmul(Y, X) for Y in (mat_from_masks(n, [e.mask for e in y]) for y in basis)), quad
+        ks = next(
+            ks
+            for ks in permutations(range(4), len(basis))
+            if all(y[k] == (one if i == j else zero) for i, y in enumerate(basis) for j, k in enumerate(ks))
+        )
+        for v in ((one, zero, zero, one), x):
+            total = [zero] * 4
+            for y, k in zip(basis, ks):
+                total = [add(t, mul(v[k], e)) for t, e in zip(total, y)]
+            assert tuple(total) == v, (quad, v)

@@ -74,6 +74,23 @@ def test_the_suite_builds_each_group_table_once(monkeypatch):
     assert len(built) == len(set(built)) == 4, built
 
 
+def test_centralizers_never_scan_the_whole_table(monkeypatch):
+    # c02's class route, c03 and c05 read their centralizers off the kernel
+    # of y -> xy + yx; the whole-table scan is only the tests' reference
+    good = fe.GroupTable.commute_vec
+
+    def guarded(G, i, j):
+        if isinstance(i, slice):
+            raise AssertionError("whole-table commutation scan")
+        return good(G, i, j)
+
+    monkeypatch.setattr(fe.GroupTable, "commute_vec", guarded)
+    assert fe.ct_check_centralizers(fe.enumerate_group(4)).holds
+    for family in ("c02-ct/centralizers/", "c03-prop3/", "c05-prop5-6/"):
+        report = verify.run_suite(max_level=4, name_filter=family)
+        assert report.checks and all(c.status == "pass" for c in report.checks), family
+
+
 def _morder_off_by_one_on_split(monkeypatch):
     good = sl.morder
     monkeypatch.setattr(sl, "morder", lambda M: good(M) + (sl.classify_jordan(M).kind == "split"))
@@ -95,6 +112,29 @@ def _element_orders_wrong_at_the_last(monkeypatch):
 def _conj_vec_ignores_the_conjugator(monkeypatch):
     good = fe.GroupTable.conj_vec
     monkeypatch.setattr(fe.GroupTable, "conj_vec", lambda G, i, j: np.broadcast_to(j, np.shape(good(G, i, j))))
+
+
+def _conj_vec_adjugate_unswapped(monkeypatch):
+    # the adjugate read as (a, b, c, d), so i j i in place of i j i^(-1)
+    def wrong(G, i, j):
+        n, F, c = G.level, G._flat, G.cols
+        x = c[:, i]
+        return G._index(fe._mul(F, n, fe._mul(F, n, x, c[:, j]), x))
+
+    monkeypatch.setattr(fe.GroupTable, "conj_vec", wrong)
+
+
+def _commutant_kernel_drops_x(monkeypatch):
+    # span{I} in place of span{I, x}: a non-scalar x is left with the
+    # scalars of determinant one, the identity alone
+    good = fe.commutant_kernel
+
+    def dropped(x):
+        basis = good(x)
+        one, zero = FieldElt(x[0].level, 1), FieldElt(x[0].level, 0)
+        return basis if len(basis) == 4 else [(one, zero, zero, one)]
+
+    monkeypatch.setattr(fe, "commutant_kernel", dropped)
 
 
 def _unitriangular_sides_swapped(monkeypatch):
@@ -294,6 +334,9 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     (_morder_off_by_one_on_split, "c07-dichotomy/orders/n4", "class-based order 4 disagrees with iterated order 3 at [[0x0@1,0x1@1],[0x1@1,0x1@1]]"),
     (_element_orders_wrong_at_the_last, "c07-dichotomy/orders/n4", "class-based order 17 disagrees with iterated order 19 at [[0xf@4,0xf@4],[0xf@4,0x3@2]]"),
     (_conj_vec_ignores_the_conjugator, "c05-prop5-6/triangular/n2", "the diagonal's conjugates of [[0x1@1,0x1@1],[0x0@1,0x1@1]] are not the nontrivial upper"),
+    (_conj_vec_adjugate_unswapped, "c04-prop4/diag-normalizer/n2", "normalizer of the diagonal is not its union with the off-diagonal set"),
+    # C(x) shrinks to {I}, and the orbit-stabilizer guard of the class route trips
+    (_commutant_kernel_drops_x, "c02-ct/centralizers/sl2/n2", "InvariantViolated: element 1: centralizer of 1 and class of 15 in a group of 60"),
     # the centralizer and the orbit hold on either side; the normalizer does not
     (_unitriangular_sides_swapped, "c05-prop5-6/triangular/n2", "normalizer of the upper unitriangulars is not the upper triangulars"),
     (_enumerate_group_drops_a_row, "c01-orders/sl2/n2", "enumerated 59 elements"),
@@ -308,9 +351,12 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     # draws 32, 36, 42 and 48 are the lower ones with s = 0, all with t = 1
     (_c08_gap_fill_u_without_inverse, "c08-eq1-eq2/random", "draw 50 has determinant 0x5@3, not 1: M=[[0x0@1,0x3@3],[0x3@3,0x2@3]]"),
     (_level13_pow_vec_merges_two_masks, "c11-field-cohopf/max-order/n13", "frob^0 is not injective"),
-    # every pair commutes, so the orbit-stabilizer guard of the class route trips
-    (_product_ignores_the_order, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180"),
-    (_every_pair_commutes, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 180 and class of 15"),
+    # the classes come from the wrong conjugates, and the kernel's centralizer
+    # does not fit them, so the orbit-stabilizer guard of the class route trips
+    (_product_ignores_the_order, "c02-ct/centralizers/gl2/n2", "InvariantViolated: element 1: centralizer of 12 and class of 6 in a group of 180"),
+    # the centralizers come from the kernel, but the search for a
+    # non-commuting pair inside one finds none
+    (_every_pair_commutes, "c02-ct/centralizers/gl2/n2", "centralizer route returned holds=True"),
     (_every_pair_commutes, "c06-prop7/ut-lt-disjoint/n2", "unitriangular sides intersect or commute nontrivially"),
     # the triple scan's witness rests on the false pair, and the report's
     # own check of it trips; maxab-agree lets it pass at sl2/n2, sl2/n3 and
@@ -320,7 +366,10 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     (_generators_drops_its_last, "c04-prop4/diag-normalizer/n2", "normalizer of the diagonal is not its union"),
     # the orbit-stabilizer guard of the class route sees half a class
     (_conjugacy_classes_splits_one, "c02-ct/centralizers/sl2/n2", "InvariantViolated: element 1: centralizer of 4 and class of 8"),
-    (_index_leaves_the_identity_in_code_order, "c04-prop4/diag-normalizer/n2", "normalizer of the diagonal is not its union"),
+    # conjugation reads no inverse index, so the normalizer comes out whole;
+    # the derived subgroup's commutators that equal the identity read as
+    # another element
+    (_index_leaves_the_identity_in_code_order, "c04-prop4/diag-normalizer/n2", "normalizer is not metabelian"),
     (_field_endos_all_the_identity, "c11-field-cohopf/endos/n2", "frob^0 repeats"),
     (_lift_keeps_the_mask, "c13-conway/embedding-hom/n4", "embedding 2->4 is not multiplicative"),
     (_level4_squares_rolled, "c11-field-cohopf/endos/n4", "frob^1 does not permute the conjugates of 0x2@4"),
