@@ -17,26 +17,25 @@ kept; conjugacy classes are the orbits of a greedy generating set of the
 group, and element orders are computed once per class.  A centralizer is
 never a scan of the table: it is read off the kernel of y -> xy + yx,
 span{I, x} for a non-scalar x, as the members among its q^2 GF(q)
-combinations.  Commutation tables are
-built above the diagonal in row blocks, and a query that needs one
-non-commuting pair stops at the first block that holds one.
+combinations.  Commutation tables are built above the diagonal in row
+blocks, and a query that needs one non-commuting pair stops at the first
+block that holds one.
 
 A table stores its elements once, as four entry columns of masks; element
 0 is always the identity and the remaining elements ascend by packed
 code, so "lowest index" witnesses are deterministic.  One product, `_mul`,
 multiplies entry columns through the level kernel's product table, read
 flat, and every matrix product, inverse index and conjugate here goes
-through it.  One index, `GroupTable._index`, maps entry columns back
-to an index: in closed form for the determinant-one group, whose members
-are fixed by three of their entries, and through a table of the at most
-4096 packed codes for the invertible group.  Membership is a round trip: a row
+through it.  One index, `GroupTable._index`, maps entry columns back to
+an index: in closed form for the determinant-one group, whose members are
+fixed by three of their entries, and through a table of the at most 4096
+packed codes for the invertible group.  Membership is a round trip: a row
 is a member when the element at its index has its entries.  A conjugate
 x j x^(-1) on the determinant-one table reads x^(-1) as the adjugate
 (d, b, c, a) of x's own columns; the invertible table reads it through
-`inv_index`.  One
-commutation test, `GroupTable.commute_vec`, says two elements commute
-when their two products have the same code, so a wrong commutation test
-can only come from a wrong product.  Each table holds
+`inv_index`.  One commutation test, `GroupTable.commute_vec`, says two
+elements commute when their two products have the same code, so a wrong
+commutation test can only come from a wrong product.  Each table holds
 the closure values of its level's q masks, so a matrix is read from them,
 never reduced again.
 

@@ -10,8 +10,8 @@ conjugation identities for diagonal and unitriangular targets, the
 factorization of a diagonal matrix into two involutions, the kernel of
 y -> xy + yx (the matrices that commute with x, solved with same-level
 scalar arithmetic at any level), and the literal and entry-mask forms of
-a matrix.  Nothing here is random: the
-verify suite draws its matrices as level masks.
+a matrix.  Nothing here is random: the verify suite draws its matrices
+as level masks.
 
 Conjugation is fixed as conj(M, g) = M * g * M^(-1) everywhere.
 """
