@@ -23,7 +23,8 @@ values they gather, so every numpy result is int64.
 Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
 LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
 endomorphism scans); the rest multiply schoolbook through ``gf2poly``
-(comb products and spread squares folded by the modulus; ``power`` and
+(comb products and spread squares folded by the modulus 8 bits a step,
+through the byte-window table that the kernel registers; ``power`` and
 ``elt_order`` go through ``ppowmod``, which builds one comb of its base
 per call) and find subfield preimages with the one cached GF(2) echelon
 solver, which the ``z^2 + z = c`` solver shares.  Minimal polynomials
@@ -41,7 +42,7 @@ from typing import TYPE_CHECKING
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
-from .gf2poly import Gf2Poly, _comb, _times, divisors, factorize, is_irreducible, pinvmod, pmod, pmulmod, ppowmod
+from .gf2poly import Gf2Poly, _comb, _times, divisors, factorize, is_irreducible, pinvmod, pmod, pmulmod, ppowmod, register_fold
 from .record import Record, _set
 
 if TYPE_CHECKING:
@@ -207,13 +208,16 @@ def _log_arrays(n: int, mod: int) -> tuple[array, array]:
 class LevelTables:
     """The kernel of one level: everything derived from its modulus.  With
     log tables it holds the compact exp/log arrays the vectorized methods
-    read; without, only ``mod`` and the schoolbook path's subfield bases."""
+    read; without, only ``mod`` and the schoolbook path's subfield bases,
+    and it registers the modulus's byte-window fold table in ``gf2poly``."""
 
     def __init__(self, n: int, mod: int, logs: bool = False):
         self.n = n
         self.mod = mod
         self.q1 = (1 << n) - 1
         self.exp, self.log = _log_arrays(n, mod) if logs else (None, None)
+        if not logs:
+            register_fold(mod)
         self._bases: dict[int, tuple[int, ...]] = {}
 
     def _np(self) -> tuple[np.ndarray, np.ndarray]:

@@ -12,8 +12,11 @@ share them.  Products run 4-bit windows of one factor over the comb of
 the other, its 16 carry-less multiples; squares spread each byte through
 a 256-entry table; and both fold back through ``pmod`` (Hankerson,
 Menezes & Vanstone, Guide to Elliptic Curve Cryptography, 2004, sections
-2.3.3 and 2.3.4).  A power, an evaluation and ``gf2_field.minimal_poly``'s
-chain of powers build the comb of their fixed base once.
+2.3.3 to 2.3.5).  The modulus of a field level without log tables folds
+8 bits a step through its byte-window table, which ``register_fold``
+builds for level moduli only; any other modulus folds one bit a step.
+A power, an evaluation and ``gf2_field.minimal_poly``'s chain of powers
+build the comb of their fixed base once.
 Besides raw mask arithmetic the module provides irreducibility and
 primitivity tests (primitivity of degree n needs the factorization of
 2^n - 1, obtained by memoized trial division) and small integer helpers
@@ -34,11 +37,21 @@ def degree(f: int) -> int:
 
 def pmod(f: int, m: int) -> int:
     """Remainder of f modulo the nonzero mask m: the fold that every
-    product below ends with.  Each step clears the top bit of f with a
-    shifted m, read through ``int.bit_length`` rather than ``degree``."""
+    product below ends with.  A field level's modulus has a fold table
+    (``register_fold``), and each step clears the top 8 bits of f with
+    one shifted entry (Hankerson, Menezes & Vanstone, Guide to Elliptic
+    Curve Cryptography, 2004, section 2.3.5); any other modulus clears
+    the top bit of f per step with a shifted m, read through
+    ``int.bit_length`` rather than ``degree``."""
     dm = m.bit_length()
     if not dm:
         raise ZeroDivisionError("polynomial modulus is zero")
+    fold = _FOLDS.get(m)
+    if fold is not None:
+        n = dm - 1
+        while (s := f.bit_length() - dm - 7) > 0:  # more than 8 bits at or above x^n
+            f ^= fold[f >> (n + s)] << s
+        return f ^ fold[f >> n]
     while (d := f.bit_length()) >= dm:
         f ^= m << (d - dm)
     return f
@@ -76,6 +89,27 @@ def _times(comb: tuple[int, ...], g: int) -> int:
         g >>= 4
         s += 4
     return r
+
+
+# Byte-window fold tables of the field levels' moduli, m -> R with
+# R[(q m) >> deg m] = q m for q < 256: a pure function of m, filled by
+# ``register_fold`` for level moduli only, so it holds at most one table
+# per level of each modulus table loaded.
+_FOLDS: dict[int, tuple[int, ...]] = {}
+
+
+def register_fold(m: int) -> None:
+    """Give the modulus m of a field level its byte-window fold table: the
+    256 multiples q m, deg q < 8, from the comb of m, each filed under its
+    bits at and above x^(deg m).  Those bits are q XOR carries that stay
+    below the top bit of q, so they tell the multiples apart."""
+    if m not in _FOLDS:
+        n, comb = m.bit_length() - 1, _comb(m)
+        table = [0] * 256
+        for hi in comb:
+            for lo in comb:
+                table[(hi << 4 ^ lo) >> n] = hi << 4 ^ lo
+        _FOLDS[m] = tuple(table)
 
 
 def pmulmod(f: int, g: int, m: int) -> int:

@@ -14,11 +14,21 @@ a matrix.  Nothing here is random: the verify suite draws its matrices
 as level masks.
 
 Conjugation is fixed as conj(M, g) = M * g * M^(-1) everywhere.
+
+``mmul`` and ``conj`` work at one joined level: every entry of both
+operands lifts once to L, the lcm of their levels, the products and sums
+run there with the same-level scalar ops, and only the four results
+reduce.  Every intermediate value lies in GF(2^L), so at L <= N_MAX the
+entrywise route, where each closure op joins, lifts and reduces on its
+own, overflows nowhere and gives the same closure elements.  Only past
+N_MAX do they run that route, which may still succeed or names the first
+join that overflows.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 
 from . import closure
 from .closure import ZERO, ONE, ClosureElt, cadd, cinv, cmul, corder, csqrt
@@ -95,13 +105,37 @@ def mtrace(M: Mat2) -> ClosureElt:
     return cadd(M.a, M.d)
 
 
-def mmul(M: Mat2, N: Mat2) -> Mat2:
-    return Mat2(
-        cadd(cmul(M.a, N.a), cmul(M.b, N.c)),
-        cadd(cmul(M.a, N.b), cmul(M.b, N.d)),
-        cadd(cmul(M.c, N.a), cmul(M.d, N.c)),
-        cadd(cmul(M.c, N.b), cmul(M.d, N.d)),
+def _joined(entries: tuple[ClosureElt, ...]) -> list[FieldElt] | None:
+    """The entries lifted once to L, the lcm of their levels, or None when
+    L > N_MAX."""
+    n = math.lcm(*(e.elt.level for e in entries))
+    if n > closure.N_MAX:
+        return None
+    return [lift(e.elt, n) for e in entries]
+
+
+def _product(plus, times, a, b, c, d, p, q, r, s) -> tuple:
+    """[[a, b], [c, d]] * [[p, q], [r, s]] with the given sum and product:
+    the same-level scalar ops, or the closure ops past N_MAX."""
+    return (
+        plus(times(a, p), times(b, r)),
+        plus(times(a, q), times(b, s)),
+        plus(times(c, p), times(d, r)),
+        plus(times(c, q), times(d, s)),
     )
+
+
+def mmul(M: Mat2, N: Mat2) -> Mat2:
+    """M * N at one joined level: the eight entries lift once to the lcm
+    of their levels, multiply there, and only the four results reduce.
+    Past N_MAX it runs entrywise, each entry's products and sum joined on
+    their own: M = [[g_4, g_3], [0, g_4^(-1)]] times diag(g_5, g_5^(-1))
+    joins at levels up to 20 although the lcm is 60."""
+    entries = M.entries() + N.entries()
+    x = _joined(entries)
+    if x is None:
+        return Mat2(*_product(cadd, cmul, *entries))
+    return Mat2(*map(reduce_elt, _product(add, mul, *x)))
 
 
 def minv(M: Mat2) -> Mat2:
@@ -116,8 +150,22 @@ def minv(M: Mat2) -> Mat2:
 
 
 def conj(M: Mat2, g: Mat2) -> Mat2:
-    """M * g * M^(-1)."""
-    return mmul(mmul(M, g), minv(M))
+    """M * g * M^(-1) at one joined level, as ``mmul``: M g times the
+    adjugate [[d, b], [c, a]] of M, scaled by det(M)^(-1) unless that is
+    one; SingularMatrix when det(M) = 0, as ``minv``.  Past N_MAX it
+    runs entrywise through ``mmul`` and ``minv``."""
+    x = _joined(M.entries() + g.entries())
+    if x is None:
+        return mmul(mmul(M, g), minv(M))
+    a, b, c, d = x[:4]
+    det = add(mul(a, d), mul(b, c))
+    if det.is_zero:
+        raise SingularMatrix(f"matrix {M} has determinant zero")
+    out = _product(add, mul, *_product(add, mul, *x), d, b, c, a)
+    if not det.is_one:
+        di = inv(det)
+        out = [mul(e, di) for e in out]
+    return Mat2(*map(reduce_elt, out))
 
 
 def require_sl2(M: Mat2) -> None:

@@ -1,9 +1,11 @@
 """Mask polynomial arithmetic checked against naive reimplementations."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from sl2bar import conway, gf2poly
+from sl2bar import conway, gf2_field as gf, gf2poly
 from sl2bar.errors import TableInvalid
 
 from sl2bar.gf2poly import (
@@ -19,6 +21,9 @@ from sl2bar.gf2poly import (
     pmod,
     pmulmod,
     poly_str,
+    _comb,
+    _square,
+    _times,
     ppowmod,
     totient,
 )
@@ -117,6 +122,40 @@ def test_pinvmod_rejects_a_common_factor():
 @given(masks, st.integers(min_value=1, max_value=(1 << 12) - 1))
 def test_pmod_matches_naive(f, m):
     assert pmod(f, m) == naive_mod(f, m)
+
+
+@pytest.mark.parametrize("n", range(gf.FIRST_TOUCH_MAX + 1, gf.N_MAX + 1))
+def test_byte_window_fold_matches_the_bitwise_fold(n):
+    # a level kernel without log tables gives its modulus a fold table; the
+    # samples run past every window boundary: below m, 8 and 9 bits at and
+    # above x^n, the widest product and square, and 8 bits past them
+    m = conway.get_active().poly(n)
+    assert gf.LevelTables(n, m).log is None
+    assert len(gf2poly._FOLDS[m]) == 256
+    rng = random.Random(n)
+    samples = [0, 1, m, m ^ 1 << n, (1 << n) - 1, rng.getrandbits(n)]
+    for _ in range(40):
+        x, y = rng.getrandbits(n), rng.getrandbits(n)
+        samples += [_times(_comb(x), y), _square(x), rng.getrandbits(2 * n + 9)]
+    for d in (n, n + 7, n + 8, n + 9, 2 * n - 2, 2 * n + 8):
+        samples += [1 << d | rng.getrandbits(d) for _ in range(8)]
+    for f in samples:
+        assert pmod(f, m) == naive_mod(f, m), (n, f)
+
+
+def test_only_level_moduli_get_fold_tables():
+    # minimal_poly's irreducibility test meets hundreds of other moduli,
+    # which keep the bitwise fold and add no table
+    for n in range(1, gf.N_MAX + 1):
+        gf.mul(gf.gen(n), gf.gen(n))
+    before = dict(gf2poly._FOLDS)
+    rng = random.Random(37)
+    for n in range(21, gf.N_MAX + 1):
+        for _ in range(5):
+            gf.minimal_poly(gf.FieldElt(n, rng.getrandbits(n)))
+    assert gf2poly._FOLDS == before
+    moduli = {conway.get_active().poly(n) for n in range(gf.FIRST_TOUCH_MAX + 1, gf.N_MAX + 1)}
+    assert moduli <= set(before)
 
 
 @given(masks, masks)

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from sl2bar import conway
+from sl2bar import conway, gf2_field as gf, gf2poly
 from sl2bar.closure import cmul, lift, reduce_elt
 from sl2bar.gf2_field import N_MAX, FieldElt, minimal_poly, mul
 from sl2bar.gf2poly import divisors
@@ -73,6 +73,18 @@ def test_products_and_cross_level_products():
         got = cmul(reduce_elt(FieldElt(m1, x)), reduce_elt(FieldElt(m2, y)))
         want = gt.gf_rem(gt.gf_mul(embed(x, m1, n), embed(y, m2, n), 2, ZZ), modulus(n), 2, ZZ)
         assert to_poly(lift(got.elt, n).mask) == want, (m1, x, m2, y)
+
+
+def test_one_wrong_fold_entry_fails_the_products(monkeypatch):
+    # entry 0x80 of the level-25 fold table, which the products above read,
+    # off by x^0; a fresh level-25 kernel keeps the faulty subfield bases
+    # it builds out of the shared one
+    m = conway.get_active().poly(25)
+    monkeypatch.setitem(gf._LEVELS, 25, gf.LevelTables(25, m))
+    table = gf2poly._FOLDS[m]
+    monkeypatch.setitem(gf2poly._FOLDS, m, table[:0x80] + (table[0x80] ^ 1,) + table[0x81:])
+    with pytest.raises(AssertionError):
+        test_products_and_cross_level_products()
 
 
 def test_reported_minimal_level_is_minimal():

@@ -1,14 +1,16 @@
 """Matrix layer: arithmetic conventions, classification, closed forms."""
 
+import math
 import random
 from itertools import permutations
 
 import pytest
 
-from sl2bar import closure, finite_engine as fe
-from sl2bar.closure import ONE, ZERO, celt, cinv
-from sl2bar.gf2_field import FieldElt, add, mul
+from sl2bar import closure, finite_engine as fe, sl2_core as sl
+from sl2bar.closure import ONE, ZERO, cadd, celt, cinv, cmul, reduce_elt
+from sl2bar.gf2_field import N_MAX, FieldElt, add, gen, inv, mul
 from sl2bar.errors import (
+    LevelOverflow,
     NonUnitDeterminant,
     ParseError,
     PreconditionError,
@@ -259,3 +261,106 @@ def test_commutant_kernel_is_the_algebra_x_generates(n):
             for y, k in zip(basis, ks):
                 total = [add(t, mul(v[k], e)) for t, e in zip(total, y)]
             assert tuple(total) == v, (quad, v)
+
+
+# ---------------------------------------------------------------------------
+# mmul and conj at one joined level against the entrywise route
+
+
+def entrywise_mmul(M, N):
+    """The reference product: every entry's two products and their sum
+    joined and reduced on their own."""
+    return Mat2(
+        cadd(cmul(M.a, N.a), cmul(M.b, N.c)),
+        cadd(cmul(M.a, N.b), cmul(M.b, N.d)),
+        cadd(cmul(M.c, N.a), cmul(M.d, N.c)),
+        cadd(cmul(M.c, N.b), cmul(M.d, N.d)),
+    )
+
+
+def entrywise_conj(M, g):
+    return entrywise_mmul(entrywise_mmul(M, g), minv(M))
+
+
+def g_at(n):
+    return reduce_elt(gen(n))
+
+
+def sl2_at(rng, n):
+    """A seeded determinant-one matrix with level-n entries, each entry
+    at its minimal level."""
+    while True:
+        a, b, c = (FieldElt(n, rng.randrange(1 << n)) for _ in range(3))
+        if not a.is_zero:
+            d = mul(inv(a), add(FieldElt(n, 1), mul(b, c)))
+            return Mat2(*map(reduce_elt, (a, b, c, d)))
+
+
+def joined_pairs():
+    """Seeded SL2 pairs at every level pair (a, b) with lcm(a, b) <= N_MAX,
+    and one upper triangular [[g_a, g_b], [0, g_a^(-1)]] per pair, whose
+    entries sit at two levels."""
+    rng = random.Random(37)
+    for a in range(1, N_MAX + 1):
+        for b in range(1, N_MAX + 1):
+            if math.lcm(a, b) <= N_MAX:
+                yield sl2_at(rng, a), sl2_at(rng, b)
+                yield Mat2(g_at(a), g_at(b), ZERO, cinv(g_at(a))), sl2_at(rng, b)
+
+
+def test_joined_level_matches_the_entrywise_route():
+    for M, N in joined_pairs():
+        assert mmul(M, N) == entrywise_mmul(M, N), (M, N)
+        assert conj(M, N) == entrywise_conj(M, N), (M, N)
+
+
+def test_joined_conj_scales_by_the_inverse_determinant_and_refuses_a_singular_matrix():
+    rng = random.Random(38)
+    for n in (2, 5, 12, 20, 25, 30):
+        M = Mat2(g_at(n), ONE, ONE, g_at(n))  # determinant g^2 + 1, not 0 or 1 from level 2 on
+        assert not mdet(M).is_zero and not mdet(M).is_one
+        N = sl2_at(rng, n)
+        assert conj(M, N) == entrywise_conj(M, N) == conj(normalize_to_sl2(M), N)
+        S = Mat2(g_at(n), g_at(n), ONE, ONE)
+        with pytest.raises(SingularMatrix) as joined:
+            conj(S, N)
+        with pytest.raises(SingularMatrix) as entrywise:
+            entrywise_conj(S, N)
+        assert str(joined.value) == str(entrywise.value) == f"matrix {S} has determinant zero"
+
+
+def test_past_n_max_mmul_and_conj_run_the_entrywise_route():
+    # L = lcm(4, 3, 1, 4, 5, 1, 1, 5) = 60, yet every entrywise join of the
+    # product stays at 20 or below; conj's second product is the first to
+    # need level 60
+    g4, g3, g5 = g_at(4), g_at(3), g_at(5)
+    M, N = Mat2(g4, g3, ZERO, cinv(g4)), diag_mat(g5, cinv(g5))
+    P = mmul(M, N)
+    assert P == entrywise_mmul(M, N)
+    assert [e.level for e in P.entries()] == [20, 15, 1, 20]
+    with pytest.raises(LevelOverflow, match=r"^join needs level 60 = lcm\(20, 3\) > 30$"):
+        conj(M, N)
+    # both routes overflow at the same first join
+    g9 = g_at(9)
+    M, N = diag_mat(g4, cinv(g4)), diag_mat(g9, cinv(g9))
+    for op, ref in ((mmul, entrywise_mmul), (conj, entrywise_conj)):
+        with pytest.raises(LevelOverflow) as got:
+            op(M, N)
+        with pytest.raises(LevelOverflow) as want:
+            ref(M, N)
+        assert str(got.value) == str(want.value) == "join needs level 36 = lcm(4, 9) > 30"
+
+
+def test_joined_level_never_calls_the_closure_ops(monkeypatch):
+    # the entries reduce once, at the end: a per-entry cmul or cadd inside
+    # mmul or conj would reduce every intermediate value
+    def refused(a, b):
+        raise AssertionError("closure op inside a joined-level product")
+
+    pairs = list(joined_pairs())
+    monkeypatch.setattr(sl, "cmul", refused)
+    monkeypatch.setattr(sl, "cadd", refused)
+    for M, N in pairs:
+        mmul(M, N)
+        conj(M, N)
+    conj(Mat2(g_at(6), ONE, ONE, g_at(6)), pairs[0][1])  # determinant other than 1

@@ -204,6 +204,16 @@ def _eq2_corner_without_one(monkeypatch):
     monkeypatch.setattr(sl, "conjugate_eq2", wrong)
 
 
+def _conj_by_the_matrix_not_its_adjugate(monkeypatch):
+    # the joined-level conj with M's entries (a, b, c, d) in place of its
+    # adjugate (d, b, c, a), so M g M; c08's conjugators have determinant one
+    def wrong(M, g):
+        x = sl._joined(M.entries() + g.entries())
+        return sl.Mat2(*map(reduce_elt, sl._product(gf.add, gf.mul, *sl._product(gf.add, gf.mul, *x), *x[:4])))
+
+    monkeypatch.setattr(sl, "conj", wrong)
+
+
 def _level13_pow_vec_merges_two_masks(monkeypatch):
     # Masks 2 and 3 lie outside c11's 64-pair sample at level 13, its sums
     # and products, and the Frobenius images of the sample, so only an
@@ -347,6 +357,7 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     (_eq1_lam_for_lam_inverse, "c08-eq1-eq2/random", "identity (1) fails"),
     (_eq2_corner_without_one, "c08-eq1-eq2/random", "identity (2) fails"),
     (_level3_log_table_two_exps_swapped, "c08-eq1-eq2/random", "identity (1) fails"),
+    (_conj_by_the_matrix_not_its_adjugate, "c08-eq1-eq2/random", "identity (1) fails for lam=0x2a@6, M=[[0x3d@6,0x21@6],[0x3f@6,0x0@1]]"),
     (_c08_gap_fill_without_one, "c08-eq1-eq2/random", "draw 0 has determinant 0x0@1, not 1: M=[[0x1@1,0x1@1],[0x1@1,0x1@1]]"),
     # draws 32, 36, 42 and 48 are the lower ones with s = 0, all with t = 1
     (_c08_gap_fill_u_without_inverse, "c08-eq1-eq2/random", "draw 50 has determinant 0x5@3, not 1: M=[[0x0@1,0x3@3],[0x3@3,0x2@3]]"),
