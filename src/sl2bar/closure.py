@@ -31,7 +31,6 @@ from .gf2_field import (
     FieldElt,
     _elt,
     _level,
-    _solve_gf2,
     add,
     elt_order,
     inv,
@@ -40,7 +39,7 @@ from .gf2_field import (
     power,
     sqrt,
 )
-from .gf2poly import factorize
+from .gf2poly import factorize, linear_map
 from .record import Record, _set
 
 
@@ -106,12 +105,7 @@ def lift(a: FieldElt, n: int) -> FieldElt:
     t = _LEVELS.get(n) or _level(n)
     if t.log is not None:  # g_m^k -> g_n^(k e)
         return _elt(n, t.exp[_level(m).log[x] * (t.q1 // ((1 << m) - 1))])
-    mask = 0
-    for v in t.embed_basis(m):
-        if x & 1:
-            mask ^= v
-        x >>= 1
-    return _elt(n, mask)
+    return _elt(n, linear_map(t._lifts.get(m) or t.lifts(m), x))
 
 
 def _unlift(mask: int, m: int, n: int) -> int | None:
@@ -119,7 +113,8 @@ def _unlift(mask: int, m: int, n: int) -> int | None:
     lies outside the level-m subfield."""
     t = _LEVELS.get(n) or _level(n)
     if t.log is None:
-        return _solve_gf2(t.embed_basis(m), mask)
+        pre = linear_map(t._preimages.get(m) or t.preimages(m), mask)
+        return None if pre >> m else pre
     if not mask:
         return 0
     k = t.log[mask]
@@ -129,18 +124,28 @@ def _unlift(mask: int, m: int, n: int) -> int | None:
 
 def reduce_elt(a: FieldElt) -> ClosureElt:
     """Canonicalize to the minimal level: the smallest divisor m of
-    a.level whose subfield contains a.  For k | n, a lies in GF(2^k)
-    exactly when m | k, so a descends through maximal subfields: it
-    recurses on its preimage in the first GF(2^(n/p)), p a prime factor
-    of n, that holds it, and a level none of them holds is minimal.  An
-    element already minimal costs omega(n) tests.  The steps' preimages
-    compose to the preimage under the direct embedding because the table
-    is norm compatible, which ``conway.validate_table`` and c13 check."""
+    a.level whose subfield contains a.  On log tables that is one step:
+    g^k lies in GF(2^d) exactly when e_d = (2^n - 1)/(2^d - 1) divides k,
+    so m is the least such divisor d, and the preimage is g_d^(k / e_d).
+    Without, for k | n, a lies in GF(2^k) exactly when m | k, so a
+    descends through maximal subfields: it recurses on its preimage in
+    the first GF(2^(n/p)), p a prime factor of n, that holds it, and a
+    level none of them holds is minimal.  An element already minimal
+    costs omega(n) tests.  The steps' preimages compose to the preimage
+    under the direct embedding because the table is norm compatible,
+    which ``conway.validate_table`` and c13 check."""
     n, x = a.level, a.mask
     if x <= 1:
         return ONE if x else ZERO
+    t = _LEVELS.get(n) or _level(n)
+    if t.log is not None:
+        k = t.log[x]
+        for d, e in t.subfields:
+            if not k % e:
+                return ClosureElt(_elt(d, _level(d).exp[k // e]))
+        return ClosureElt(a)
     for p in factorize(n):
-        pre = _unlift(x, n // p, n)
+        pre = _unlift(x, n // p, n) if p < n else None  # GF(2) holds no x >= 2
         if pre is not None:
             return reduce_elt(_elt(n // p, pre))
     return ClosureElt(a)

@@ -36,13 +36,27 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import compress
 from typing import TYPE_CHECKING
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
-from .gf2poly import Gf2Poly, _comb, _times, divisors, factorize, is_irreducible, pinvmod, pmod, pmulmod, ppowmod, register_fold
+from .gf2poly import (
+    Gf2Poly,
+    _comb,
+    _times,
+    divisors,
+    factorize,
+    is_irreducible,
+    linear_map,
+    linear_tables,
+    pinvmod,
+    pmod,
+    pmulmod,
+    ppowmod,
+    register_fold,
+)
 from .record import Record, _set
 
 if TYPE_CHECKING:
@@ -153,28 +167,26 @@ def _insert(pivots: dict[int, tuple[int, int]], v: int, s: int) -> int:
     return s
 
 
-@lru_cache(maxsize=None)
-def _echelon(vectors: tuple[int, ...]) -> dict[int, tuple[int, int]]:
-    """Row-reduced span of GF(2) mask vectors: leading bit -> (vector,
-    selection of the input rows summing to it); shared, so never mutated."""
+def _preimages(vectors: tuple[int, ...], n: int) -> tuple[tuple[int, ...], ...]:
+    """``linear_tables`` of the GF(2)-linear map that sends a mask x below
+    2^n to s | r << len(vectors): r is x with every pivot bit of the
+    vectors' echelon form eliminated, and s selects vectors summing to
+    x + r.  So x lies in their span exactly when its image is below
+    2^len(vectors), and then s selects vectors that sum to x.  The images
+    of the unit vectors x^j fix the map."""
     pivots: dict[int, tuple[int, int]] = {}
     for i, v in enumerate(vectors):
         _insert(pivots, v, 1 << i)
-    return pivots
-
-
-def _solve_gf2(vectors: tuple[int, ...], target: int) -> int | None:
-    """A selection mask s with the XOR of vectors[i] over the set bits i
-    of s equal to target, or None when target is outside their span."""
-    pivots = _echelon(vectors)
-    sel = 0
-    while target:
-        p = pivots.get(target.bit_length() - 1)
-        if p is None:
-            return None
-        target ^= p[0]
-        sel ^= p[1]
-    return sel
+    images = []
+    for j in range(n):
+        v, s = 1 << j, 0
+        for lead in range(j, -1, -1):  # a pivot at lead clears bit lead, touching only the bits below
+            p = pivots.get(lead)
+            if p is not None and v >> lead & 1:
+                v ^= p[0]
+                s ^= p[1]
+        images.append(s | v << len(vectors))
+    return linear_tables(images)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +220,10 @@ def _log_arrays(n: int, mod: int) -> tuple[array, array]:
 class LevelTables:
     """The kernel of one level: everything derived from its modulus.  With
     log tables it holds the compact exp/log arrays the vectorized methods
-    read; without, only ``mod`` and the schoolbook path's subfield bases,
-    and it registers the modulus's byte-window fold table in ``gf2poly``."""
+    read; without, only ``mod`` and the schoolbook path's byte-window
+    tables of the linear maps (lifts from and preimages in each subfield,
+    square roots), and it registers the modulus's byte-window fold table
+    in ``gf2poly``."""
 
     def __init__(self, n: int, mod: int, logs: bool = False):
         self.n = n
@@ -218,7 +232,16 @@ class LevelTables:
         self.exp, self.log = _log_arrays(n, mod) if logs else (None, None)
         if not logs:
             register_fold(mod)
-        self._bases: dict[int, tuple[int, ...]] = {}
+        # (d, (2^n - 1)/(2^d - 1)) for the divisors 1 < d < n, ascending: on
+        # logs g^k lies in GF(2^d) exactly when the second divides k
+        self.subfields = tuple((d, self.q1 // ((1 << d) - 1)) for d in divisors(n)[1:-1])
+        # The scalar routes' tables are filled on first use into the members
+        # set here, not through a cached_property: that turns the instance's
+        # attributes into a plain dict, and slows every later read of log,
+        # exp or mod by about 12 ns.
+        self._lifts: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._preimages: dict[int, tuple[tuple[int, ...], ...]] = {}
+        self._roots = self._as_preimages = None
 
     def _np(self) -> tuple[np.ndarray, np.ndarray]:
         """Zero-copy numpy views of the exp and log arrays (uint16 or
@@ -269,7 +292,7 @@ class LevelTables:
 
         x = np.arange(self.q1 + 1, dtype=np.int64)
         out = np.zeros_like(x)
-        for i, image in enumerate(self.as_images):
+        for i, image in enumerate(self.as_images()):
             out ^= ((x >> i) & 1) * (image ^ (1 << i))
         return out
 
@@ -286,25 +309,49 @@ class LevelTables:
     def embed_basis(self, m: int) -> tuple[int, ...]:
         """Masks at this level of g_m^i, i < m, under the embedding
         g_m -> g_n^((2^n - 1)/(2^m - 1))."""
-        basis = self._bases.get(m)
-        if basis is None:
-            img = ppowmod(2, self.q1 // ((1 << m) - 1), self.mod)
-            out = [1]
-            for _ in range(m - 1):
-                out.append(pmulmod(out[-1], img, self.mod))
-            basis = self._bases[m] = tuple(out)
-        return basis
+        img = ppowmod(2, self.q1 // ((1 << m) - 1), self.mod)
+        out = [1]
+        for _ in range(m - 1):
+            out.append(pmulmod(out[-1], img, self.mod))
+        return tuple(out)
 
-    @cached_property
-    def sqrt_gen(self) -> int:
-        """The mask of the square root of g, g^(2^(n-1))."""
-        return ppowmod(2, 1 << (self.n - 1), self.mod)
+    def lifts(self, m: int) -> tuple[tuple[int, ...], ...]:
+        """``linear_tables`` of the embedding of level m | n, built once."""
+        tables = self._lifts.get(m)
+        if tables is None:
+            tables = self._lifts[m] = linear_tables(self.embed_basis(m))
+        return tables
 
-    @cached_property
+    def preimages(self, m: int) -> tuple[tuple[int, ...], ...]:
+        """``_preimages`` of level m's embedded basis, built once: a mask
+        maps below 2^m exactly when it lies in GF(2^m), and then to its
+        preimage."""
+        tables = self._preimages.get(m)
+        if tables is None:
+            tables = self._preimages[m] = _preimages(self.embed_basis(m), self.n)
+        return tables
+
+    def roots(self) -> tuple[tuple[int, ...], ...]:
+        """``linear_tables`` of the GF(2)-linear square root, built once:
+        g^(2i) -> g^i and g^(2i+1) -> r g^i, with r = g^(2^(n-1)) the root
+        of g."""
+        if self._roots is None:
+            r = ppowmod(2, 1 << (self.n - 1), self.mod)
+            self._roots = linear_tables([pmulmod(r, 1 << (j >> 1), self.mod) if j & 1 else 1 << (j >> 1) for j in range(self.n)])
+        return self._roots
+
     def as_images(self) -> tuple[int, ...]:
         """Schoolbook images of the basis masks g^i under the GF(2)-linear
         z -> z^2 + z."""
         return tuple(pmulmod(1 << i, 1 << i, self.mod) ^ (1 << i) for i in range(self.n))
+
+    def as_preimages(self) -> tuple[tuple[int, ...], ...]:
+        """``_preimages`` of the images of z -> z^2 + z, built once; its
+        kernel is {0, 1}, so c maps below 2^n exactly when z^2 + z = c has
+        a root, and then to one."""
+        if self._as_preimages is None:
+            self._as_preimages = _preimages(self.as_images(), self.n)
+        return self._as_preimages
 
 
 _LEVELS: dict[int, LevelTables] = {}
@@ -392,25 +439,15 @@ def frobenius(a: FieldElt) -> FieldElt:
     return mul(a, a)
 
 
-def _even_bits(x: int) -> int:
-    """Bits 0, 2, 4, ... of a mask below 2^32, packed into bits 0, 1, 2, ..."""
-    x &= 0x55555555
-    x = (x | x >> 1) & 0x33333333
-    x = (x | x >> 2) & 0x0F0F0F0F
-    x = (x | x >> 4) & 0x00FF00FF
-    return (x | x >> 8) & 0x0000FFFF
-
-
 def sqrt(a: FieldElt) -> FieldElt:
     """The unique square root, a^(2^(n-1)); inverse of frobenius.  Without
-    log tables it uses that the root is GF(2)-linear: for x = E(g^2) +
-    g O(g^2), with E and O the polynomials of the even and odd bits of x,
-    it is E(g) + sqrt(g) O(g), one product."""
+    log tables it reads the root's byte-window tables: the root is
+    GF(2)-linear."""
     n, x = a.level, a.mask
     t = _LEVELS.get(n) or _level(n)
     if t.log is not None:
         return power(a, 1 << (n - 1))
-    return _elt(n, _even_bits(x) ^ pmulmod(t.sqrt_gen, _even_bits(x >> 1), t.mod))
+    return _elt(n, linear_map(t._roots or t.roots(), x))
 
 
 def trace_abs(a: FieldElt) -> FieldElt:
@@ -464,12 +501,13 @@ def artin_schreier_solve(c: FieldElt) -> FieldElt | None:
     """Some z with z^2 + z = c at c's level, or None if there is none.
 
     The map z -> z^2 + z is linear over GF(2), so this is an n x n linear
-    solve; a solution exists iff trace_abs(c) = 0, and then the solution
-    set is {z, z+1}.  The returned solution has bit 0 clear.
+    solve, read from the byte-window tables of its preimages; a solution
+    exists iff trace_abs(c) = 0, and then the solution set is {z, z+1}.
+    The returned solution has bit 0 clear.
     """
     n = c.level
-    sel = _solve_gf2(_level(n).as_images, c.mask)
-    if sel is None:
+    sel = linear_map(_level(n).as_preimages(), c.mask)
+    if sel >> n:
         return None
     return _elt(n, sel & ~1)  # pick the solution with even constant coefficient
 

@@ -37,13 +37,16 @@ def degree(f: int) -> int:
 
 def pmod(f: int, m: int) -> int:
     """Remainder of f modulo the nonzero mask m: the fold that every
-    product below ends with.  A field level's modulus has a fold table
-    (``register_fold``), and each step clears the top 8 bits of f with
-    one shifted entry (Hankerson, Menezes & Vanstone, Guide to Elliptic
-    Curve Cryptography, 2004, section 2.3.5); any other modulus clears
-    the top bit of f per step with a shifted m, read through
-    ``int.bit_length`` rather than ``degree``."""
+    product below ends with.  An f already below m returns at once.  A
+    field level's modulus has a fold table (``register_fold``), and each
+    step clears the top 8 bits of f with one shifted entry (Hankerson,
+    Menezes & Vanstone, Guide to Elliptic Curve Cryptography, 2004,
+    section 2.3.5); any other modulus clears the top bit of f per step
+    with a shifted m, read through ``int.bit_length`` rather than
+    ``degree``."""
     dm = m.bit_length()
+    if f.bit_length() < dm:  # never true for m = 0
+        return f
     if not dm:
         raise ZeroDivisionError("polynomial modulus is zero")
     fold = _FOLDS.get(m)
@@ -112,26 +115,72 @@ def register_fold(m: int) -> None:
         _FOLDS[m] = tuple(table)
 
 
+def linear_tables(images: list[int] | tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Byte-window tables of the GF(2)-linear map that sends x^j to
+    images[j]: table i holds the images of the masks b x^(8i), b below
+    256 (below 2^r on a last window of r < 8 bits), each entry one XOR of
+    an entry before it and one image (Hankerson et al., section 2.3.4)."""
+    tables = []
+    for i in range(0, len(images), 8):
+        table = [0]
+        for image in images[i:i + 8]:
+            table += [v ^ image for v in table]
+        tables.append(tuple(table))
+    return tuple(tables)
+
+
+def linear_map(tables: tuple[tuple[int, ...], ...], x: int) -> int:
+    """The image of x, below 2^len(images), under the map whose
+    ``linear_tables`` are given: one lookup per byte of x."""
+    r = i = 0
+    while x:
+        r ^= tables[i][x & 255]
+        x >>= 8
+        i += 1
+    return r
+
+
+# Squaring tables of the field levels' moduli, m -> the ``linear_tables``
+# of z -> z^2 mod m: built by ``_squaring`` on the first square by a
+# modulus that has a fold table, so they too exist for level moduli only.
+_SQUARES: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _squaring(m: int) -> tuple[tuple[int, ...], ...] | None:
+    """The squaring tables of m, built from the reduced squares of x^j,
+    j < deg m, when m has a fold table; None for any other modulus."""
+    tables = _SQUARES.get(m)
+    if tables is None and m in _FOLDS:
+        tables = _SQUARES[m] = linear_tables([pmod(1 << 2 * j, m) for j in range(m.bit_length() - 1)])
+    return tables
+
+
 def pmulmod(f: int, g: int, m: int) -> int:
-    """f*g modulo the nonzero mask m: a square (f == g) spreads the bits of
-    f, any other product runs g's 4-bit windows over the comb of f, and
-    ``pmod`` folds the result (Hankerson et al., sections 2.3.3-2.3.4)."""
+    """f*g modulo the nonzero mask m.  A square (f == g) of an f below
+    x^(deg m) reads the squaring tables of a level modulus; any other
+    square spreads the bits of f, any other product runs g's 4-bit windows
+    over the comb of f, and ``pmod`` folds the result (Hankerson et al.,
+    sections 2.3.3-2.3.4)."""
     if f == g:
+        squares = _squaring(m)
+        if squares is not None and f.bit_length() < m.bit_length():
+            return linear_map(squares, f)
         return pmod(_square(f), m)
     return pmod(_times(_comb(f), g), m)
 
 
 def ppowmod(f: int, e: int, m: int) -> int:
     """f**e modulo m, e >= 0, left to right from the leading bit of e:
-    each further bit squares the result (spread, then folded by ``pmod``),
-    and a set bit then multiplies it by f through the one comb of f built
-    for the call."""
+    each further bit squares the result (through the squaring tables of
+    a level modulus, else spread and folded by ``pmod``), and a set bit
+    then multiplies it by f through the one comb of f built for the
+    call."""
     if e < 0:
         raise ValueError("negative polynomial exponent")
     f = pmod(f, m)
-    comb, r = _comb(f), f if e else 1
+    comb, r, squares = _comb(f), f if e else 1, _squaring(m)
     for bit in bin(e)[3:]:  # the bits after the leading one
-        r = pmod(_square(r), m)
+        r = linear_map(squares, r) if squares else pmod(_square(r), m)
         if bit == "1":
             r = pmod(_times(comb, r), m)
     return r

@@ -201,11 +201,11 @@ def commutant_kernel(x: tuple[FieldElt, FieldElt, FieldElt, FieldElt]) -> list[t
             continue
         rows[r], rows[p] = rows[p], rows[r]
         s = inv(rows[r][col])
-        rows[r] = [mul(s, e) for e in rows[r]]
+        rows[r][col:] = [mul(s, e) for e in rows[r][col:]]  # left of col the row is zero
         for i in range(3):
             if i != r and not rows[i][col].is_zero:
                 f = rows[i][col]
-                rows[i] = [add(e, mul(f, g)) for e, g in zip(rows[i], rows[r])]
+                rows[i][col:] = [add(e, mul(f, g)) for e, g in zip(rows[i][col:], rows[r][col:])]
         pivots.append(col)
     basis = []
     for free in (col for col in range(4) if col not in pivots):

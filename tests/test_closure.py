@@ -23,7 +23,7 @@ from sl2bar.closure import (
     reduce_elt,
 )
 from sl2bar.errors import LevelOverflow, NotADivisor
-from sl2bar.gf2_field import FieldElt, add, gen, mul
+from sl2bar.gf2_field import FIRST_TOUCH_MAX, FieldElt, add, gen, mul
 
 
 def test_lift_examples():
@@ -119,6 +119,35 @@ def test_reduce_descends_through_maximal_subfields():
             m = rng.choice(gf2poly.divisors(n))
             b = lift(FieldElt(m, rng.randrange(1 << m)), n)
             assert reduce_elt(b) == _direct_reduce(b)
+
+
+def _descent(a):
+    """The route of the levels without log tables: recurse on the preimage
+    in the first maximal subfield that holds a."""
+    n = a.level
+    if a.mask <= 1:
+        return ClosureElt(FieldElt(1, a.mask))
+    for p in gf2poly.factorize(n):
+        pre = closure._unlift(a.mask, n // p, n)
+        if pre is not None:
+            return _descent(FieldElt(n // p, pre))
+    return ClosureElt(a)
+
+
+def test_log_table_reduction_matches_the_descent():
+    # on log tables reduce_elt reads log x once and scans the divisors:
+    # every mask up to level 12, then seeded and lifted samples to 16
+    rng = random.Random(16)
+    for n in range(1, FIRST_TOUCH_MAX + 1):
+        if n <= 12:
+            masks = range(1 << n)
+        else:
+            masks = [rng.getrandbits(n) for _ in range(256)]
+            for m in gf2poly.divisors(n)[:-1]:
+                masks += [lift(FieldElt(m, rng.getrandbits(m)), n).mask for _ in range(32)]
+        for x in masks:
+            a = FieldElt(n, x)
+            assert reduce_elt(a) == _descent(a), a
 
 
 def test_a_descent_that_stops_after_one_step_fails_the_descent_test():

@@ -145,17 +145,22 @@ def test_byte_window_fold_matches_the_bitwise_fold(n):
 
 def test_only_level_moduli_get_fold_tables():
     # minimal_poly's irreducibility test meets hundreds of other moduli,
-    # which keep the bitwise fold and add no table
+    # and the table validation squares by the moduli of every level; they
+    # keep the bitwise fold and the spread square and add no table
     for n in range(1, gf.N_MAX + 1):
         gf.mul(gf.gen(n), gf.gen(n))
-    before = dict(gf2poly._FOLDS)
+    before, squares = dict(gf2poly._FOLDS), dict(gf2poly._SQUARES)
     rng = random.Random(37)
     for n in range(21, gf.N_MAX + 1):
         for _ in range(5):
             gf.minimal_poly(gf.FieldElt(n, rng.getrandbits(n)))
-    assert gf2poly._FOLDS == before
+    conway.validate_table(conway.get_active())
+    assert gf2poly._FOLDS == before and gf2poly._SQUARES == squares
     moduli = {conway.get_active().poly(n) for n in range(gf.FIRST_TOUCH_MAX + 1, gf.N_MAX + 1)}
-    assert moduli <= set(before)
+    assert moduli <= set(squares) <= set(before)
+    for m in moduli:
+        n = m.bit_length() - 1  # ceil(n / 8) windows, the last one of 2^(n - 8 (windows - 1)) entries
+        assert [len(t) for t in squares[m]] == [256] * ((n - 1) // 8) + [1 << ((n - 1) % 8 + 1)]
 
 
 @given(masks, masks)

@@ -4,11 +4,11 @@ import random
 
 import pytest
 
-from sl2bar import conway, finite_engine, gf2_field as gf
+from sl2bar import conway, finite_engine, gf2_field as gf, gf2poly
 from sl2bar.closure import _unlift, lift, reduce_elt
 from sl2bar.errors import BoundExceeded, TableInvalid
-from sl2bar.gf2_field import FieldElt, elt_order, ensure_log_table, frobenius, inv, mul, power
-from sl2bar.gf2poly import divisors, pmulmod, ppowmod
+from sl2bar.gf2_field import FieldElt, artin_schreier_solve, elt_order, ensure_log_table, frobenius, inv, mul, power
+from sl2bar.gf2poly import _square, divisors, pmod, pmulmod, ppowmod
 
 
 @pytest.fixture(autouse=True)
@@ -56,6 +56,85 @@ def test_lift_unlift_round_trip_every_divisor_pair():
                 assert _unlift(lift(FieldElt(m, x), n).mask, m, n) == x, (m, n, x)
             # the level-n generator lies in no proper subfield
             assert _unlift(gf.gen(n).mask, m, n) is None, (m, n)
+
+
+def _solve_gf2(vectors, target):
+    """Reference solver: a selection s of the vectors summing to target,
+    or None outside their span, by elimination on the leading bit."""
+    pivots = {}
+    for i, v in enumerate(vectors):
+        s = 1 << i
+        while v and v.bit_length() - 1 in pivots:
+            pv, ps = pivots[v.bit_length() - 1]
+            v, s = v ^ pv, s ^ ps
+        if v:
+            pivots[v.bit_length() - 1] = (v, s)
+    sel = 0
+    while target:
+        if target.bit_length() - 1 not in pivots:
+            return None
+        pv, ps = pivots[target.bit_length() - 1]
+        target, sel = target ^ pv, sel ^ ps
+    return sel
+
+
+def _embedded(t, m):
+    """The level-n images of g_m^i, i < m, by spread squares and comb
+    products folded through ``pmod``, none read from a squaring table."""
+    img, e = 1, t.q1 // ((1 << m) - 1)
+    for bit in bin(e)[2:]:
+        img = pmod(_square(img), t.mod)
+        if bit == "1":
+            img = pmod(img << 1, t.mod)
+    out = [1]
+    for _ in range(m - 1):
+        out.append(pmod(gf2poly._times(gf2poly._comb(out[-1]), img), t.mod))
+    return out
+
+
+def _combine(vectors, x):
+    """The XOR of vectors[i] over the set bits i of x."""
+    out = 0
+    for i, v in enumerate(vectors):
+        if x >> i & 1:
+            out ^= v
+    return out
+
+
+@pytest.mark.parametrize("n", range(gf.FIRST_TOUCH_MAX + 1, gf.N_MAX + 1))
+def test_byte_window_maps_match_their_references(n):
+    # above the log tables squares, lifts, subfield preimages, square roots
+    # and z^2 + z = c read byte-window tables; each equals the route it
+    # replaced on every mask at level 17, and elsewhere on the basis
+    # vectors, seeded samples and lifted subfield elements
+    t = gf._level(n)
+    assert t.log is None
+    rng = random.Random(n)
+    subs = divisors(n)[:-1]
+    bases = {m: tuple(_embedded(t, m)) for m in subs}
+    if n == gf.FIRST_TOUCH_MAX + 1:
+        masks = range(1 << n)
+    else:
+        masks = [1 << j for j in range(n)] + [rng.getrandbits(n) for _ in range(64)]
+        for m in subs:
+            for x in [1 << i for i in range(m)] + [rng.getrandbits(m) for _ in range(8)]:
+                image = lift(FieldElt(m, x), n).mask
+                assert image == _combine(bases[m], x), (n, m, x)
+                masks.append(image)
+    for x in masks:
+        want = pmod(_square(x), t.mod)
+        assert pmulmod(x, x, t.mod) == want == ppowmod(x, 2, t.mod), (n, x)
+        assert gf.sqrt(FieldElt(n, want)).mask == x, (n, x)
+        for m in subs:
+            assert _unlift(x, m, n) == _solve_gf2(bases[m], x), (n, m, x)
+    assert t.mod in gf2poly._SQUARES
+    images = tuple(pmod(_square(1 << i), t.mod) ^ 1 << i for i in range(n))
+    for x in masks[:256]:
+        sel = _solve_gf2(images, x)
+        z = artin_schreier_solve(FieldElt(n, x))
+        assert (z is None) == (sel is None), (n, x)
+        if z is not None:
+            assert z.mask == sel & ~1, (n, x)
 
 
 def _arith(n, pairs):

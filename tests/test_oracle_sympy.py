@@ -77,14 +77,52 @@ def test_products_and_cross_level_products():
 
 def test_one_wrong_fold_entry_fails_the_products(monkeypatch):
     # entry 0x80 of the level-25 fold table, which the products above read,
-    # off by x^0; a fresh level-25 kernel keeps the faulty subfield bases
-    # it builds out of the shared one
+    # off by x^0; a fresh level-25 kernel keeps the faulty subfield tables
+    # it builds out of the shared one, and the squaring tables are rebuilt
+    # from the faulty fold, as a fault there from the start would leave them
     m = conway.get_active().poly(25)
     monkeypatch.setitem(gf._LEVELS, 25, gf.LevelTables(25, m))
+    monkeypatch.delitem(gf2poly._SQUARES, m, raising=False)
     table = gf2poly._FOLDS[m]
     monkeypatch.setitem(gf2poly._FOLDS, m, table[:0x80] + (table[0x80] ^ 1,) + table[0x81:])
     with pytest.raises(AssertionError):
         test_products_and_cross_level_products()
+
+
+def test_powers_orders_roots_and_traces_at_every_level():
+    # the routes above the log tables square through byte-window tables;
+    # every level's powers, orders, square roots and traces against
+    # sympy's gf_pow_mod, on the generator, a mask with every bit set and
+    # seeded masks
+    rng = random.Random(2718)
+    for n in range(1, N_MAX + 1):
+        fn, q1 = modulus(n), (1 << n) - 1
+        for x in [1 << (n > 1), q1, *(rng.randrange(1, 1 << n) for _ in range(4))]:
+            a, p = FieldElt(n, x), to_poly(x)
+            for e in (2, rng.randrange(q1 + 1), rng.randrange(1 << 40)):
+                assert gf.power(a, e).mask == to_mask(gt.gf_pow_mod(p, e, fn, 2, ZZ)), (n, x, e)
+            d = gf.elt_order(a)
+            assert q1 % d == 0 and gt.gf_pow_mod(p, d, fn, 2, ZZ) == [1], (n, x)
+            assert all(gt.gf_pow_mod(p, d // r, fn, 2, ZZ) != [1] for r in factorint(d)), (n, x)
+            assert to_poly(gf.sqrt(a).mask) == gt.gf_pow_mod(p, 1 << (n - 1), fn, 2, ZZ), (n, x)
+            trace, y = [], p
+            for _ in range(n):
+                trace, y = gt.gf_add(trace, y, 2, ZZ), gt.gf_pow_mod(y, 2, fn, 2, ZZ)
+            assert gf.trace_abs(a).mask == to_mask(trace), (n, x)
+
+
+def test_one_wrong_squaring_entry_fails_the_powers(monkeypatch):
+    # entry 0xff of the second window of the level-25 squaring table, which
+    # the mask with every bit set reads, off by x^0; a fresh level-25 kernel
+    # keeps the faulty tables it builds out of the shared one
+    m = conway.get_active().poly(25)
+    monkeypatch.setitem(gf._LEVELS, 25, gf.LevelTables(25, m))
+    gf2poly.pmulmod(2, 2, m)
+    tables = gf2poly._SQUARES[m]
+    faulty = tables[1][:0xff] + (tables[1][0xff] ^ 1,)
+    monkeypatch.setitem(gf2poly._SQUARES, m, (tables[0], faulty, *tables[2:]))
+    with pytest.raises(AssertionError):
+        test_powers_orders_roots_and_traces_at_every_level()
 
 
 def test_reported_minimal_level_is_minimal():
