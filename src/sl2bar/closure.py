@@ -15,8 +15,10 @@ never approximated.
 Lifting and subfield membership are O(1) lookups in the field module's
 per-level kernels where the target level has log tables: g_m^k lifts to
 g_n^(k e), e = (2^n - 1)/(2^m - 1), and log k lies in the level-m
-subfield exactly when e divides k.  Other levels use the shared GF(2)
-echelon solver.  Reduction descends through maximal subfields, one
+subfield exactly when e divides k, so reduction there reads the log once
+and takes the least such subfield.  Other levels read the kernel's
+byte-window tables of the lift and of the subfield preimage, one lookup
+per byte, and reduction descends through maximal subfields, one
 membership test per prime factor of the level at each step.
 """
 

@@ -23,12 +23,16 @@ values they gather, so every numpy result is int64.
 Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
 LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
 endomorphism scans); the rest multiply schoolbook through ``gf2poly``
-(comb products and spread squares folded by the modulus 8 bits a step,
-through the byte-window table that the kernel registers; ``power`` and
-``elt_order`` go through ``ppowmod``, which builds one comb of its base
-per call) and find subfield preimages with the one cached GF(2) echelon
-solver, which the ``z^2 + z = c`` solver shares.  Minimal polynomials
-run the solver's elimination step on the powers of an element, uncached.
+(comb products folded by the modulus 8 bits a step, through the
+byte-window table that the kernel registers, and squares read from the
+modulus's squaring tables; ``power`` and ``elt_order`` go through
+``ppowmod``, which builds one comb of its base per call).  Their kernels
+hold byte-window tables of the other GF(2)-linear maps, built on first
+use: lifts from and preimages in each subfield, and square roots.  The
+preimage tables, and the ``z^2 + z = c`` solver's at every level, come
+from one elimination of the unit vectors against an echelon form
+(``_preimages``); minimal polynomials run its step, ``_insert``, on the
+powers of an element, uncached.
 """
 
 from __future__ import annotations
@@ -42,21 +46,7 @@ from typing import TYPE_CHECKING
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
-from .gf2poly import (
-    Gf2Poly,
-    _comb,
-    _times,
-    divisors,
-    factorize,
-    is_irreducible,
-    linear_map,
-    linear_tables,
-    pinvmod,
-    pmod,
-    pmulmod,
-    ppowmod,
-    register_fold,
-)
+from .gf2poly import Gf2Poly, _comb, _times, divisors, factorize, is_irreducible, linear_map, linear_tables, pinvmod, pmod, pmulmod, ppowmod, register_fold
 from .record import Record, _set
 
 if TYPE_CHECKING:

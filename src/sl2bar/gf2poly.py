@@ -15,8 +15,12 @@ Menezes & Vanstone, Guide to Elliptic Curve Cryptography, 2004, sections
 2.3.3 to 2.3.5).  The modulus of a field level without log tables folds
 8 bits a step through its byte-window table, which ``register_fold``
 builds for level moduli only; any other modulus folds one bit a step.
-A power, an evaluation and ``gf2_field.minimal_poly``'s chain of powers
-build the comb of their fixed base once.
+A GF(2)-linear map reads one table entry per byte of its input
+(``linear_tables``, ``linear_map``).  Squaring by a modulus that has a
+fold table is such a map, its tables built on the first square; every
+other modulus keeps spread and fold.  A power, an evaluation and
+``gf2_field.minimal_poly``'s chain of powers build the comb of their
+fixed base once.
 Besides raw mask arithmetic the module provides irreducibility and
 primitivity tests (primitivity of degree n needs the factorization of
 2^n - 1, obtained by memoized trial division) and small integer helpers
