@@ -17,9 +17,9 @@ per-level kernels where the target level has log tables: g_m^k lifts to
 g_n^(k e), e = (2^n - 1)/(2^m - 1), and log k lies in the level-m
 subfield exactly when e divides k, so reduction there reads the log once
 and takes the least such subfield.  Other levels read the kernel's
-byte-window tables of the lift and of the subfield preimage, one lookup
-per byte, and reduction descends through maximal subfields, one
-membership test per prime factor of the level at each step.
+byte-window tables of the lift and of the subfield preimage (``_unlift``),
+one lookup per byte, and reduction descends through maximal subfields,
+one membership test per prime factor of the level at each step.
 """
 
 from __future__ import annotations
@@ -112,16 +112,11 @@ def lift(a: FieldElt, n: int) -> FieldElt:
 
 def _unlift(mask: int, m: int, n: int) -> int | None:
     """Preimage at level m | n of a level-n mask, or None when the mask
-    lies outside the level-m subfield."""
+    lies outside the level-m subfield: one read of the kernel's preimage
+    tables per byte of the mask, at any level."""
     t = _LEVELS.get(n) or _level(n)
-    if t.log is None:
-        pre = linear_map(t._preimages.get(m) or t.preimages(m), mask)
-        return None if pre >> m else pre
-    if not mask:
-        return 0
-    k = t.log[mask]
-    e = t.q1 // ((1 << m) - 1)
-    return _level(m).exp[k // e] if k % e == 0 else None
+    pre = linear_map(t._preimages.get(m) or t.preimages(m), mask)
+    return None if pre >> m else pre
 
 
 def reduce_elt(a: FieldElt) -> ClosureElt:
