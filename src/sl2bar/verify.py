@@ -12,7 +12,10 @@ select whole criteria or arbitrary substrings, e.g. --filter prop3.
 
 from __future__ import annotations
 
+import marshal
+import os
 import random
+import signal
 import time
 import zlib
 from typing import Callable
@@ -589,36 +592,98 @@ def build_checks() -> list[Check]:
     return checks
 
 
+# c08, c11, c13 and c14 read only the log tables and never enumerate a
+# group, so run_suite runs them in a forked worker beside the group families
+_WORKER_FAMILIES = ("c08", "c11", "c13", "c14")
+
+
+def _run_check(check: Check) -> CheckResult:
+    """Run one check and time it; an exception it raises is its failure."""
+    t0 = time.perf_counter()
+    try:
+        witness = check.fn()
+        status = "pass"
+    except CheckFailure as exc:
+        status = "fail"
+        witness = {"error": str(exc)}
+        if exc.witness is not None:
+            witness["witness"] = exc.witness
+    except Exception as exc:  # a crashing check is a recorded failure, not an aborted suite
+        status = "fail"
+        witness = {"error": f"{type(exc).__name__}: {exc}"}
+    millis = int((time.perf_counter() - t0) * 1000)
+    return CheckResult(check.name, check.level, status, witness, millis)
+
+
+def _cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_forked(own: list[Check], shard: list[Check]) -> list[CheckResult]:
+    """Run own here and shard in a forked worker at the same time; return
+    the results of own, then of shard.  The worker sends its results'
+    to_json() dicts through a pipe with marshal and leaves by os._exit,
+    so it flushes no inherited buffer.  A worker that dies or sends no
+    complete result fails every check of its shard with one witness.  If
+    own raises, the worker is killed; it is reaped on every path."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(marshal.dumps([_run_check(c).to_json() for c in shard]))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(w)
+    status = None
+    try:
+        with open(r, "rb") as pipe:
+            done = [_run_check(c) for c in own]
+            data = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+    finally:
+        if status is None:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    try:
+        got = [CheckResult(**d) for d in marshal.loads(data)]
+    except (EOFError, ValueError, TypeError):
+        got = []
+    if status or len(got) != len(shard):
+        code = os.waitstatus_to_exitcode(status)
+        lost = {"error": f"WorkerLost: killed by signal {-code}" if code < 0 else f"WorkerLost: exit status {code}"}
+        got = [CheckResult(c.name, c.level, "fail", lost, 0) for c in shard]
+    return done + got
+
+
 def run_suite(max_level: int, name_filter: str | None = None) -> VerifyReport:
-    """Run the registered checks gated by max_level, in declaration order.
+    """Run the registered checks gated by max_level; report them in
+    declaration order.
 
     A filter keeps only checks whose name contains the given substring.
     Any exception a check raises is recorded as that check's failure.
+    With two or more CPUs and os.fork, a forked worker runs the
+    _WORKER_FAMILIES while this process runs the rest; with one CPU, no
+    fork, or one side empty, every check runs here in order.
     """
-    report = VerifyReport()
-    for check in build_checks():
-        if name_filter is not None and name_filter not in check.name:
-            continue
-        if check.gate > max_level:
-            report.checks.append(
-                CheckResult(check.name, check.level, "skipped", {"reason": f"requires --max-level >= {check.gate}"}, 0)
-            )
-            continue
-        t0 = time.perf_counter()
-        try:
-            witness = check.fn()
-            status = "pass"
-        except CheckFailure as exc:
-            status = "fail"
-            witness = {"error": str(exc)}
-            if exc.witness is not None:
-                witness["witness"] = exc.witness
-        except Exception as exc:  # a crashing check is a recorded failure, not an aborted suite
-            status = "fail"
-            witness = {"error": f"{type(exc).__name__}: {exc}"}
-        millis = int((time.perf_counter() - t0) * 1000)
-        report.checks.append(CheckResult(check.name, check.level, status, witness, millis))
-    return report
+    checks = [c for c in build_checks() if name_filter is None or name_filter in c.name]
+    run = [c for c in checks if c.gate <= max_level]
+    shard = [c for c in run if c.name[:3] in _WORKER_FAMILIES]
+    own = [c for c in run if c.name[:3] not in _WORKER_FAMILIES]
+    if hasattr(os, "fork") and _cpus() > 1 and shard and own:
+        results = dict(zip(own + shard, _run_forked(own, shard)))
+    else:
+        results = {c: _run_check(c) for c in run}
+    return VerifyReport([
+        results[c] if c in results
+        else CheckResult(c.name, c.level, "skipped", {"reason": f"requires --max-level >= {c.gate}"}, 0)
+        for c in checks
+    ])
 
 
 __all__ = [

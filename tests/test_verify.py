@@ -4,6 +4,7 @@ the registry checks that catch a wrong answer from the library."""
 import json
 import os
 import random
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -466,3 +467,102 @@ def test_c09_draw_sequence_is_pinned(monkeypatch):
     assert len(lams) == 100
     assert [closure.lift(lam.elt, 1 + k % 4).mask for k, lam in enumerate(lams[:4])] == [1, 1, 6, 2]
     assert rngs[0].getrandbits(64) == 8847494114185703176
+
+
+# ---------------------------------------------------------------------------
+# the forked worker: c08, c11, c13 and c14 beside the group families
+
+
+def _counted_forks(monkeypatch, cpus: int = 2) -> list:
+    """Give the suite `cpus` CPUs; the returned list gets one entry per fork."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    return forks
+
+
+def _worker_family(name: str) -> bool:
+    return name[:3] in verify._WORKER_FAMILIES
+
+
+@pytest.mark.parametrize("max_level", [2, 5])
+def test_the_forked_suite_reports_what_the_serial_suite_reports(monkeypatch, max_level):
+    forks = _counted_forks(monkeypatch)
+    forked = _zero_millis(verify.run_suite(max_level).to_json())
+    assert forks == [1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _zero_millis(verify.run_suite(max_level).to_json()) == forked
+    assert forks == [1]
+
+
+@pytest.mark.parametrize("case", ["one-cpu", "one-family-filter", "no-fork"])
+def test_the_suite_runs_in_one_process(monkeypatch, case):
+    forks = _counted_forks(monkeypatch, cpus=1 if case == "one-cpu" else 2)
+    if case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    report = verify.run_suite(2, name_filter="c11-" if case == "one-family-filter" else "n2")
+    assert forks == []
+    assert report.checks and report.ok
+
+
+@pytest.mark.parametrize(
+    "die, error",
+    [(lambda: os._exit(3), "WorkerLost: exit status 3"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "WorkerLost: killed by signal 9")],
+    ids=["exit-3", "sigkill"],
+)
+def test_a_lost_worker_fails_its_shard_and_the_suite_goes_on(monkeypatch, capsys, die, error):
+    _counted_forks(monkeypatch)
+    parent, good = os.getpid(), verify._check_max_order
+
+    def dies_at_n4(n):
+        if n == 4:
+            if os.getpid() == parent:
+                raise AssertionError("a worker family ran in the parent")
+            die()
+        return good(n)
+
+    monkeypatch.setattr(verify, "_check_max_order", dies_at_n4)
+    code = main(["verify", "--json", "--max-level", "2"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    ran = [c for c in json.loads(out)["checks"] if c["status"] != "skipped"]
+    lost = [c for c in ran if _worker_family(c["name"])]
+    assert len(lost) == 33
+    assert all(c["status"] == "fail" and c["witness"] == {"error": error} and c["millis"] == 0 for c in lost)
+    assert all(c["status"] == "pass" for c in ran if not _worker_family(c["name"]))
+
+
+def test_an_interrupted_suite_leaves_no_process(monkeypatch):
+    forks = _counted_forks(monkeypatch)
+
+    def interrupted(n, kind):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(verify, "_check_orders", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        verify.run_suite(2)
+    assert forks == [1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_patch_reaches_the_worker(monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    _field_endos_all_the_identity(monkeypatch)
+    by_name = {c.name: c for c in verify.run_suite(2).checks}
+    assert forks == [1]
+    failed = by_name["c11-field-cohopf/endos/n2"]
+    assert failed.status == "fail" and failed.witness["error"].startswith("frob^0 repeats")
+
+
+def test_the_worker_families_build_no_group_table(monkeypatch):
+    # the worker inherits no table it would need, so a build there would be
+    # a second build of a table the parent's families also build
+    built = []
+    init = fe.GroupTable.__init__
+    monkeypatch.setattr(fe.GroupTable, "__init__", lambda G, level, kind, masks: built.append((level, kind)) or init(G, level, kind, masks))
+    fe.enumerate_group.cache_clear()
+    shard = [c for c in verify.build_checks() if _worker_family(c.name)]
+    assert len(shard) == 45
+    assert all(verify._run_check(c).status == "pass" for c in shard)
+    assert built == []
