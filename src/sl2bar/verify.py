@@ -8,6 +8,16 @@ are exact; nothing in this suite (or its JSON) involves floating point.
 
 Check names start with a criterion tag (c01..c14) so that --filter can
 select whole criteria or arbitrary substrings, e.g. --filter prop3.
+
+run_suite runs the field families c08, c11, c13 and c14, which read only
+the log tables and build no group table, in a worker made with os.fork,
+while the calling process runs the group families at the same time; the
+report keeps declaration order.  A check's millis is its wall time in
+the process that ran it.  A worker that dies fails every check of its
+shard with a WorkerLost witness.  With one CPU, no os.fork, or one shard
+empty, every check runs in the calling process, in order.  The fork
+copies no held lock: numpy's OpenBLAS shuts its thread pool down around
+a fork, and the package starts no thread of its own.
 """
 
 from __future__ import annotations
@@ -61,8 +71,8 @@ class CheckResult:
 class VerifyReport:
     __slots__ = ("checks",)
 
-    def __init__(self, checks: list[CheckResult] | None = None):
-        self.checks = [] if checks is None else checks
+    def __init__(self, checks: list[CheckResult]):
+        self.checks = checks
 
     @property
     def summary(self) -> dict:
