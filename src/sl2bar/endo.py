@@ -27,8 +27,10 @@ conjugator table per level), track the diagonal subgroup, the swap matrix
 and the lower-triangular set, choose the final twist, and conclude
 bijectivity from the checked base maps.  Steps 2-7 exist once, in
 ``ReplayFrame.steps``, which checks a whole block of maps at once, one
-boolean array per step over the block's rows; the replay feeds it its
-words in fixed-size chunks.
+boolean array per step over the block's rows.  Words with equal images
+of the generating set are one map, so the replay feeds it each distinct
+map once (35 of 258 words at level 2, 82 of 584 at level 4), in
+fixed-size blocks, and the map's words share its steps.
 """
 
 from __future__ import annotations
@@ -228,9 +230,10 @@ class ReplayFrame:
     steps 2-7 read (17 at level 2, 257 at level 4), the element orders,
     the lowest conjugator sending each member of g's class back to g, the
     shape subsets and the inverse-transpose permutation.  ``steps`` takes
-    the images of U under B maps as a (B, |U|) index array, one row a map;
-    the maps are assumed to be bijective homomorphisms, which step 8 rests
-    on and which the caller checks."""
+    the images of U under B maps as a (B, |U|) index array, one row a map
+    (the replay passes each distinct map once); the maps are assumed to be
+    bijective homomorphisms, which step 8 rests on and which the caller
+    checks."""
 
     def __init__(self, n: int):
         self.G = G = fe.enumerate_group(n, fe.KIND_SL2)
@@ -306,16 +309,22 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     level-n determinant-one group.  The base maps are the rows of one
     permutation stack P, built and checked (bijective, scalar path,
     homomorphism) once, with the identity appended as a last row that
-    pads every word to length 3.  The words go through
-    ``ReplayFrame.steps`` in chunks of CLOSURE_CHUNK // (8 |U|) rows (31
-    at level 4, every word at level 2): a chunk's images of U are gathered
-    through P once per word position, and no per-member work scans the
+    pads every word to length 3.  Every word is then a bijective
+    homomorphism, so two words with equal images of the greedy generating
+    set gens are one map: the words' images of gens, gathered through P,
+    are deduplicated exactly (35 maps of 258 words at level 2, 82 of 584
+    at level 4).  The distinct maps, ordered by their lowest word, go
+    through ``ReplayFrame.steps`` in blocks of CLOSURE_CHUNK // (8 |U|)
+    rows (31 at level 4, every map at level 2), each block's images of U
+    gathered through P once per word position; each map's eight steps are
+    built once and shared by its words, and no per-member work scans the
     whole table.  Step 8 needs no scan: a word of checked bijections,
     straightened by an inner map, is a bijection, and its witness is the
     group order.  Raises InvariantViolated on a base map that is not a
     bijective homomorphism and StepFailed, for the lowest failing word,
-    on any step violation; a returned report therefore records only passes
-    (with witnesses)."""
+    on any step violation (all words of a map fail alike, and the maps
+    run in lowest-word order); a returned report therefore records only
+    passes (with witnesses)."""
     if n > REPLAY_MAX_LEVEL:
         raise BoundExceeded(f"replay limited to levels <= {REPLAY_MAX_LEVEL}, got {n}")
     if n % 2:
@@ -329,7 +338,14 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     P = np.stack([_base_perm(spec, G) for spec in base] + [np.arange(len(G))])  # P[b]: base map b's permutation
     for spec, p in zip(base, P):
         _check_base_map(spec, G, p, gens, prods)
-    W = np.array([w + (len(base),) * (_COMPOSE_DEPTH - len(w)) for w in words])  # words padded by the identity row
+    # the words padded by the identity row, one row each
+    W = np.array([w + (len(base),) * (_COMPOSE_DEPTH - len(w)) for w in words], dtype=np.int64).reshape(-1, _COMPOSE_DEPTH)
+    key = gens
+    for b in W.T:
+        key = P[b[:, None], key]
+    # first[inverse[w]]: the lowest word with word w's images of gens, one row compared as raw bytes
+    _, first, inverse = np.unique(key.view(np.dtype((np.void, key.itemsize * len(gens))))[:, 0], return_index=True, return_inverse=True)
+    maps = np.sort(first)
     names = [spec_str(spec) for spec in base]
 
     # the steps whose witness is the same for every word, one object each
@@ -341,18 +357,17 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     step8 = ReplayStep(8, "pass", {"group_order": len(G)})
     mat_json = functools.cache(G.mat_json)  # each index's witness, formatted once a call
     rows = max(1, fe.CLOSURE_CHUNK // (8 * len(U)))  # 31 at level 4; 64 ran slower and raised the replay's peak
-    entries = []
-    for k in range(0, len(words), rows):
+    steps_of = {}  # a map's lowest word -> the steps its words share
+    for k in range(0, len(maps), rows):
         img = U
-        for b in W[k : k + rows].T:
+        for b in W[maps[k : k + rows]].T:
             img = P[b[:, None], img]
-        for word, ig, alpha, sw, beta in zip(words[k : k + rows], *(a.tolist() for a in frame.steps(img))):
+        for f, ig, alpha, sw, beta in zip(maps[k : k + rows].tolist(), *(a.tolist() for a in frame.steps(img))):
             ig, alpha, sw = map(mat_json, (ig, alpha, sw))
-            steps = [step1, ReplayStep(2, "pass", {"image_of_g": ig}), ReplayStep(3, "pass", {"alpha": alpha}), step4,
-                     ReplayStep(5, "pass", {"image_of_swap": sw, "lambda": sw[1]}),
-                     ReplayStep(6, "pass", {"beta": "invtrans" if beta else "identity"}), step7, step8]
-            entries.append(ReplayEntry("*".join(names[b] for b in word), steps))
-    return ReplayReport(n, entries)
+            steps_of[f] = [step1, ReplayStep(2, "pass", {"image_of_g": ig}), ReplayStep(3, "pass", {"alpha": alpha}), step4,
+                           ReplayStep(5, "pass", {"image_of_swap": sw, "lambda": sw[1]}),
+                           ReplayStep(6, "pass", {"beta": "invtrans" if beta else "identity"}), step7, step8]
+    return ReplayReport(n, [ReplayEntry("*".join(names[b] for b in w), steps_of[f]) for w, f in zip(words, first[inverse].tolist())])
 
 
 __all__ = [

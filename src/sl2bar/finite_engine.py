@@ -58,7 +58,7 @@ from .sl2_core import GENERATOR_SETS, KIND_GL2, KIND_SL2, SWAP, Mat2, SubsetName
 SL2_MAX_LEVEL = 5
 GL2_MAX_LEVEL = 3
 PAIRS_MAX = 600  # elements of a group whose whole pair table may be built
-CLOSURE_CHUNK = 1 << 16  # products per step of _closure; sizes the commutation blocks and the replay's chunks too
+CLOSURE_CHUNK = 1 << 16  # products per step of _closure; sizes the commutation blocks and the replay's map blocks too
 
 
 def order_formula(level: int, kind: str) -> int:

@@ -363,12 +363,13 @@ def test_replay_reports_the_lowest_word_at_its_first_failing_step(monkeypatch):
 
 @pytest.mark.parametrize("rows", [None, 1, 3, 7])
 def test_replay_chunks_do_not_change_results(monkeypatch, rows):
-    # ReplayFrame.steps sees CLOSURE_CHUNK // (8 |U|) words at a time: all
-    # 258 at n2 and 31 at n4 by default, here also 1, 3 and 7
+    # ReplayFrame.steps sees the distinct maps (35 at n2, 82 at n4) in blocks
+    # of CLOSURE_CHUNK // (8 |U|) rows: [35] at n2 and [31, 31, 20] at n4 by
+    # default, here also blocks of 1, 3 and 7
     seen = []
     real = endo.ReplayFrame.steps
     monkeypatch.setattr(endo.ReplayFrame, "steps", lambda frame, img: seen.append(len(img)) or real(frame, img))
-    sizes = {2: (17, 258), 4: (257, 31)}  # |U| and the default chunk
+    sizes = {2: (17, 481, 35), 4: (257, 31, 82)}  # |U|, the default block and the distinct maps
 
     def chunked(n):
         seen.clear()
@@ -377,14 +378,55 @@ def test_replay_chunks_do_not_change_results(monkeypatch, rows):
         return rows or sizes[n][1]
 
     for n in (2, 4):
-        step = chunked(n)
+        step, maps = chunked(n), sizes[n][2]
         assert _replay_digest(n) == REPLAY_DIGESTS[n]
-        words = len(replay_family(n)[1])
-        assert seen == [min(step, words - k) for k in range(0, words, step)]
-    # step-6 faults at word 4 (n2) and word 6 (n4): not first in a chunk of 7
+        assert seen == [min(step, maps - k) for k in range(0, maps, step)]
+    # step-6 faults at word 4 (n2) and word 6 (n4), maps 3 and 5 in
+    # lowest-word order: not first in a block of 7
     _flip(monkeypatch, SubsetName.LOWER_UNI, (1, 0, 1, 1))
     message = "step 6: a lower-unitriangular image is not unitriangular"
     chunked(2)
     assert _lowest_failure(monkeypatch, 2, 4) == (6, message, {"element": ["0x1@1", "0x0@1", "0x3@2", "0x1@1"]})
     chunked(4)
     assert _lowest_failure(monkeypatch, 4, 6) == (6, message, {"element": ["0x1@1", "0x0@1", "0x4@4", "0x1@1"]})
+
+
+def _word_images(P, words, idx):
+    # each word's images of idx, one row a word, gathered through the
+    # permutation stack P whose last row is the identity
+    W = np.array([w + (len(P) - 1,) * (3 - len(w)) for w in words])
+    img = idx
+    for b in W.T:
+        img = P[b[:, None], img]
+    return img
+
+
+@pytest.mark.parametrize("n, maps", [(2, 35), (4, 82)])
+def test_replay_checks_each_distinct_map_once(monkeypatch, n, maps):
+    # The report equals the per-word route, ReplayFrame.steps on every word's
+    # images of U, and steps sees as many rows as the family has distinct
+    # maps, counted over the composed whole-table permutations.  (In
+    # characteristic 2 frob^0 is the identity and the inverse transpose is
+    # conjugation by the swap matrix, so words repeat maps.)
+    seen = []
+    real = endo.ReplayFrame.steps
+    monkeypatch.setattr(endo.ReplayFrame, "steps", lambda frame, img: seen.append(len(img)) or real(frame, img))
+    report = replay_cohopf_skeleton(n).to_json()
+    frame = endo.ReplayFrame(n)
+    G = frame.G
+    base, words = replay_family(n)
+    P = np.stack([_base_perm(spec, G) for spec in base] + [np.arange(len(G))]).astype(np.int16)
+    whole = _word_images(P, words, np.arange(len(G), dtype=np.int16))
+    assert len(np.unique(whole, axis=0)) == maps == sum(seen)
+    ig, alpha, sw, beta = (a.tolist() for a in real(frame, _word_images(P, words, frame.U)))
+    shared = {1: {"theta": str(frame.theta), "g": sl2_core.mat_to_json(frame.g_mat)}, 4: {"diagonal_size": len(frame.delta)},
+              7: {"lower_triangular_size": len(frame.lower)}, 8: {"group_order": len(G)}}
+    expected = []
+    for k, word in enumerate(words):
+        swap_image = G.mat_json(sw[k])
+        witness = dict(shared)
+        witness.update({2: {"image_of_g": G.mat_json(ig[k])}, 3: {"alpha": G.mat_json(alpha[k])},
+                        5: {"image_of_swap": swap_image, "lambda": swap_image[1]}, 6: {"beta": "invtrans" if beta[k] else "identity"}})
+        steps = [{"id": i, "status": "pass", "witness": witness[i]} for i in range(1, 9)]
+        expected.append({"phi": "*".join(spec_str(base[b]) for b in word), "steps": steps})
+    assert report == expected
