@@ -12,11 +12,16 @@ usage or parse error (the message names the offending token).
 
 The modulus table can be overridden with ``--conway-file PATH`` or the
 SL2BAR_CONWAY_PATH environment variable; the flag wins.
+
+``main`` sets OPENBLAS_NUM_THREADS to 1 when it is unset, before numpy
+loads: the package makes no BLAS call, and numpy's OpenBLAS pool thread
+would otherwise busy-wait on a second core through every group command.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import closure, conway, sl2_core as sl
@@ -322,6 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # see the module docstring
     args = build_parser().parse_args(argv)
     conway.set_active_path(args.conway_file)
     try:

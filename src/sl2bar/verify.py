@@ -16,8 +16,10 @@ report keeps declaration order.  A check's millis is its wall time in
 the process that ran it.  A worker that dies fails every check of its
 shard with a WorkerLost witness.  With one CPU, no os.fork, or one shard
 empty, every check runs in the calling process, in order.  The fork
-copies no held lock: numpy's OpenBLAS shuts its thread pool down around
-a fork, and the package starts no thread of its own.
+copies no held lock: the package starts no thread of its own, and
+numpy's OpenBLAS starts no pool thread under the command line (cli.main
+sets OPENBLAS_NUM_THREADS to 1 when it is unset) and shuts a pool that
+another caller started down around a fork.
 """
 
 from __future__ import annotations

@@ -383,3 +383,35 @@ def test_group_commands_still_load_the_group_engine():
     got = _in_fresh_process([["group", "enum", "--level", "2"]])
     assert got["results"] == [[0, "order 60\n"]]
     assert got["numpy"]
+
+
+# Runs one group command in a fresh interpreter and prints its exit code,
+# the OPENBLAS_NUM_THREADS it ended with, and how many OS threads the
+# process has left (-1 where /proc/self/task is absent).
+_BLAS_THREADS = """
+import contextlib, io, os
+from sl2bar.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["group", "enum", "--level", "2"])
+task = "/proc/self/task"
+print(code, os.environ.get("OPENBLAS_NUM_THREADS"), len(os.listdir(task)) if os.path.isdir(task) else -1)
+"""
+
+
+@pytest.mark.parametrize("given", [None, "2"])
+def test_group_commands_leave_no_blas_pool_thread(given):
+    # numpy's OpenBLAS pool thread busy-waits on a second core, and the
+    # package makes no BLAS call: main caps it at one thread unless the
+    # user chose a value, which it keeps
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    done = subprocess.run([sys.executable, "-c", _BLAS_THREADS], env=env, capture_output=True, text=True, check=True)
+    code, value, threads = done.stdout.split()
+    assert (code, value) == ("0", given or "1")
+    if given is None:
+        if threads == "-1":
+            pytest.skip("no /proc/self/task to count threads")
+        assert threads == "1"
