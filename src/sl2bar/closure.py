@@ -12,14 +12,14 @@ there, and reduce the result back to minimal level.  Joins past N_MAX
 fail loudly with the offending lcm named; the finite window is explicit,
 never approximated.
 
-Lifting and subfield membership are O(1) lookups in the field module's
-per-level kernels where the target level has log tables: g_m^k lifts to
-g_n^(k e), e = (2^n - 1)/(2^m - 1), and log k lies in the level-m
-subfield exactly when e divides k, so reduction there reads the log once
-and takes the least such subfield.  Other levels read the kernel's
-byte-window tables of the lift and of the subfield preimage (``_unlift``),
-one lookup per byte, and reduction descends through maximal subfields,
-one membership test per prime factor of the level at each step.
+Lifting reads the target level's kernel in the field module: its
+byte-window tables of the embedding, one lookup per byte, at every level.
+Where the level has log tables, reduction reads the log once: log k lies
+in the level-m subfield exactly when e = (2^n - 1)/(2^m - 1) divides k,
+so it takes the least such subfield.  Other levels read the kernel's
+byte-window tables of the subfield preimage (``_unlift``), and reduction
+descends through maximal subfields, one membership test per prime factor
+of the level at each step.
 """
 
 from __future__ import annotations
@@ -105,8 +105,6 @@ def lift(a: FieldElt, n: int) -> FieldElt:
     if x <= 1:
         return _elt(n, x)
     t = _LEVELS.get(n) or _level(n)
-    if t.log is not None:  # g_m^k -> g_n^(k e)
-        return _elt(n, t.exp[_level(m).log[x] * (t.q1 // ((1 << m) - 1))])
     return _elt(n, linear_map(t._lifts.get(m) or t.lifts(m), x))
 
 

@@ -18,7 +18,6 @@ different file can be supplied via ``set_active_path`` (the CLI exposes
 from __future__ import annotations
 
 import os
-from importlib import resources
 
 from .errors import BoundExceeded, ParseError, SearchFailed, TableInvalid
 from .gf2poly import (
@@ -151,7 +150,8 @@ def load_table(path: str | None = None) -> ConwayTable:
             raise ParseError(f"modulus table {path} is not ASCII text") from None
         table = parse_table_text(text, source=path)
     else:
-        text = resources.files(__package__).joinpath("data", _DATA_RESOURCE).read_text("ascii")
+        with open(os.path.join(os.path.dirname(__file__), "data", _DATA_RESOURCE), encoding="ascii") as fh:
+            text = fh.read()
         table = parse_table_text(text, source=_DATA_RESOURCE)
     validate_table(table)
     return table

@@ -16,9 +16,10 @@ any index array come from gathering through the rows of one
 (base maps, |G|) permutation stack.
 
 The replay builds the stack once and checks each row once: bijective, in
-agreement with the scalar path, and a homomorphism on the greedy
-generating set of the whole group that the one subgroup closure keeps
-(three elements at every replay level).  Words over checked bijective
+agreement with the scalar path, and a homomorphism on the table's
+greedy generating set ``GroupTable.gens`` (three elements at every
+replay level); the n squaring rows must be frob^1's row applied 0..n-1
+times, and frob^1 must have order n.  Words over checked bijective
 homomorphisms need no check.  The eight-step argument reads only the
 images of U = [g, swap, diagonal, lower triangulars] (257 elements at
 level 4): fix an order-3 diagonal g, keep its image in g's class and
@@ -37,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Union
 
 import numpy as np
 
@@ -97,7 +97,7 @@ class InvTranspose(Record):
     __slots__ = ()
 
 
-GroupEndoSpec = Union[Entrywise, InnerConj, InvTranspose]
+GroupEndoSpec = Entrywise | InnerConj | InvTranspose
 
 
 def spec_str(spec: GroupEndoSpec) -> str:
@@ -222,6 +222,21 @@ def _check_base_map(spec: GroupEndoSpec, G: fe.GroupTable, p: np.ndarray, gens: 
         raise InvariantViolated(f"{spec_str(spec)} is not a homomorphism")
 
 
+def _check_frobenius_rows(P: np.ndarray, n: int) -> None:
+    """Raise InvariantViolated unless rows 0..n-1 of P, the entrywise
+    squaring powers, are frob^1's row applied 0..n-1 times and frob^1 has
+    order exactly n, so that they are the n distinct Frobenius powers.
+    ``_check_base_map`` compares each row with the scalar path of its own
+    power, so n copies of one automorphism would pass it."""
+    q = ident = np.arange(P.shape[1])
+    for j in range(n + 1):
+        if j < n and not np.array_equal(P[j], q):
+            raise InvariantViolated(f"frob^{j} is not frob^1 applied {j} times")
+        if j and np.array_equal(q, ident) != (j == n):
+            raise InvariantViolated(f"frob^1 does not have order {n}")
+        q = P[1][q]
+
+
 class ReplayFrame:
     """Steps 1-7 of the argument at level n, run on a block of maps at once.
 
@@ -309,7 +324,8 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     level-n determinant-one group.  The base maps are the rows of one
     permutation stack P, built and checked (bijective, scalar path,
     homomorphism) once, with the identity appended as a last row that
-    pads every word to length 3.  Every word is then a bijective
+    pads every word to length 3; the n squaring rows must be the powers
+    of frob^1, of order n.  Every word is then a bijective
     homomorphism, so two words with equal images of the greedy generating
     set gens are one map: the words' images of gens, gathered through P,
     are deduplicated exactly (35 maps of 258 words at level 2, 82 of 584
@@ -321,7 +337,8 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     whole table.  Step 8 needs no scan: a word of checked bijections,
     straightened by an inner map, is a bijection, and its witness is the
     group order.  Raises InvariantViolated on a base map that is not a
-    bijective homomorphism and StepFailed, for the lowest failing word,
+    bijective homomorphism or on squaring rows that are not those powers,
+    and StepFailed, for the lowest failing word,
     on any step violation (all words of a map fail alike, and the maps
     run in lowest-word order); a returned report therefore records only
     passes (with witnesses)."""
@@ -333,11 +350,12 @@ def replay_cohopf_skeleton(n: int) -> ReplayReport:
     G, U = frame.G, frame.U
 
     base, words = replay_family(n)
-    gens = fe._generators(fe.SubgroupRef(G, np.ones(len(G), dtype=bool)))
+    gens = G.gens
     prods = G.mul_vec(np.arange(len(G))[:, None], gens[None, :])
     P = np.stack([_base_perm(spec, G) for spec in base] + [np.arange(len(G))])  # P[b]: base map b's permutation
     for spec, p in zip(base, P):
         _check_base_map(spec, G, p, gens, prods)
+    _check_frobenius_rows(P, n)
     # the words padded by the identity row, one row each
     W = np.array([w + (len(base),) * (_COMPOSE_DEPTH - len(w)) for w in words], dtype=np.int64).reshape(-1, _COMPOSE_DEPTH)
     key = gens

@@ -4,22 +4,25 @@ centralizers, normalizers, commutation-transitivity reports, subgroup
 generation, simplicity, the projective-line action, and semidirect
 product checks.  One closure, `_closure`, grows a subgroup from a wanted
 set and keeps a greedy generating set of it in the same pass; subgroup
-generation, greedy generating sets and derived subgroups all read it.  It
-dedupes through its membership vector: a step sets its products' bits,
-and the bits it turned on are the next frontier, so nothing is sorted.
+generation, greedy generating sets and derived subgroups all read it,
+and each table closes itself once, into `GroupTable.gens`, for the
+conjugacy classes and the replay.  It dedupes through its membership
+vector: a step sets its products' bits, and the bits it turned on are
+the next frontier, so nothing is sorted.
 No set operation here sorts or hashes: numpy's plain `np.unique` (and
 `np.intersect1d` through it) imports numpy.ma on its first call, and a
 boolean vector over the table answers the same questions.
 Normalizers, semidirect checks and derived subgroups work from a greedy
 generating set of each subgroup, not from every member, and a normalizer
 conjugates by each later generator only the elements the earlier ones
-kept; conjugacy classes are the orbits of a greedy generating set of the
-group, and element orders are computed once per class.  A centralizer is
-never a scan of the table: it is read off the kernel of y -> xy + yx,
-span{I, x} for a non-scalar x, as the members among its q^2 GF(q)
-combinations.  Commutation tables are built above the diagonal in row
-blocks, and a query that needs one non-commuting pair stops at the first
-block that holds one.
+kept; conjugacy classes are the orbits of the table's `gens`, and
+element orders are computed once per class.  A semidirect check returns
+the join it closes, so the caller compares it without a second closure.
+A centralizer is never a scan of the table: it is read off the kernel of
+y -> xy + yx, span{I, x} for a non-scalar x, as the members among its
+q^2 GF(q) combinations.  Commutation tables are built above the diagonal
+in row blocks, and a query that needs one non-commuting pair stops at
+the first block that holds one.
 
 A table stores its elements once, as four entry columns of masks; element
 0 is always the identity and the remaining elements ascend by packed
@@ -45,7 +48,7 @@ query functions are pure, so concurrent readers are safe.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -174,6 +177,11 @@ class GroupTable:
         n, F, c = self.level, self._flat, self.cols
         x, y = c[:, i], c[:, j]
         return _code(n, _mul(F, n, x, y)) == _code(n, _mul(F, n, y, x))
+
+    @cached_property
+    def gens(self) -> np.ndarray:
+        """The table's greedy generating set (see _closure), closed once."""
+        return _closure(self, np.ones(len(self), dtype=bool))[1]
 
     def element_orders(self) -> np.ndarray:
         """Orders by iterated products, of one member per conjugacy class:
@@ -525,8 +533,7 @@ def maximal_abelian_intersections(G: GroupTable) -> bool:
 def conjugacy_classes(G: GroupTable) -> list[np.ndarray]:
     """Conjugacy classes as sorted index arrays, ordered by least member:
     the orbits of G under conjugation by a generating set S of G."""
-    s = _generators(SubgroupRef(G, np.ones(len(G), dtype=bool)))
-    conj = np.array([G.conj_vec(h, slice(None)) for h in s])  # one |G| conjugation at a time keeps the peak low
+    conj = np.array([G.conj_vec(h, slice(None)) for h in G.gens])  # one |G| conjugation at a time keeps the peak low
     label = np.arange(len(G))
     while not np.array_equal(low := np.minimum(label, label[conj].min(0)), label):
         label = low[low]
@@ -579,20 +586,21 @@ def unipotent_as_order3_product(G: GroupTable) -> tuple[int, int]:
     raise SearchFailed("no order-3 factorization of the unipotent element")
 
 
-def semidirect_check(G: GroupTable, N: SubgroupRef, H: SubgroupRef) -> bool:
-    """Is <N u H> the (inner) semidirect product of N by H?  Checks that N
-    is normal in the join (each generator of N and of H conjugates each
-    generator of N into N), N and H intersect trivially, and N H fills the
-    join."""
+def semidirect_check(G: GroupTable, N: SubgroupRef, H: SubgroupRef) -> SubgroupRef | None:
+    """The join <N u H> when it is the (inner) semidirect product of N by
+    H, else None.  Checks that N is normal in the join (each generator of
+    N and of H conjugates each generator of N into N), N and H intersect
+    trivially, and N H fills the join, which it closes once and returns."""
     ns = _generators(N)
     xs = np.concatenate([ns, _generators(H)])  # generators of the join
     if not np.all(N.member[G.conj_vec(xs[:, None], ns[None, :])]):
-        return False
+        return None
     if (N.member & H.member).sum() != 1:
-        return False
+        return None
     prods = np.zeros(len(G), dtype=bool)
     prods[G.mul_vec(N.indices()[:, None], H.indices()[None, :])] = True
-    return bool(np.array_equal(prods, subgroup_generated(G, xs).member))
+    join = subgroup_generated(G, xs)
+    return join if np.array_equal(prods, join.member) else None
 
 
 def ut_lt_disjointness(G: GroupTable) -> bool:

@@ -13,10 +13,11 @@ and every function is pure, so the module is safe to use concurrently.
 All per-level data lives in one kernel per level, ``LevelTables``, in one
 cache that one invalidation hook drops when the modulus table changes.
 Its compact exp/log arrays (built by one pure-Python walk g^k -> g^(k+1))
-make products, powers and orders lookups, give the maximal-order masks
-by a sieve over the exponents, and yield the numpy tables of the
-endomorphism scans and the cached product and inverse tables of the
-group engine.  Only those numpy members import numpy, on first use, so
+make products, powers, inverses, orders, the closure's minimal-level
+reduction and the powers in minimal polynomials lookups, the jobs where
+they beat the schoolbook route, give the maximal-order masks by a sieve
+over the exponents, and yield the numpy tables of the endomorphism scans
+and the cached product and inverse tables of the group engine.  Only those numpy members import numpy, on first use, so
 the scalar layers and every ``field`` and ``mat`` command run without it;
 they read the arrays through zero-copy views and widen to int64 only the
 values they gather, so every numpy result is int64.
@@ -26,11 +27,11 @@ endomorphism scans); the rest multiply schoolbook through ``gf2poly``
 (comb products folded by the modulus 8 bits a step, through the
 byte-window table that the kernel registers, and squares read from the
 modulus's squaring tables; ``power`` and ``elt_order`` go through
-``ppowmod``, which builds one comb of its base per call).  Their kernels
-hold byte-window tables of the other GF(2)-linear maps, built on first
-use: lifts from and preimages in each subfield, and square roots.  The
-preimage tables, and the ``z^2 + z = c`` solver's at every level, come
-from one elimination of the unit vectors against an echelon form
+``ppowmod``, which builds one comb of its base per call).  Every kernel,
+with log tables or without, holds byte-window tables of the other
+GF(2)-linear maps, built on first use and read at every level: lifts
+from and preimages in each subfield, square roots and the ``z^2 + z = c``
+solver's.  The preimage tables come from one elimination of the unit vectors against an echelon form
 (``_preimages``); minimal polynomials run its step, ``_insert``, on the
 powers of an element, uncached.
 """
@@ -42,15 +43,11 @@ import re
 from array import array
 from functools import cached_property
 from itertools import compress
-from typing import TYPE_CHECKING
 
 from . import conway
 from .errors import BoundExceeded, DivisionByZero, InvariantViolated, LevelMismatch, ParseError, TableInvalid
 from .gf2poly import Gf2Poly, _comb, _times, divisors, factorize, is_irreducible, linear_map, linear_tables, pinvmod, pmod, pmulmod, ppowmod, register_fold
 from .record import Record, _set
-
-if TYPE_CHECKING:
-    import numpy as np
 
 N_MAX = conway.N_MAX
 
@@ -209,11 +206,12 @@ def _log_arrays(n: int, mod: int) -> tuple[array, array]:
 
 class LevelTables:
     """The kernel of one level: everything derived from its modulus.  With
-    log tables it holds the compact exp/log arrays the vectorized methods
-    read; without, only ``mod`` and the schoolbook path's byte-window
-    tables of the linear maps (lifts from and preimages in each subfield,
-    square roots), and it registers the modulus's byte-window fold table
-    in ``gf2poly``."""
+    log tables it holds the compact exp/log arrays that the scalar
+    products and the vectorized methods read; without, it registers the
+    modulus's byte-window fold table in ``gf2poly`` for the schoolbook
+    products.  At every level it holds the byte-window tables of the
+    linear maps (lifts from and preimages in each subfield, square roots,
+    z -> z^2 + z), each built on first use."""
 
     def __init__(self, n: int, mod: int, logs: bool = False):
         self.n = n
@@ -430,14 +428,11 @@ def frobenius(a: FieldElt) -> FieldElt:
 
 
 def sqrt(a: FieldElt) -> FieldElt:
-    """The unique square root, a^(2^(n-1)); inverse of frobenius.  Without
-    log tables it reads the root's byte-window tables: the root is
-    GF(2)-linear."""
-    n, x = a.level, a.mask
-    t = _LEVELS.get(n) or _level(n)
-    if t.log is not None:
-        return power(a, 1 << (n - 1))
-    return _elt(n, linear_map(t._roots or t.roots(), x))
+    """The unique square root, a^(2^(n-1)); inverse of frobenius.  The
+    root is GF(2)-linear, so it reads the root's byte-window tables, at
+    every level."""
+    t = _LEVELS.get(a.level) or _level(a.level)
+    return _elt(a.level, linear_map(t._roots or t.roots(), a.mask))
 
 
 def trace_abs(a: FieldElt) -> FieldElt:

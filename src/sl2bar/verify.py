@@ -30,7 +30,7 @@ import random
 import signal
 import time
 import zlib
-from typing import Callable
+from collections.abc import Callable
 
 import numpy as np
 
@@ -174,8 +174,7 @@ def _check_prop4(n: int):
     _need(gen_from_dprime == nd, "off-diagonal set does not generate the normalizer")
     swap_grp = fe.subgroup_generated(G, [G.index_of(sl.SWAP)])
     _need(swap_grp.size == 2, "the swap matrix does not generate a 2-cycle")
-    _need(fe.semidirect_check(G, delta, swap_grp), "semidirect decomposition failed")
-    join = fe.subgroup_generated(G, np.concatenate([delta.indices(), swap_grp.indices()]))
+    _need((join := fe.semidirect_check(G, delta, swap_grp)) is not None, "semidirect decomposition failed")
     _need(join == nd, "diagonal and swap do not generate the normalizer")
     _need(nd.size == 2 * delta.size, f"normalizer of order {nd.size} is not twice the diagonal's order {delta.size}")
     return {"normalizer_order": nd.size}
@@ -209,8 +208,7 @@ def _check_prop56(n: int):
     _need(fe.normalizer_bf(G, lt) == lower, "normalizer of the lower unitriangulars is not the lower triangulars")
     for tri, uni, label in ((upper, ut, "upper"), (lower, lt, "lower")):
         _need(fe.is_metabelian(tri), f"{label} triangulars are not metabelian")
-        _need(fe.semidirect_check(G, uni, delta), f"{label} semidirect decomposition failed")
-        join = fe.subgroup_generated(G, np.concatenate([uni.indices(), delta.indices()]))
+        _need((join := fe.semidirect_check(G, uni, delta)) is not None, f"{label} semidirect decomposition failed")
         _need(join == tri, f"{label} unitriangulars and diagonal do not generate the {label} triangulars")
     _need(ut.size == q and fe.is_abelian(ut), "upper unitriangulars are not elementary abelian of the field size")
     orders = G.element_orders()
@@ -465,13 +463,10 @@ def _check_max_order(n: int):
     t = ensure_log_table(n)
     top = np.sort(t.max_order)
     _need(len(top) == totient((1 << n) - 1), f"count {len(top)} differs from the totient")
-    image, j = top, 0  # top squared j times, carried forward while frob_power grows
+    image = top  # top squared frob_power times: field_endos ascends from frob^0
     for e, _ in _scanned_field_endos(n):
-        if e.frob_power < j:
-            image, j = top, 0
-        while j < e.frob_power:
-            image, j = t.squares[image], j + 1
         _need(np.array_equal(np.sort(image), top), f"{e} does not permute the maximal-order elements")
+        image = t.squares[image]
     return {"count": len(top)}
 
 

@@ -331,18 +331,25 @@ print(",".join(m for m in sys.argv[2:] if m in sys.modules))
 
 
 @pytest.mark.parametrize(
-    "module, absent",
-    [("sl2bar.cli", ["dataclasses", "inspect", "json", "numpy"]), ("sl2bar.verify", ["dataclasses"])],
+    "flags, module, absent",
+    [
+        ([], "sl2bar.cli", ["dataclasses", "inspect", "json", "numpy"]),
+        ([], "sl2bar.verify", ["dataclasses"]),
+        (["-S"], "sl2bar.cli", ["typing", "importlib.resources"]),
+    ],
+    ids=["sl2bar.cli-absent0", "sl2bar.verify-absent1", "sl2bar.cli-no-site"],
 )
-def test_import_footprint(module, absent):
+def test_import_footprint(flags, module, absent):
     # Every command pays for what `sl2bar.cli` imports before it runs:
     # `dataclasses` drags in `inspect`, `ast` and `dis`, `json` serves
     # only --json, and numpy only the group engine.  numpy itself loads
     # `inspect`, so below the group layers only `dataclasses` is watched.
+    # `typing` and `importlib.resources` are watched under -S: a site
+    # `.pth` file may load both before the package does.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run(
-        [sys.executable, "-c", _IMPORT_FOOTPRINT, module, *absent], env=env, capture_output=True, text=True, check=True
+        [sys.executable, *flags, "-c", _IMPORT_FOOTPRINT, module, *absent], env=env, capture_output=True, text=True, check=True
     )
     assert done.stdout.strip() == ""
 

@@ -500,7 +500,7 @@ def test_subgroup_generated_matches_the_reference_closure(which, n):
 def test_greedy_generating_sets_are_pinned():
     # values read from the closure that sorted each chunk's products
     G = sl2(5)
-    assert fe._generators(fe.SubgroupRef(G, np.ones(len(G), dtype=bool))).tolist() == [1, 2, 3]
+    assert fe._generators(fe.SubgroupRef(G, np.ones(len(G), dtype=bool))).tolist() == G.gens.tolist() == [1, 2, 3]
     assert fe._generators(fe.named_subgroup(G, SubsetName.UPPER_UNI)).tolist() == [1024, 1056, 1120, 1248, 1504]
 
 
@@ -648,12 +648,12 @@ def test_semidirect_check():
     G = sl2(2)
     delta = fe.named_subgroup(G, SubsetName.DIAG)
     swap_grp = fe.subgroup_generated(G, [G.index_of(SWAP)])
-    assert fe.semidirect_check(G, delta, swap_grp)
     ut = fe.named_subgroup(G, SubsetName.UPPER_UNI)
-    assert fe.semidirect_check(G, ut, delta)
     whole, trivial = fe.SubgroupRef(G, np.ones(len(G), dtype=bool)), fe.SubgroupRef(G, np.arange(len(G)) == 0)
-    assert fe.semidirect_check(G, whole, trivial)
-    assert not fe.semidirect_check(G, delta, delta)  # the intersection is everything
+    for N, H in ((delta, swap_grp), (ut, delta), (whole, trivial)):
+        # the check returns the join it closed
+        assert fe.semidirect_check(G, N, H) == fe.subgroup_generated(G, np.concatenate([N.indices(), H.indices()]))
+    assert fe.semidirect_check(G, delta, delta) is None  # the intersection is everything
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -137,6 +137,30 @@ def test_byte_window_maps_match_their_references(n):
             assert z.mask == sel & ~1, (n, x)
 
 
+def _log_lift(x, m, n):
+    """The log route that lifts replaced: g_m^k -> g_n^(k e), with
+    e = (2^n - 1)/(2^m - 1)."""
+    t = ensure_log_table(n)
+    return x if x <= 1 else t.exp[ensure_log_table(m).log[x] * (t.q1 // ((1 << m) - 1))]
+
+
+@pytest.mark.parametrize("n", range(1, gf.LOG_TABLE_MAX + 1))
+def test_lifts_and_roots_match_the_log_formulas(n):
+    # lifts and square roots read byte-window tables at every level; the
+    # log formulas they replaced, exp_n[log_m[x] e] and a^(2^(n-1)), stay
+    # as the reference: on every mask through level 12, on seeded samples
+    # above, with log tables built on demand from level 17
+    ensure_log_table(n)
+    rng = random.Random(n)
+    for m in divisors(n):
+        xs = range(1 << m) if n <= 12 else [1, *(rng.getrandbits(m) for _ in range(64))]
+        for x in xs:
+            assert lift(FieldElt(m, x), n).mask == _log_lift(x, m, n), (m, n, x)
+    for x in range(1 << n) if n <= 12 else [rng.getrandbits(n) for _ in range(256)]:
+        a = FieldElt(n, x)
+        assert gf.sqrt(a) == power(a, 1 << (n - 1)), (n, x)
+
+
 def _arith(n, pairs):
     return [
         (mul(a, b).mask, power(a, 12345).mask, inv(a).mask if a.mask else None,

@@ -38,6 +38,7 @@ KEPT_SELF_CHECKS = {
     ("finite_engine", "ct_check_centralizers"),
     ("finite_engine", "maximal_abelian_subgroups"),
     ("endo", "_check_base_map"),
+    ("endo", "_check_frobenius_rows"),
     ("endo", "ReplayFrame.__init__"),
 }
 

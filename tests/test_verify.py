@@ -305,6 +305,18 @@ def _lift_keeps_the_mask(monkeypatch):
     monkeypatch.setattr(closure, "lift", lambda a, n: FieldElt(n, a.mask))
 
 
+def _replay_squarings_all_frob0(monkeypatch):
+    # every entrywise base map of the replay family is frob^0: each row
+    # alone is a bijective homomorphism that agrees with the scalar path
+    good = endo.replay_family
+
+    def wrong(n):
+        base, words = good(n)
+        return [endo.Entrywise(endo.FieldEndo(n, 0)) if isinstance(s, endo.Entrywise) else s for s in base], words
+
+    monkeypatch.setattr(endo, "replay_family", wrong)
+
+
 def _level4_squares_rolled(monkeypatch):
     good = gf.LevelTables.__dict__["squares"].func
     monkeypatch.setattr(gf.LevelTables, "squares", property(lambda t: np.roll(good(t), 1) if t.n == 4 else good(t)))
@@ -386,6 +398,8 @@ FAULT_CASES = [  # (fault, the check that catches it, the start of its failure m
     (_lift_keeps_the_mask, "c13-conway/embedding-hom/n4", "embedding 2->4 is not multiplicative"),
     (_level4_squares_rolled, "c11-field-cohopf/endos/n4", "frob^1 does not permute the conjugates of 0x2@4"),
     (_level4_squares_rolled, "c11-field-cohopf/max-order/n4", "frob^1 does not permute the maximal-order elements"),
+    (_replay_squarings_all_frob0, "c12-replay/n2", "InvariantViolated: frob^1 does not have order 2"),
+    (_replay_squarings_all_frob0, "c12-replay/n4", "InvariantViolated: frob^1 does not have order 4"),
 ]
 
 
