@@ -17,10 +17,11 @@ make products, powers, inverses, orders, the closure's minimal-level
 reduction and the powers in minimal polynomials lookups, the jobs where
 they beat the schoolbook route, give the maximal-order masks by a sieve
 over the exponents, and yield the numpy tables of the endomorphism scans
-and the cached product and inverse tables of the group engine.  Only those numpy members import numpy, on first use, so
-the scalar layers and every ``field`` and ``mat`` command run without it;
-they read the arrays through zero-copy views and widen to int64 only the
-values they gather, so every numpy result is int64.
+and the cached product and inverse tables of the group engine.  Only
+those numpy members import numpy, on first use, so the scalar layers and
+every ``field`` and ``mat`` command run without it; they read the arrays
+through zero-copy views and widen to int64 only the values they gather,
+so every numpy result is int64.
 Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
 LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
 endomorphism scans); the rest multiply schoolbook through ``gf2poly``
@@ -31,9 +32,9 @@ modulus's squaring tables; ``power`` and ``elt_order`` go through
 with log tables or without, holds byte-window tables of the other
 GF(2)-linear maps, built on first use and read at every level: lifts
 from and preimages in each subfield, square roots and the ``z^2 + z = c``
-solver's.  The preimage tables come from one elimination of the unit vectors against an echelon form
-(``_preimages``); minimal polynomials run its step, ``_insert``, on the
-powers of an element, uncached.
+solver's.  The preimage tables come from one elimination of the unit
+vectors against an echelon form (``_preimages``); minimal polynomials
+run its step, ``_insert``, on the powers of an element, uncached.
 """
 
 from __future__ import annotations
