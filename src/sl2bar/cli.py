@@ -24,10 +24,10 @@ import argparse
 import os
 import sys
 
-from . import closure, conway, sl2_core as sl
+from . import closure, conway, gf2poly, sl2_core as sl
 from .closure import ClosureElt, cadd, cinv, cmul, cpow
 from .errors import ParseError, Sl2BarError
-from .gf2_field import check_level, ensure_log_table, minimal_poly
+from .gf2_field import check_level, minimal_poly
 
 
 def _emit(args, obj: dict, text: str) -> None:
@@ -165,9 +165,9 @@ def _cmd_field(args) -> int:
         z = artin_schreier_solve(parse_elt(args.elt))
         _emit(args, {"solution": None if z is None else str(z)}, "none" if z is None else str(z))
     elif args.subcommand == "max-order-count":
-        n = args.level
-        check_level(n)
-        count = len(ensure_log_table(n).max_order)
+        n = check_level(args.level)
+        conway.get_active()  # an unreadable table is a usage error here too, though the count reads no modulus
+        count = gf2poly.totient((1 << n) - 1)  # the primitive elements of GF(2^n)
         _emit(args, {"level": n, "count": count}, str(count))
     return 0
 

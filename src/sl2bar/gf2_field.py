@@ -22,19 +22,19 @@ those numpy members import numpy, on first use, so the scalar layers and
 every ``field`` and ``mat`` command run without it; they read the arrays
 through zero-copy views and widen to int64 only the values they gather,
 so every numpy result is int64.
-Levels up to FIRST_TOUCH_MAX get them at first touch, levels up to
-LOG_TABLE_MAX only on explicit demand (``ensure_log_table``, the
-endomorphism scans); the rest multiply schoolbook through ``gf2poly``
-(comb products folded by the modulus 8 bits a step, through the
-byte-window table that the kernel registers, and squares read from the
-modulus's squaring tables; ``power`` and ``elt_order`` go through
-``ppowmod``, which builds one comb of its base per call).  Every kernel,
-with log tables or without, holds byte-window tables of the other
-GF(2)-linear maps, built on first use and read at every level: lifts
-from and preimages in each subfield, square roots and the ``z^2 + z = c``
-solver's.  The preimage tables come from one elimination of the unit
-vectors against an echelon form (``_preimages``); minimal polynomials
-run its step, ``_insert``, on the powers of an element, uncached.
+A level has them exactly when n <= LOG_TABLE_MAX (16), built at first
+touch, so each kernel is built once while its modulus table is active.
+The levels above multiply schoolbook through ``gf2poly`` (comb products
+folded by the modulus 8 bits a step, through the byte-window table that
+the kernel registers, and squares read from the modulus's squaring
+tables; ``power`` and ``elt_order`` go through ``ppowmod``, which builds
+one comb of its base per call).  Every kernel, with log tables or
+without, holds byte-window tables of the other GF(2)-linear maps, built
+on first use and read at every level: lifts from and preimages in each
+subfield, square roots and the ``z^2 + z = c`` solver's.  The preimage
+tables come from one elimination of the unit vectors against an echelon
+form (``_preimages``); minimal polynomials run its step, ``_insert``, on
+the powers of an element, uncached.
 """
 
 from __future__ import annotations
@@ -52,9 +52,9 @@ from .record import Record, _set
 
 N_MAX = conway.N_MAX
 
-# Largest level for which discrete-log table construction is allowed.
-LOG_TABLE_MAX = 20
-FIRST_TOUCH_MAX = 16  # all log tables up to here take under a megabyte
+# The levels whose kernels hold discrete-log tables, built at first touch;
+# all of them together take under a megabyte.
+LOG_TABLE_MAX = 16
 
 
 def check_level(n: int) -> int:
@@ -186,9 +186,8 @@ def _log_arrays(n: int, mod: int) -> tuple[array, array]:
     the walk x -> x g: a shift and, when the degree reaches n, an XOR with
     the modulus.  TableInvalid unless g generates every nonzero mask."""
     q1 = (1 << n) - 1
-    code = "H" if n <= 16 else "I"  # uint16 or uint32
-    exp = array(code, [0]) * q1
-    log = array(code, [0]) * (q1 + 1)
+    exp = array("H", [0]) * q1
+    log = array("H", [0]) * (q1 + 1)
     top = 1 << n
     x = 1
     for k in range(q1):
@@ -206,20 +205,20 @@ def _log_arrays(n: int, mod: int) -> tuple[array, array]:
 
 
 class LevelTables:
-    """The kernel of one level: everything derived from its modulus.  With
-    log tables it holds the compact exp/log arrays that the scalar
-    products and the vectorized methods read; without, it registers the
-    modulus's byte-window fold table in ``gf2poly`` for the schoolbook
-    products.  At every level it holds the byte-window tables of the
-    linear maps (lifts from and preimages in each subfield, square roots,
-    z -> z^2 + z), each built on first use."""
+    """The kernel of one level: everything derived from its modulus.  At
+    levels n <= LOG_TABLE_MAX it holds the compact uint16 exp/log arrays
+    that the scalar products and the vectorized methods read; above, it
+    registers the modulus's byte-window fold table in ``gf2poly`` for the
+    schoolbook products.  At every level it holds the byte-window tables
+    of the linear maps (lifts from and preimages in each subfield, square
+    roots, z -> z^2 + z), each built on first use."""
 
-    def __init__(self, n: int, mod: int, logs: bool = False):
+    def __init__(self, n: int, mod: int):
         self.n = n
         self.mod = mod
         self.q1 = (1 << n) - 1
-        self.exp, self.log = _log_arrays(n, mod) if logs else (None, None)
-        if not logs:
+        self.exp, self.log = _log_arrays(n, mod) if n <= LOG_TABLE_MAX else (None, None)
+        if self.log is None:
             register_fold(mod)
         # (d, (2^n - 1)/(2^d - 1)) for the divisors 1 < d < n, ascending: on
         # logs g^k lies in GF(2^d) exactly when the second divides k
@@ -233,11 +232,11 @@ class LevelTables:
         self._roots = self._as_preimages = None
 
     def _np(self) -> tuple[np.ndarray, np.ndarray]:
-        """Zero-copy numpy views of the exp and log arrays (uint16 or
-        uint32); callers widen only the values they gather."""
+        """Zero-copy numpy views of the uint16 exp and log arrays; callers
+        widen only the values they gather."""
         import numpy as np
 
-        return tuple(np.frombuffer(a, dtype=a.typecode) for a in (self.exp, self.log))
+        return tuple(np.frombuffer(a, dtype=np.uint16) for a in (self.exp, self.log))
 
     def mul_vec(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise products of two mask arrays, as int64."""
@@ -293,7 +292,7 @@ class LevelTables:
         keep = bytearray(b"\1") * self.q1
         for p in factorize(self.q1):
             keep[::p] = bytes(len(range(0, self.q1, p)))
-        return array(self.exp.typecode, compress(self.exp, keep))
+        return array("H", compress(self.exp, keep))
 
     def embed_basis(self, m: int) -> tuple[int, ...]:
         """Masks at this level of g_m^i, i < m, under the embedding
@@ -348,24 +347,27 @@ conway.register_invalidation_hook(_LEVELS.clear)
 
 
 def _level(n: int) -> LevelTables:
-    """The level-n kernel; first touch builds log tables up to FIRST_TOUCH_MAX."""
+    """The level-n kernel, built at first touch; through LOG_TABLE_MAX the
+    build goes through ``ensure_log_table``, the name that perfbench's
+    tracer times first builds under."""
     t = _LEVELS.get(n)
     if t is None:
         mod = conway.get_active().poly(n)  # loads the table outside the build
-        if n <= FIRST_TOUCH_MAX:
+        if n <= LOG_TABLE_MAX:
             return ensure_log_table(n)
         t = _LEVELS[n] = LevelTables(n, mod)
     return t
 
 
 def ensure_log_table(n: int) -> LevelTables:
-    """The level-n kernel with its log tables, built (idempotently) on
-    demand for any level n <= LOG_TABLE_MAX."""
+    """The level-n kernel, which holds log tables for every level
+    n <= LOG_TABLE_MAX, built once and never replaced while the modulus
+    table stays active."""
     if n > LOG_TABLE_MAX:
         raise BoundExceeded(f"log tables limited to levels <= {LOG_TABLE_MAX}, got {n}")
     t = _LEVELS.get(n)
-    if t is None or t.log is None:
-        t = _LEVELS[n] = LevelTables(n, conway.get_active().poly(n), logs=True)
+    if t is None:
+        t = _LEVELS[n] = LevelTables(n, conway.get_active().poly(n))
     return t
 
 

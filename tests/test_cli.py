@@ -53,8 +53,11 @@ def test_a_wrong_product_trips_the_minimal_poly_guard(capsys, monkeypatch):
 
 
 def test_max_order_count_at_the_log_table_bound(capsys):
-    assert run(capsys, "field", "max-order-count", "20") == (0, "480000", "")
-    code, _, err = run(capsys, "field", "max-order-count", "21")
+    # the count is the totient of 2^n - 1 at every level, with or without log tables
+    for n, count in ((8, "128"), (20, "480000"), (30, "534600000")):
+        assert run(capsys, "field", "max-order-count", str(n)) == (0, count, "")
+        assert gf2_field._LEVELS == {}  # main dropped every kernel, and the count built none
+    code, _, err = run(capsys, "field", "max-order-count", "31")
     assert code == 1 and "BoundExceeded" in err
 
 
@@ -255,6 +258,7 @@ def test_unreadable_table_file_is_a_usage_error(tmp_path, how):
     env.pop(conway.ENV_TABLE_PATH, None)
     for extra_env, argv in (
         ({}, ["--conway-file", path, "field", "order", "0x2@2"]),
+        ({}, ["--conway-file", path, "field", "max-order-count", "8"]),
         ({conway.ENV_TABLE_PATH: path}, ["group", "enum", "--level", "2"]),
         ({conway.ENV_TABLE_PATH: path}, ["verify", "--max-level", "2"]),
     ):
@@ -308,8 +312,8 @@ def test_field_and_mat_commands_never_import_numpy():
             ["mat", "centralizer-descriptor", split],
         ]
         expected += [0] * 10
-    argvs += [["field", "max-order-count", str(n)] for n in (3, 8, 16)]
-    expected += [0] * 3
+    argvs += [["field", "max-order-count", str(n)] for n in (3, 8, 16, 20, 30)]
+    expected += [0] * 5
     argvs.append(["field", "order", "0xZZ@3"])
     expected.append(2)
     got = _in_fresh_process(argvs)
@@ -317,7 +321,7 @@ def test_field_and_mat_commands_never_import_numpy():
     orders = [out for argv, (_, out) in zip(argvs, got["results"]) if argv[:2] == ["mat", "order"]]
     assert orders == [f"{(1 << n) - 1}\n" for n in (3, 16, 25)]
     counts = [out for argv, (_, out) in zip(argvs, got["results"]) if argv[1] == "max-order-count"]
-    assert counts == [f"{gf2poly.totient((1 << n) - 1)}\n" for n in (3, 8, 16)] == ["6\n", "128\n", "32768\n"]
+    assert counts == [f"{gf2poly.totient((1 << n) - 1)}\n" for n in (3, 8, 16, 20, 30)] == ["6\n", "128\n", "32768\n", "480000\n", "534600000\n"]
     assert not got["numpy"]
 
 

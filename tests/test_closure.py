@@ -23,7 +23,7 @@ from sl2bar.closure import (
     reduce_elt,
 )
 from sl2bar.errors import LevelOverflow, NotADivisor
-from sl2bar.gf2_field import FIRST_TOUCH_MAX, FieldElt, add, gen, mul
+from sl2bar.gf2_field import LOG_TABLE_MAX, FieldElt, add, gen, mul
 
 
 def test_lift_examples():
@@ -138,7 +138,7 @@ def test_log_table_reduction_matches_the_descent():
     # on log tables reduce_elt reads log x once and scans the divisors:
     # every mask up to level 12, then seeded and lifted samples to 16
     rng = random.Random(16)
-    for n in range(1, FIRST_TOUCH_MAX + 1):
+    for n in range(1, LOG_TABLE_MAX + 1):
         if n <= 12:
             masks = range(1 << n)
         else:

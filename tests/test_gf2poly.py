@@ -124,7 +124,7 @@ def test_pmod_matches_naive(f, m):
     assert pmod(f, m) == naive_mod(f, m)
 
 
-@pytest.mark.parametrize("n", range(gf.FIRST_TOUCH_MAX + 1, gf.N_MAX + 1))
+@pytest.mark.parametrize("n", range(gf.LOG_TABLE_MAX + 1, gf.N_MAX + 1))
 def test_byte_window_fold_matches_the_bitwise_fold(n):
     # a level kernel without log tables gives its modulus a fold table; the
     # samples run past every window boundary: below m, 8 and 9 bits at and
@@ -156,7 +156,7 @@ def test_only_level_moduli_get_fold_tables():
             gf.minimal_poly(gf.FieldElt(n, rng.getrandbits(n)))
     conway.validate_table(conway.get_active())
     assert gf2poly._FOLDS == before and gf2poly._SQUARES == squares
-    moduli = {conway.get_active().poly(n) for n in range(gf.FIRST_TOUCH_MAX + 1, gf.N_MAX + 1)}
+    moduli = {conway.get_active().poly(n) for n in range(gf.LOG_TABLE_MAX + 1, gf.N_MAX + 1)}
     assert moduli <= set(squares) <= set(before)
     for m in moduli:
         n = m.bit_length() - 1  # ceil(n / 8) windows, the last one of 2^(n - 8 (windows - 1)) entries

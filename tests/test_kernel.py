@@ -101,7 +101,7 @@ def _combine(vectors, x):
     return out
 
 
-@pytest.mark.parametrize("n", range(gf.FIRST_TOUCH_MAX + 1, gf.N_MAX + 1))
+@pytest.mark.parametrize("n", range(gf.LOG_TABLE_MAX + 1, gf.N_MAX + 1))
 def test_byte_window_maps_match_their_references(n):
     # above the log tables squares, lifts, subfield preimages, square roots
     # and z^2 + z = c read byte-window tables; each equals the route it
@@ -112,7 +112,7 @@ def test_byte_window_maps_match_their_references(n):
     rng = random.Random(n)
     subs = divisors(n)[:-1]
     bases = {m: tuple(_embedded(t, m)) for m in subs}
-    if n == gf.FIRST_TOUCH_MAX + 1:
+    if n == gf.LOG_TABLE_MAX + 1:
         masks = range(1 << n)
     else:
         masks = [1 << j for j in range(n)] + [rng.getrandbits(n) for _ in range(64)]
@@ -139,18 +139,20 @@ def test_byte_window_maps_match_their_references(n):
 
 def _log_lift(x, m, n):
     """The log route that lifts replaced: g_m^k -> g_n^(k e), with
-    e = (2^n - 1)/(2^m - 1)."""
-    t = ensure_log_table(n)
-    return x if x <= 1 else t.exp[ensure_log_table(m).log[x] * (t.q1 // ((1 << m) - 1))]
+    e = (2^n - 1)/(2^m - 1), reading the proper subfield's logs and
+    taking g_n^(k e) schoolbook, so it needs no log tables at level n."""
+    if x <= 1 or m == n:
+        return x
+    return ppowmod(2, ensure_log_table(m).log[x] * (((1 << n) - 1) // ((1 << m) - 1)), conway.get_active().poly(n))
 
 
-@pytest.mark.parametrize("n", range(1, gf.LOG_TABLE_MAX + 1))
+@pytest.mark.parametrize("n", range(1, 21))
 def test_lifts_and_roots_match_the_log_formulas(n):
     # lifts and square roots read byte-window tables at every level; the
-    # log formulas they replaced, exp_n[log_m[x] e] and a^(2^(n-1)), stay
+    # log formulas they replaced, g_m^k -> g_n^(k e) and a^(2^(n-1)), stay
     # as the reference: on every mask through level 12, on seeded samples
-    # above, with log tables built on demand from level 17
-    ensure_log_table(n)
+    # above (at 17..20 the proper subfields have log tables and level n
+    # does not)
     rng = random.Random(n)
     for m in divisors(n):
         xs = range(1 << m) if n <= 12 else [1, *(rng.getrandbits(m) for _ in range(64))]
@@ -171,23 +173,45 @@ def _arith(n, pairs):
 
 def test_tables_agree_with_schoolbook_at_the_build_boundaries():
     rng = random.Random(1617)
+    levels = (16, 17, 20, 21)
     pairs = {n: [(FieldElt(n, rng.randrange(1 << n)), FieldElt(n, rng.randrange(1 << n))) for _ in range(200)]
-             for n in (16, 17, 20, 21)}
+             for n in levels}
     before = {n: _arith(n, p) for n, p in pairs.items()}
-    # first touch builds log tables through level 16 only
-    assert gf._LEVELS[16].log is not None
-    assert all(gf._LEVELS[n].log is None for n in (17, 20, 21))
-    for n in (16, 17, 20, 21):
+    kernels = {n: gf._LEVELS[n] for n in levels}
+    # log tables exist exactly through level 16, and no call adds them above
+    assert kernels[16].log is not None
+    assert all(kernels[n].log is None for n in (17, 20, 21))
+    for n in levels:
         mod = conway.get_active().poly(n)
         for (a, b), got in zip(pairs[n], before[n]):
             assert got[0] == pmulmod(a.mask, b.mask, mod)
-    ensure_log_table(17)
-    ensure_log_table(20)
-    with pytest.raises(BoundExceeded):
-        ensure_log_table(21)
-    assert all(gf._LEVELS[n].log is not None for n in (17, 20)) and gf._LEVELS[21].log is None
+            assert got[1] == ppowmod(a.mask, 12345, mod)
+    assert ensure_log_table(16) is kernels[16]
+    for n in (17, 20, 21):
+        with pytest.raises(BoundExceeded):
+            ensure_log_table(n)
+    # every kernel is the one first touch built
+    assert all(gf._LEVELS[n] is kernels[n] for n in levels)
     for n, p in pairs.items():
         assert _arith(n, p) == before[n], n
+
+
+def test_first_touch_builds_go_through_ensure_log_table(monkeypatch):
+    # perfbench's tracer times a level's first build as the first call of
+    # gf2_field.ensure_log_table; a scalar op's first touch must make it
+    calls = []
+    good = gf.ensure_log_table
+
+    def recorded(n):
+        calls.append(n)
+        return good(n)
+
+    monkeypatch.setattr(gf, "ensure_log_table", recorded)
+    mul(gf.gen(9), gf.gen(9))
+    inv(gf.gen(16))
+    mul(gf.gen(17), gf.gen(17))
+    assert calls == [9, 16]
+    assert gf._LEVELS[9].log is not None and gf._LEVELS[17].log is None
 
 
 def test_table_switch_rebuilds_through_the_single_hook():
@@ -224,4 +248,4 @@ def test_non_primitive_modulus_is_rejected():
         (2, 0b100),  # x^2: 1, x, 0
     ]:
         with pytest.raises(TableInvalid, match="not primitive"):
-            gf.LevelTables(n, mod, logs=True)
+            gf.LevelTables(n, mod)

@@ -170,7 +170,7 @@ def _artin_schreier_wrong_root(monkeypatch):
 
 
 def _swap_two_exps(monkeypatch, n):
-    bad = gf.LevelTables(n, gf.ensure_log_table(n).mod, logs=True)
+    bad = gf.LevelTables(n, gf.ensure_log_table(n).mod)
     bad.exp[1], bad.exp[3] = bad.exp[3], bad.exp[1]
     bad.log[bad.exp[1]], bad.log[bad.exp[3]] = 1, 3
     monkeypatch.setitem(gf._LEVELS, n, bad)
